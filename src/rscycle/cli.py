@@ -8,7 +8,7 @@ CSV files plus a metadata sidecar holding the tool version, the config
 hash, and the seed, so repeated runs are byte-identical.
 
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
-certificate fails.
+certificate fails, 4 when a simulation aborts (runaway or impossible state).
 """
 
 import argparse
@@ -50,6 +50,7 @@ from .returnmap import (
 )
 from .simulate import (
     NoiseSpec,
+    SimulationError,
     simulate_exact,
     simulate_sde,
     write_events_csv,
@@ -105,15 +106,27 @@ _DEFAULTS = {
 }
 
 
+# Keys of a "feedback" config per kind, in the order the FeedbackSpec
+# constructor of that name takes them.
+_FEEDBACK_KEYS = {
+    "linear": ("gamma",),
+    "hill": ("gamma", "theta", "h"),
+    "tabulated": ("points",),
+}
+
+
 def _feedback_from_config(cfg) -> FeedbackSpec:
     kind = cfg.get("kind", "linear")
-    if kind == "linear":
-        return FeedbackSpec.linear(cfg["gamma"])
-    if kind == "hill":
-        return FeedbackSpec.hill(cfg["gamma"], cfg["theta"], cfg["h"])
-    if kind == "tabulated":
-        return FeedbackSpec.tabulated(cfg["points"])
-    raise ValidationError(f"unknown feedback kind {kind!r}")
+    if kind not in _FEEDBACK_KEYS:
+        raise ValidationError(f"unknown feedback kind {kind!r}")
+    keys = _FEEDBACK_KEYS[kind]
+    unknown = sorted(set(cfg) - {"kind", *keys})
+    if unknown:
+        raise ValidationError(f"unknown feedback key(s) {unknown} for kind {kind!r}")
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ValidationError(f"{kind} feedback is missing key(s) {missing}")
+    return getattr(FeedbackSpec, kind)(*(cfg[key] for key in keys))
 
 
 def _load_config(path, command: str, overrides: dict) -> dict:
@@ -353,6 +366,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
+    except SimulationError as exc:
+        print(f"simulation aborted: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,18 +22,22 @@ class GapReport:
     gaps: List[Tuple[int, int, float]]
 
 
-def gap_report(pop: Population) -> GapReport:
-    order = np.argsort(pop.phases, kind="stable")
-    x = pop.phases[order]
-    nxt = np.roll(order, -1)
+def _sorted_gaps(phases: np.ndarray):
+    """Stable phase order and the gap from each sorted cell forward to the
+    next; the last gap wraps around the circle.  When all cells coincide
+    (a lone cell included) that wrap gap is the full turn, so the widths
+    always sum to 1."""
+    order = np.argsort(phases, kind="stable")
+    x = phases[order]
     widths = (np.roll(x, -1) - x) % 1.0
-    if len(pop) == 1:
-        widths = np.array([1.0])
-    else:
-        # the wrap-around gap closes the circle
-        widths[-1] = (x[0] - x[-1]) % 1.0
-        if widths[-1] == 0.0 and np.all(pop.phases == pop.phases[0]):
-            widths[-1] = 1.0
+    if np.all(phases == phases[0]):
+        widths[-1] = 1.0
+    return order, widths
+
+
+def gap_report(pop: Population) -> GapReport:
+    order, widths = _sorted_gaps(pop.phases)
+    nxt = np.roll(order, -1)
     return GapReport([(int(order[i]), int(nxt[i]), float(widths[i])) for i in range(len(pop))])
 
 
@@ -72,15 +76,8 @@ def decompose(pop: Population, rp: RegionParams, delta: Optional[float] = None) 
         raise ValidationError(
             f"merge delta must lie in (0, |R|+|S|) = (0, {rp.interaction_length:.6g})"
         )
-    order = np.argsort(pop.phases, kind="stable")
-    x = pop.phases[order]
-    m = x.size
-    widths = (np.roll(x, -1) - x) % 1.0
-    widths[-1] = (x[0] - x[-1]) % 1.0
-    if m == 1:
-        widths = np.array([1.0])
-    elif np.all(pop.phases == pop.phases[0]):
-        widths[-1] = 1.0
+    order, widths = _sorted_gaps(pop.phases)
+    m = order.size
 
     breaks = np.nonzero(widths >= delta)[0]
     if breaks.size == 0:

@@ -43,12 +43,6 @@ def wrap01(x):
     return np.asarray(x, dtype=float) % 1.0
 
 
-def circle_distance(x: float, y: float) -> float:
-    """Shortest arc distance between two phases."""
-    d = abs(float(x) - float(y)) % 1.0
-    return min(d, 1.0 - d)
-
-
 @dataclass(frozen=True)
 class RegionParams:
     """Arc geometry of the two coupling regions.

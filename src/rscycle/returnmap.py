@@ -13,6 +13,9 @@ continuous and piecewise affine; for k = 2 it has an explicit four-branch
 closed form in terms of alpha = f(1/2).  Composition, fixed points, and
 the two-cluster outcome classification are built on an exact
 piecewise-affine representation.
+
+The numeric map advances the clusters with the same event step as the
+exact engine, `simulate._next_crossing`, so the two cannot drift apart.
 """
 
 from dataclasses import dataclass
@@ -21,17 +24,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (
-    TIE_TOL,
     CertificateError,
     FeedbackSpec,
     RegionParams,
     ValidationError,
 )
+from .simulate import _next_crossing, _snap
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
 _NEUTRAL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-10
+_CODE_NAME = {0: "s", 1: "r", 2: "1"}
 
 
 # ---------------------------------------------------------------------------
@@ -49,33 +53,19 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
     pos = np.asarray(positions, dtype=float).copy()
     w = np.asarray(weights, dtype=float)
     total = w.sum()
-    k = pos.size
     t = 0.0
     hits: List[Tuple[int, str]] = []
-    code_name = {0: "s", 1: "r", 2: "1"}
 
-    for _ in range(3 * k + 10):
+    for _ in range(3 * pos.size + 10):
         if pos.max() >= 1.0:
             return t, pos, hits
-        I = float(w[pos < rp.s].sum() / total)
-        fI = fs(I) if I > 0.0 else 0.0
-        speeds = np.where(pos >= rp.r, 1.0 + fI, 1.0)
-        in_s = pos < rp.s
-        mid = (pos >= rp.s) & (pos < rp.r)
-        dist = np.where(in_s, rp.s - pos, np.where(mid, rp.r - pos, 1.0 - pos))
-        code = np.where(in_s, 0, np.where(mid, 1, 2))
-        tt = dist / speeds
-        dt_star = float(tt.min())
-        batch = tt <= dt_star + TIE_TOL
-        pos = pos + speeds * dt_star
-        pos[batch & (code == 0)] = rp.s
-        pos[batch & (code == 1)] = rp.r
-        pos[batch & (code == 2)] = 1.0
-        t += dt_star
-        order = np.argsort(tt[batch], kind="stable")
-        members = np.nonzero(batch)[0][order]
-        hits.extend((int(i), code_name[int(code[i])]) for i in members)
-        if np.any(batch & (code == 2)):
+        c = _next_crossing(pos, w, total, rp, fs)
+        pos = pos + c.speeds * c.dt
+        _snap(pos, c, rp, 1.0)
+        t += c.dt
+        members = np.nonzero(c.batch)[0][np.argsort(c.tt[c.batch], kind="stable")]
+        hits.extend((int(i), _CODE_NAME[int(c.code[i])]) for i in members)
+        if np.any(c.batch & (c.code == 2)):
             return t, pos, hits
     raise CertificateError("section advance did not terminate; integration bug")
 

@@ -10,6 +10,10 @@ noise, used for the cluster-count experiments.
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
 as one batch and the signaling fraction is recomputed once afterwards.
+
+The exact engine and the section map `returnmap.advance_to_section` share
+one event step, `_next_crossing`; its speed law `_speeds` also drives the
+stochastic engine.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +28,6 @@ from .model import (
     Population,
     RegionParams,
     ValidationError,
-    signaling_fraction,
 )
 
 
@@ -73,27 +76,52 @@ class Trajectory:
         return Population(self.states[-1] % 1.0, self.weights.copy())
 
 
-def cell_speeds(pop: Population, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
-    """Instantaneous speed of every cell: 1 + f(I) inside R when someone is
-    signaling, 1 everywhere else."""
-    I = signaling_fraction(pop, rp)
-    speeds = np.ones(len(pop))
-    if I > 0.0:
-        speeds[pop.phases >= rp.r] = 1.0 + fs(I)
-    return speeds
+def _speeds(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
+    """The speed law: 1 + f(I) in R and 1 elsewhere, I the weighted share in S."""
+    I = float(w[pos < rp.s].sum() / total)
+    fI = fs(I) if I > 0.0 else 0.0
+    return np.where(pos >= rp.r, 1.0 + fI, 1.0)
 
 
-def _boundary_distances(pos: np.ndarray, rp: RegionParams):
-    """Distance to the next boundary ahead of each cell plus its kind code
-    (0: reaches s, 1: reaches r, 2: reaches 1 and wraps)."""
+class _Crossing(NamedTuple):
+    """The next boundary crossing of the frozen field, with per-cell data."""
+
+    dt: float             # time to the earliest crossing
+    batch: np.ndarray     # cells that hit within TIE_TOL of dt
+    speeds: np.ndarray
+    code: np.ndarray      # boundary ahead: 0 is s, 1 is r, 2 is 1
+    dist: np.ndarray      # distance to that boundary
+    tt: np.ndarray        # time to that boundary
+
+
+def _next_crossing(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> _Crossing:
+    """One event step of the flow from phases pos in [0, 1)."""
+    speeds = _speeds(pos, w, total, rp, fs)
     in_s = pos < rp.s
     mid = (pos >= rp.s) & (pos < rp.r)
     dist = np.where(in_s, rp.s - pos, np.where(mid, rp.r - pos, 1.0 - pos))
     code = np.where(in_s, 0, np.where(mid, 1, 2))
-    return dist, code
+    tt = dist / speeds
+    dt = float(tt.min())
+    if dt <= 0.0:
+        raise SimulationError("non-positive time to next boundary; a cell sits past it")
+    return _Crossing(dt, tt <= dt + TIE_TOL, speeds, code, dist, tt)
+
+
+def _snap(pos: np.ndarray, c: _Crossing, rp: RegionParams, end: float) -> None:
+    """Place every batch member exactly on its boundary; one reaching 1 goes to end."""
+    pos[c.batch & (c.code == 0)] = rp.s
+    pos[c.batch & (c.code == 1)] = rp.r
+    pos[c.batch & (c.code == 2)] = end
 
 
 _KIND_OF_CODE = {0: EventKind.HIT_S_END, 1: EventKind.HIT_R_START, 2: EventKind.HIT_CYCLE_END}
+
+
+def cell_speeds(pop: Population, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
+    """Instantaneous speed of every cell: 1 + f(I) inside R when someone is
+    signaling, 1 everywhere else."""
+    return _speeds(pop.phases, pop.weights, pop.total_weight, rp, fs)
 
 
 def next_event(pop: Population, rp: RegionParams, fs: FeedbackSpec):
@@ -103,23 +131,8 @@ def next_event(pop: Population, rp: RegionParams, fs: FeedbackSpec):
     covering every cell whose crossing time is within TIE_TOL of the
     earliest one.
     """
-    speeds = cell_speeds(pop, rp, fs)
-    dist, code = _boundary_distances(pop.phases, rp)
-    tt = dist / speeds
-    dt_star = float(tt.min())
-    if dt_star <= 0.0:
-        raise SimulationError(
-            "non-positive time to next boundary; a cell sits past its boundary"
-        )
-    members = np.nonzero(tt <= dt_star + TIE_TOL)[0]
-    return dt_star, [(int(i), _KIND_OF_CODE[int(code[i])]) for i in members]
-
-
-def _snap(pos: np.ndarray, batch: np.ndarray, code: np.ndarray, rp: RegionParams):
-    """Place every batch member exactly on its boundary (1 wraps to 0)."""
-    pos[batch & (code == 0)] = rp.s
-    pos[batch & (code == 1)] = rp.r
-    pos[batch & (code == 2)] = 0.0
+    c = _next_crossing(pop.phases, pop.weights, pop.total_weight, rp, fs)
+    return c.dt, [(int(i), _KIND_OF_CODE[int(c.code[i])]) for i in np.nonzero(c.batch)[0]]
 
 
 def simulate_exact(
@@ -190,33 +203,24 @@ def simulate_exact(
             next_sample += 1
 
     while t < duration * (1.0 - 1e-15):
-        I = float(w[pos < rp.s].sum() / total)
-        fI = fs(I) if I > 0.0 else 0.0
-        speeds = np.where(pos >= rp.r, 1.0 + fI, 1.0)
-        dist, code = _boundary_distances(pos, rp)
-        tt = dist / speeds
-        dt_star = float(tt.min())
-        if dt_star <= 0.0:
-            raise SimulationError("boundary processing left a cell past its boundary")
-
-        if t + dt_star > duration:
+        c = _next_crossing(pos, w, total, rp, fs)
+        if t + c.dt > duration:
             # horizon reached before the next crossing; partial advance
-            record_until(duration, speeds)
+            record_until(duration, c.speeds)
             frac = duration - t
-            pos += speeds * frac
-            lift += speeds * frac
+            pos += c.speeds * frac
+            lift += c.speeds * frac
             t = duration
             break
 
-        record_until(t + dt_star, speeds)
-        batch = tt <= dt_star + TIE_TOL
-        lift = np.where(batch, lift + dist, lift + speeds * dt_star)
-        pos = pos + speeds * dt_star
-        _snap(pos, batch, code, rp)
-        t += dt_star
+        record_until(t + c.dt, c.speeds)
+        lift = np.where(c.batch, lift + c.dist, lift + c.speeds * c.dt)
+        pos = pos + c.speeds * c.dt
+        _snap(pos, c, rp, 0.0)
+        t += c.dt
 
-        for i in np.nonzero(batch)[0]:
-            events.append(EventRecord(t, _KIND_OF_CODE[int(code[i])], int(i)))
+        for i in np.nonzero(c.batch)[0]:
+            events.append(EventRecord(t, _KIND_OF_CODE[int(c.code[i])], int(i)))
         if len(events) > max_events:
             raise SimulationError(
                 f"event count exceeded {max_events} (s={rp.s}, r={rp.r}, "
@@ -275,9 +279,7 @@ def simulate_sde(
     times = [0.0]
     states = [pos.copy()]
     for k in range(1, steps + 1):
-        I = float(w[pos < rp.s].sum() / total)
-        fI = fs(I) if I > 0.0 else 0.0
-        speeds = np.where(pos >= rp.r, 1.0 + fI, 1.0)
+        speeds = _speeds(pos, w, total, rp, fs)
         pos = (pos + speeds * noise.dt + noise.sigma * rng.standard_normal(n)) % 1.0
         if k % sample_every == 0 or k == steps:
             times.append(k * noise.dt)

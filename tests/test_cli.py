@@ -6,6 +6,7 @@ import pytest
 
 from rscycle import cli
 from rscycle.model import CertificateError
+from rscycle.simulate import SimulationError
 
 
 def run_cli(args):
@@ -125,8 +126,13 @@ def test_validation_error_exit_code(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_unknown_config_key_exit_code(tmp_path):
-    cfg = write_config(tmp_path, "bad.json", {"does_not_exist": 1})
+@pytest.mark.parametrize("payload", [
+    {"does_not_exist": 1},
+    {"feedback": {"kind": "hill", "gamma": 0.5}},
+    {"feedback": {"kind": "linear", "gamma": 0.5, "bogus": 1}},
+], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key"])
+def test_unknown_config_key_exit_code(tmp_path, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
@@ -136,6 +142,15 @@ def test_certificate_error_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._COMMANDS, "pde-steady", boom)
     assert run_cli(["pde-steady", "--out", str(tmp_path / "x")]) == 3
+
+
+def test_simulation_error_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(cfg, seed, out, threads):
+        raise SimulationError("synthetic")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", boom)
+    assert run_cli(["simulate", "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == "simulation aborted: synthetic\n"
 
 
 def test_console_script_entry_point(tmp_path):

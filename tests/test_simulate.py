@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
+from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
     EventKind,
     NoiseSpec,
@@ -103,6 +104,38 @@ def test_winding_number_preserved():
         final = traj.states[-1]
         gaps = (np.roll(final, -1) - final) % 1.0
         assert abs(gaps.sum() - 1.0) < 1e-9
+
+
+def test_section_map_matches_exact_engine():
+    # the section map is the exact engine stopped when the leader reaches 1:
+    # same hits batch by batch, same final state bit for bit, except that
+    # the cells hitting 1 stop there instead of wrapping to 0
+    kind_of = {"s": EventKind.HIT_S_END, "r": EventKind.HIT_R_START,
+               "1": EventKind.HIT_CYCLE_END}
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        k = rng.integers(2, 9)
+        s = rng.uniform(0.05, 0.4)
+        r = rng.uniform(s + 0.1, 0.95)
+        rp = RegionParams(s=s, r=r)
+        fs = FeedbackSpec.linear(rng.uniform(-0.8, 0.8))
+        x = np.concatenate(([0.0], np.sort(rng.random(k - 1))))
+        w = rng.uniform(0.1, 1.0, k)
+
+        t1, final, hits = advance_to_section(x, w, rp, fs)
+        traj = simulate_exact(Population(x, w), rp, fs, t1)
+
+        assert traj.times[-1] == t1
+        batch_sizes = np.unique([e.time for e in traj.events], return_counts=True)[1]
+        assert sum(batch_sizes) == len(hits)
+        start = 0
+        for size in batch_sizes:
+            got = sorted((e.cell, e.kind) for e in traj.events[start:start + size])
+            want = sorted((c, kind_of[code]) for c, code in hits[start:start + size])
+            assert got == want
+            start += size
+        assert final[-1] == 1.0
+        np.testing.assert_array_equal(traj.states[-1], np.where(final == 1.0, 0.0, final))
 
 
 def test_event_budget_guard():
