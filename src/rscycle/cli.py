@@ -7,6 +7,10 @@ profile.  Every command is deterministic given (config, seed): outputs are
 CSV files plus a metadata sidecar holding the tool version, the config
 hash, and the seed, so repeated runs are byte-identical.
 
+This module alone writes files, so the artifact format lives here: each CSV
+has a header line and reals as %.17g (which round-trips a float64), and
+each JSON file has indent 2, sorted keys and a trailing newline.
+
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
 certificate fails, 4 when a simulation aborts (runaway or impossible state).
 """
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clusters import count_clusters_histogram, write_sweep_csv
+from .clusters import count_clusters_histogram
 from .cyclic import (
     Case,
     CertificateError,
@@ -29,8 +33,6 @@ from .cyclic import (
     cyclic_spacing,
     saturating_feedback,
     spectrum,
-    write_region_csv,
-    write_spectrum_csv,
 )
 from .model import (
     FeedbackSpec,
@@ -39,23 +41,9 @@ from .model import (
     ValidationError,
     max_isolated_clusters,
 )
-from .pde import flux_residual, mass, steady_profile, write_profile_csv
-from .returnmap import (
-    analytic_F_k2,
-    as_piecewise,
-    compose,
-    fixed_points,
-    numeric_F,
-    write_return_map_csv,
-)
-from .simulate import (
-    NoiseSpec,
-    SimulationError,
-    simulate_exact,
-    simulate_sde,
-    write_events_csv,
-    write_trajectory_csv,
-)
+from .pde import flux_residual, mass, steady_profile
+from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
+from .simulate import NoiseSpec, SimulationError, simulate_exact, simulate_sde
 
 _DEFAULTS = {
     "simulate": {
@@ -116,6 +104,8 @@ _FEEDBACK_KEYS = {
 
 
 def _feedback_from_config(cfg) -> FeedbackSpec:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"feedback must be an object, got {cfg!r}")
     kind = cfg.get("kind", "linear")
     if kind not in _FEEDBACK_KEYS:
         raise ValidationError(f"unknown feedback kind {kind!r}")
@@ -129,6 +119,10 @@ def _feedback_from_config(cfg) -> FeedbackSpec:
     return getattr(FeedbackSpec, kind)(*(cfg[key] for key in keys))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_config(path, command: str, overrides: dict) -> dict:
     cfg = dict(_DEFAULTS[command])
     if path is not None:
@@ -137,24 +131,43 @@ def _load_config(path, command: str, overrides: dict) -> dict:
         for key, value in user.items():
             if key not in cfg:
                 raise ValidationError(f"unknown config key {key!r} for {command}")
+            if _is_number(cfg[key]) and not _is_number(value):
+                raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
             cfg[key] = value
     cfg.update(overrides)
     return cfg
 
 
+def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
+    """One header line, then fmt % tuple(row) per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row) + "\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
-    meta = {
+    _write_json(out / "metadata.json", {
         "tool": "rscycle",
         "version": __version__,
         "command": command,
         "seed": seed,
         "config": cfg,
         "config_hash": hashlib.sha256(blob).hexdigest(),
-    }
-    with open(out / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+
+
+def write_events_csv(traj, path) -> None:
+    """Boundary crossings of an exact run: t,kind,cell."""
+    rows = ((ev.time, ev.kind.value, ev.cell) for ev in traj.events)
+    _write_csv(path, "t,kind,cell", "%.17g,%s,%d", rows)
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
@@ -181,7 +194,13 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
         )
     else:
         raise ValidationError(f"unknown engine {cfg['engine']!r}")
-    write_trajectory_csv(traj, out / "trajectory.csv")
+    cells = traj.states.shape[1]
+    _write_csv(
+        out / "trajectory.csv",
+        "t," + ",".join(f"phase_{i}" for i in range(cells)),
+        ",".join(["%.17g"] * (cells + 1)),
+        ((t, *state) for t, state in zip(traj.times, traj.states)),
+    )
     return 0
 
 
@@ -222,7 +241,8 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     else:
         results = [_sweep_point(job) for job in jobs]
     results.sort(key=lambda item: item[0])
-    write_sweep_csv([row for _, row in results], out / "sweep.csv")
+    _write_csv(out / "sweep.csv", "sweep_value,M,N,verdict", "%.17g,%d,%d,%s",
+               (row for _, row in results))
     return 0
 
 
@@ -234,22 +254,18 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     F = as_piecewise(rp, alpha)
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
-    write_return_map_csv(xs, F(xs), F2(xs), out / "return_map.csv")
-
-    rep = fixed_points(F2)
-    with open(out / "fixed_points.json", "w") as fh:
-        json.dump(rep.to_jsonable(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(out / "return_map.csv", "x,F(x),F2(x)", "%.17g,%.17g,%.17g",
+               zip(xs, F(xs), F2(xs)))
+    _write_json(out / "fixed_points.json", fixed_points(F2).to_jsonable())
 
     fs = saturating_feedback(2, alpha)
-    with open(out / "agreement.csv", "w") as fh:
-        fh.write("x,F_analytic,F_numeric,abs_diff\n")
-        for x in xs:
-            ana = analytic_F_k2(float(x), rp, alpha)
-            num, _ = numeric_F(np.array([float(x)]), rp, fs)
-            fh.write(
-                f"{x:.17g},{ana:.17g},{num[0]:.17g},{abs(ana - num[0]):.17g}\n"
-            )
+    rows = []
+    for x in xs:
+        ana = analytic_F_k2(float(x), rp, alpha)
+        num, _ = numeric_F(np.array([float(x)]), rp, fs)
+        rows.append((x, ana, num[0], abs(ana - num[0])))
+    _write_csv(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
+               "%.17g,%.17g,%.17g,%.17g", rows)
     return 0
 
 
@@ -269,7 +285,8 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
             spectrum_rows.append(
                 (k, float(beta), case.value, d, rep.spectral_radius, rep.min_modulus)
             )
-    write_spectrum_csv(spectrum_rows, out / "spectrum.csv")
+    _write_csv(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
+               "%d,%.17g,%s,%.17g,%.17g,%.17g", spectrum_rows)
 
     region_rows = []
     g = int(cfg["region_grid"])
@@ -282,7 +299,7 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
             k = max_isolated_clusters(rp) + 1
             case = classify_case(rp, k, 1.0 / k)
             region_rows.append((float(r), float(s), k, case.value))
-    write_region_csv(region_rows, out / "regions.csv")
+    _write_csv(out / "regions.csv", "r,s,k,case", "%.17g,%.17g,%d,%s", region_rows)
     return 0
 
 
@@ -290,23 +307,19 @@ def cmd_pde(cfg: dict, seed: int, out: Path, threads: int) -> int:
     rp = RegionParams(s=cfg["s"], r=cfg["r"])
     fs = _feedback_from_config(cfg["feedback"])
     profile = steady_profile(cfg["c"], rp, fs)
-    write_profile_csv(profile, out / "profile.csv", grid=int(cfg["grid"]))
+    xs = np.linspace(0.0, 1.0, int(cfg["grid"]), endpoint=False)
+    u, b = profile.u(xs), profile.b(xs)
+    _write_csv(out / "profile.csv", "x,u,b,flux", "%.17g,%.17g,%.17g,%.17g",
+               zip(xs, u, b, b * u))
     resid = flux_residual(profile)
     if resid > 1e-12:
         raise CertificateError(f"steady profile flux residual {resid:.3e}")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {
-                "c": profile.c,
-                "on_r_level": profile.on_r_level,
-                "mass": mass(profile),
-                "flux_residual": resid,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out / "summary.json", {
+        "c": profile.c,
+        "on_r_level": profile.on_r_level,
+        "mass": mass(profile),
+        "flux_residual": resid,
+    })
     return 0
 
 

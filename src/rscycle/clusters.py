@@ -205,11 +205,3 @@ def _group_width(state, indices) -> float:
     tail = state[indices[0]] % 1.0
     lead = state[indices[-1]] % 1.0
     return float((lead - tail) % 1.0)
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Sweep export, one row per point: sweep_value,M,N,verdict."""
-    with open(path, "w") as fh:
-        fh.write("sweep_value,M,N,verdict\n")
-        for value, m, n, verdict in rows:
-            fh.write(f"{value:.17g},{m},{n},{verdict}\n")

@@ -280,19 +280,3 @@ def spectrum(k: int, beta: float, case: Case) -> SpectrumReport:
         min_modulus=float(mods.min()),
         residuals=residuals,
     )
-
-
-def write_spectrum_csv(rows, path) -> None:
-    """Spectrum sweep export: k,beta,case,d,spectral_radius,min_modulus."""
-    with open(path, "w") as fh:
-        fh.write("k,beta,case,d,spectral_radius,min_modulus\n")
-        for k, beta, case, d, rad, mmin in rows:
-            fh.write(f"{k},{beta:.17g},{case},{d:.17g},{rad:.17g},{mmin:.17g}\n")
-
-
-def write_region_csv(rows, path) -> None:
-    """Case-region export on an (r, s) grid: r,s,k,case."""
-    with open(path, "w") as fh:
-        fh.write("r,s,k,case\n")
-        for r, s, k, case in rows:
-            fh.write(f"{r:.17g},{s:.17g},{k},{case}\n")

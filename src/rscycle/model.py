@@ -39,8 +39,15 @@ TIE_TOL = 1e-12
 
 
 def wrap01(x):
-    """Map x onto [0, 1). Works on scalars and arrays."""
-    return np.asarray(x, dtype=float) % 1.0
+    """Map x onto [0, 1). Works on scalars and arrays.
+
+    Float `%` rounds a tiny negative x up to exactly 1.0; that is set to 0.0.
+    """
+    y = np.asarray(x, dtype=float) % 1.0
+    if y.ndim == 0:
+        return np.float64(0.0) if y == 1.0 else y
+    y[y == 1.0] = 0.0
+    return y
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ def region_of(x: float, rp: RegionParams) -> Region:
     """Which region a phase sits in. Boundaries are half-open: s belongs to
     the middle stretch, r belongs to R, and a cell that reaches 1 wraps to 0
     and is therefore in S."""
-    p = float(np.asarray(x) % 1.0)
+    p = float(wrap01(x))
     if p < rp.s:
         return Region.IN_S
     if p < rp.r:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeedbackSpec, RegionParams, ValidationError
+from .model import FeedbackSpec, RegionParams, ValidationError, wrap01
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,13 @@ class SteadyProfile:
 
     def u(self, x):
         """Density at phase x (vectorized)."""
-        x = np.asarray(x, dtype=float) % 1.0
+        x = wrap01(x)
         out = np.where(x >= self.rp.r, self.on_r_level, self.c)
         return float(out) if out.ndim == 0 else out
 
     def b(self, x):
         """Advection speed at phase x for this profile's signaling load."""
-        x = np.asarray(x, dtype=float) % 1.0
+        x = wrap01(x)
         out = np.where(x >= self.rp.r, self.c / self.on_r_level, 1.0)
         return float(out) if out.ndim == 0 else out
 
@@ -69,14 +69,3 @@ def flux_residual(profile: SteadyProfile, grid: int = 1024) -> float:
     """Max deviation of b(x) u(x) from the flux constant on a dense grid."""
     xs = np.linspace(0.0, 1.0, grid, endpoint=False)
     return float(np.max(np.abs(profile.b(xs) * profile.u(xs) - profile.flux)))
-
-
-def write_profile_csv(profile: SteadyProfile, path, grid: int = 512) -> None:
-    """Profile export on a uniform grid: x,u,b,flux."""
-    xs = np.linspace(0.0, 1.0, grid, endpoint=False)
-    u = profile.u(xs)
-    b = profile.b(xs)
-    with open(path, "w") as fh:
-        fh.write("x,u,b,flux\n")
-        for row in zip(xs, u, b, b * u):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

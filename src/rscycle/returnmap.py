@@ -426,11 +426,3 @@ def find_fixed_configuration(rp: RegionParams, fs: FeedbackSpec, k: int,
         x = np.clip(x + step, 1e-9, 1.0 - 1e-9)
         x.sort()
     raise CertificateError(f"fixed-point search did not converge for k={k}")
-
-
-def write_return_map_csv(xs, f1, f2, path) -> None:
-    """Grid export of the map and its second iterate: x,F(x),F2(x)."""
-    with open(path, "w") as fh:
-        fh.write("x,F(x),F2(x)\n")
-        for row in zip(xs, f1, f2):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -28,6 +28,7 @@ from .model import (
     Population,
     RegionParams,
     ValidationError,
+    wrap01,
 )
 
 
@@ -73,7 +74,7 @@ class Trajectory:
     seed: Optional[int] = None
 
     def final_population(self) -> Population:
-        return Population(self.states[-1] % 1.0, self.weights.copy())
+        return Population(wrap01(self.states[-1]), self.weights.copy())
 
 
 def _speeds(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
@@ -146,8 +147,8 @@ def simulate_exact(
     """Integrate the piecewise-constant flow exactly for the given duration.
 
     sample may be "events" (snapshot after every processed batch),
-    "endpoints" (initial and final state only), or an ascending sequence of
-    times within [0, duration].
+    "endpoints" (the final state only), or an ascending sequence of times
+    within [0, duration].
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
@@ -280,7 +281,7 @@ def simulate_sde(
     states = [pos.copy()]
     for k in range(1, steps + 1):
         speeds = _speeds(pos, w, total, rp, fs)
-        pos = (pos + speeds * noise.dt + noise.sigma * rng.standard_normal(n)) % 1.0
+        pos = wrap01(pos + speeds * noise.dt + noise.sigma * rng.standard_normal(n))
         if k % sample_every == 0 or k == steps:
             times.append(k * noise.dt)
             states.append(pos.copy())
@@ -292,19 +293,3 @@ def simulate_sde(
         events=[],
         seed=seed,
     )
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export, one row per sample: t,phase_0,...,phase_{n-1}."""
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"phase_{i}" for i in range(n))
-    data = np.column_stack([traj.times, traj.states])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def write_events_csv(traj: Trajectory, path) -> None:
-    """CSV export of boundary crossings: t,kind,cell."""
-    with open(path, "w") as fh:
-        fh.write("t,kind,cell\n")
-        for ev in traj.events:
-            fh.write(f"{ev.time:.17g},{ev.kind.value},{ev.cell}\n")

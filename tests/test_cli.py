@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rscycle import cli
-from rscycle.model import CertificateError
+from rscycle.model import CertificateError, RegionParams
+from rscycle.returnmap import as_piecewise
 from rscycle.simulate import SimulationError
 
 
@@ -22,12 +25,24 @@ def write_config(tmp_path, name, payload):
 SMALL_SWEEP = {"points": 3, "n": 40, "cycles": 3.0}
 
 
-def test_simulate_outputs_and_headers(tmp_path):
+def test_simulate_outputs_and_headers(tmp_path, monkeypatch):
+    runs = []
+    real = cli.simulate_exact
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate_exact", recording)
     out = tmp_path / "sim"
     cfg = write_config(tmp_path, "c.json", {"n": 5, "cycles": 1.0})
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
-    header = (out / "trajectory.csv").read_text().splitlines()[0]
-    assert header == "t," + ",".join(f"phase_{i}" for i in range(5))
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t," + ",".join(f"phase_{i}" for i in range(5))
+    # %.17g round-trips: the last row is the final state bit for bit
+    last = np.array([float(v) for v in lines[-1].split(",")])
+    assert last[0] == runs[0].times[-1]
+    assert np.array_equal(last[1:], runs[0].states[-1])
     assert (out / "events.csv").read_text().splitlines()[0] == "t,kind,cell"
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["tool"] == "rscycle"
@@ -89,6 +104,10 @@ def test_retmap_outputs(tmp_path):
     lines = (out / "return_map.csv").read_text().splitlines()
     assert lines[0] == "x,F(x),F2(x)"
     assert len(lines) == 51
+    xs = np.linspace(0.0, 1.0, 50)
+    F = as_piecewise(RegionParams(s=0.2, r=0.6), 0.5)
+    column = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.array_equal(column, F(xs))
     rep = json.loads((out / "fixed_points.json").read_text())
     interior = [p for p in rep["points"] if 0.01 < p["location"] < 0.99]
     assert len(interior) == 1
@@ -130,10 +149,15 @@ def test_validation_error_exit_code(tmp_path):
     {"does_not_exist": 1},
     {"feedback": {"kind": "hill", "gamma": 0.5}},
     {"feedback": {"kind": "linear", "gamma": 0.5, "bogus": 1}},
-], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key"])
-def test_unknown_config_key_exit_code(tmp_path, payload):
+    {"feedback": "linear"},
+    {"n": "abc"},
+], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
+        "feedback-not-object", "non-number"])
+def test_unknown_config_key_exit_code(tmp_path, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
 def test_certificate_error_exit_code(tmp_path, monkeypatch):
@@ -163,11 +187,21 @@ def test_console_script_entry_point(tmp_path):
     assert (out / "profile.csv").exists()
 
 
-def test_paper_scale_flag_changes_config(tmp_path):
-    # only check the recorded config; the run itself would be slow
+def test_paper_scale_flag_changes_config(tmp_path, monkeypatch):
+    # the sweep itself is stubbed: a paper-scale run would take minutes
+    monkeypatch.setitem(cli._COMMANDS, "sweep-fig4", lambda cfg, seed, out, threads: 0)
     cfg = write_config(tmp_path, "c.json", SMALL_SWEEP)
-    out = tmp_path / "ps"
-    run_cli(["sweep-fig4", "--config", cfg, "--seed", "1", "--out", str(out)])
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["config"]["n"] == 40
-    assert meta["config"]["points"] == 3
+    for flag, n, points in ((["--paper-scale"], 5000, 100), ([], 40, 3)):
+        out = tmp_path / f"ps{n}"
+        assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), *flag]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["config"]["n"], meta["config"]["points"]) == (n, points)
+
+
+def test_only_cli_writes_files():
+    # cli.py owns the artifact format; the library modules do no file I/O
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "cli.py":
+            text = path.read_text()
+            assert "open(" not in text and "savetxt(" not in text, path.name

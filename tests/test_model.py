@@ -86,6 +86,7 @@ def test_wrap01():
     assert wrap01(1.0) == 0.0
     assert wrap01(-0.25) == pytest.approx(0.75)
     assert wrap01(2.5) == pytest.approx(0.5)
+    assert wrap01(-1e-17) == 0.0
 
 
 def test_linear_feedback_values():
