@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ import numpy as np
 from . import __version__
 from .clusters import count_clusters_histogram
 from .cyclic import (
-    Case,
     CertificateError,
     classify_case,
     cyclic_spacing,
@@ -116,11 +116,23 @@ def _feedback_from_config(cfg) -> FeedbackSpec:
     missing = [key for key in keys if key not in cfg]
     if missing:
         raise ValidationError(f"{kind} feedback is missing key(s) {missing}")
-    return getattr(FeedbackSpec, kind)(*(cfg[key] for key in keys))
+    values = [cfg[key] for key in keys]
+    if kind == "tabulated":
+        ok = isinstance(values[0], list) and all(_is_number_list(p, 2) for p in values[0])
+    else:
+        ok = all(_is_number(v) for v in values)
+    if not ok:
+        raise ValidationError(f"{kind} feedback needs numbers (points: [I, f] pairs), got {cfg}")
+    return getattr(FeedbackSpec, kind)(*values)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_list(value, size=None) -> bool:
+    return (isinstance(value, list) and all(_is_number(v) for v in value)
+            and (size is None or len(value) == size))
 
 
 def _load_config(path, command: str, overrides: dict) -> dict:
@@ -133,6 +145,8 @@ def _load_config(path, command: str, overrides: dict) -> dict:
                 raise ValidationError(f"unknown config key {key!r} for {command}")
             if _is_number(cfg[key]) and not _is_number(value):
                 raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
+            if isinstance(cfg[key], int) and not (isinstance(value, int) and value >= 1):
+                raise ValidationError(f"config key {key!r} must be an integer >= 1, got {value!r}")
             cfg[key] = value
     cfg.update(overrides)
     return cfg
@@ -180,8 +194,11 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
         phases = np.sort(rng.random(n))
     elif initial == "uniform":
         phases = np.arange(n) / n
-    else:
+    elif _is_number_list(initial):
         phases = np.asarray(initial, dtype=float)
+    else:
+        raise ValidationError(
+            f'initial must be "random", "uniform" or a list of numbers, got {initial!r}')
     pop = Population(phases)
     duration = float(cfg["cycles"])
     if cfg["engine"] == "exact":
@@ -370,7 +387,8 @@ def main(argv=None) -> int:
         cfg = _load_config(ns.config, ns.command, overrides)
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[ns.command](cfg, ns.seed, out, max(1, ns.threads))
+        threads = max(1, min(ns.threads, os.cpu_count() or 1))
+        code = _COMMANDS[ns.command](cfg, ns.seed, out, threads)
         _write_metadata(out, ns.command, cfg, ns.seed)
         return code
     except ValidationError as exc:

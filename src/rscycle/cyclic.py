@@ -35,6 +35,7 @@ from .model import (
 )
 from .model import max_isolated_clusters
 from .returnmap import advance_to_section
+from .simulate import EventKind
 
 _CLOSURE_TOL = 1e-9
 _DUAL_TOL = 1e-8
@@ -95,7 +96,7 @@ def cyclic_spacing(case: Case, rp: RegionParams, k: int, beta: float) -> float:
     return d
 
 
-def _expected_hits(case: Case, k: int) -> List[Tuple[int, str]]:
+def _expected_hits(case: Case, k: int) -> List[Tuple[int, EventKind]]:
     """Boundary-hit sequence that certifies each case, leader = k-1.
 
     Cases II and III include the crossings forced by the band geometry on
@@ -103,11 +104,12 @@ def _expected_hits(case: Case, k: int) -> List[Tuple[int, str]]:
     cluster 0 leaves S; in Case III cluster 0 never leaves S before the
     return completes.
     """
+    S, R, END = EventKind.HIT_S_END, EventKind.HIT_R_START, EventKind.HIT_CYCLE_END
     if case is Case.I:
-        return [(k - 1, "r"), (0, "s"), (k - 1, "1")]
+        return [(k - 1, R), (0, S), (k - 1, END)]
     if case is Case.II:
-        return [(0, "s"), (k - 2, "r"), (k - 1, "1")]
-    return [(1, "s"), (k - 1, "r"), (k - 1, "1")]
+        return [(0, S), (k - 2, R), (k - 1, END)]
+    return [(1, S), (k - 1, R), (k - 1, END)]
 
 
 def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):

@@ -29,13 +29,12 @@ from .model import (
     RegionParams,
     ValidationError,
 )
-from .simulate import _next_crossing, _snap
+from .simulate import _KIND_OF_CODE, EventKind, _next_crossing, _snap
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
 _NEUTRAL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-10
-_CODE_NAME = {0: "s", 1: "r", 2: "1"}
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +45,14 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
     """Run the cluster flow until the leading cluster reaches 1.
 
     positions must ascend in [0, 1].  Returns (t1, final positions, events)
-    where events is the boundary-hit list [(cluster index, code)] in time
-    order, code in {"s", "r", "1"}.  Nothing wraps; the leader finishes at
-    exactly 1.
+    where events is the boundary-hit list [(cluster index, EventKind)] in
+    time order.  Nothing wraps; the leader finishes at exactly 1.
     """
     pos = np.asarray(positions, dtype=float).copy()
     w = np.asarray(weights, dtype=float)
     total = w.sum()
     t = 0.0
-    hits: List[Tuple[int, str]] = []
+    hits: List[Tuple[int, EventKind]] = []
 
     for _ in range(3 * pos.size + 10):
         if pos.max() >= 1.0:
@@ -64,7 +62,7 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
         _snap(pos, c, rp, 1.0)
         t += c.dt
         members = np.nonzero(c.batch)[0][np.argsort(c.tt[c.batch], kind="stable")]
-        hits.extend((int(i), _CODE_NAME[int(c.code[i])]) for i in members)
+        hits.extend((int(i), _KIND_OF_CODE[c.code[i]]) for i in members)
         if np.any(c.batch & (c.code == 2)):
             return t, pos, hits
     raise CertificateError("section advance did not terminate; integration bug")

@@ -10,6 +10,9 @@ noise, used for the cluster-count experiments.
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
 as one batch and the signaling fraction is recomputed once afterwards.
+The exact engine samples by one rule: the state at a time is the last
+post-batch state moved along the frozen speeds, so a sample at a batch
+time is the post-batch state and every sampled phase lies in [0, 1).
 
 The exact engine and the section map `returnmap.advance_to_section` share
 one event step, `_next_crossing`; its speed law `_speeds` also drives the
@@ -116,7 +119,7 @@ def _snap(pos: np.ndarray, c: _Crossing, rp: RegionParams, end: float) -> None:
     pos[c.batch & (c.code == 2)] = end
 
 
-_KIND_OF_CODE = {0: EventKind.HIT_S_END, 1: EventKind.HIT_R_START, 2: EventKind.HIT_CYCLE_END}
+_KIND_OF_CODE = tuple(EventKind)  # indexed by _Crossing.code
 
 
 def cell_speeds(pop: Population, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
@@ -133,7 +136,7 @@ def next_event(pop: Population, rp: RegionParams, fs: FeedbackSpec):
     earliest one.
     """
     c = _next_crossing(pop.phases, pop.weights, pop.total_weight, rp, fs)
-    return c.dt, [(int(i), _KIND_OF_CODE[int(c.code[i])]) for i in np.nonzero(c.batch)[0]]
+    return c.dt, [(int(i), _KIND_OF_CODE[c.code[i]]) for i in np.nonzero(c.batch)[0]]
 
 
 def simulate_exact(
@@ -146,9 +149,11 @@ def simulate_exact(
 ) -> Trajectory:
     """Integrate the piecewise-constant flow exactly for the given duration.
 
-    sample may be "events" (snapshot after every processed batch),
-    "endpoints" (the final state only), or an ascending sequence of times
-    within [0, duration].
+    sample may be "events" (t = 0, after every batch, and the horizon),
+    "endpoints" (the grid [duration]) or an ascending grid of times within
+    [0, duration].  A grid time takes the state of the last stop at or before
+    it, moved along the frozen speeds: at a batch time that is the post-batch
+    state, and every sampled phase lies in [0, 1).
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
@@ -158,90 +163,65 @@ def simulate_exact(
     pos = pop.phases.copy()
     w = pop.weights.copy()
     total = w.sum()
-    n = pos.size
 
     # unwrapped coordinate, used to assert that cells never overtake
     lift = pos.copy()
     order = np.argsort(pos, kind="stable")
 
     if isinstance(sample, str):
-        if sample == "events":
-            sample_times = None
-        elif sample == "endpoints":
-            sample_times = np.array([duration])
-        else:
+        if sample not in ("events", "endpoints"):
             raise ValidationError(f"unknown sample mode {sample!r}")
+        grid = None if sample == "events" else np.array([duration])
     else:
-        sample_times = np.asarray(sample, dtype=float)
-        if sample_times.size == 0:
-            raise ValidationError("sample times must be nonempty")
-        if np.any(np.diff(sample_times) < 0) or np.any(sample_times < 0) or np.any(
-            sample_times > duration + TIE_TOL
-        ):
-            raise ValidationError("sample times must ascend within [0, duration]")
+        grid = np.asarray(sample, dtype=float)
+        ascending = grid.size > 0 and np.all(np.diff(grid) >= 0)
+        if not (ascending and grid[0] >= 0 and grid[-1] <= duration + TIE_TOL):
+            raise ValidationError("sample times must be nonempty and ascend within [0, duration]")
 
-    if sample_times is None:
-        times = [0.0]
-        states = [pos.copy()]
-    else:
-        # explicit sample times are honored verbatim (including t = 0, if
-        # requested); record_until emits every snapshot
-        times = []
-        states = []
+    times: List[float] = []
+    states: List[np.ndarray] = []
     events: List[EventRecord] = []
+    pending = 0  # index of the first grid time not yet sampled
     t = 0.0
-    next_sample = 0  # index into sample_times
 
-    def record_until(t_stop, speeds):
-        """Emit interpolated snapshots at requested times up to t_stop."""
-        nonlocal next_sample
-        if sample_times is None:
+    def record(t_next, speeds):
+        # the one sample rule, at each stop t of the loop (see the docstring)
+        nonlocal pending
+        if grid is None:
+            times.append(t)
+            states.append(pos.copy())
             return
-        while next_sample < sample_times.size and sample_times[next_sample] <= t_stop + TIE_TOL:
-            ts = sample_times[next_sample]
-            states.append(pos + speeds * max(ts - t, 0.0))
-            times.append(float(ts))
-            next_sample += 1
+        while pending < grid.size and grid[pending] < t_next:
+            times.append(float(grid[pending]))
+            states.append(wrap01(pos + speeds * (grid[pending] - t)))
+            pending += 1
 
     while t < duration * (1.0 - 1e-15):
         c = _next_crossing(pos, w, total, rp, fs)
+        record(min(t + c.dt, duration), c.speeds)
         if t + c.dt > duration:
-            # horizon reached before the next crossing; partial advance
-            record_until(duration, c.speeds)
-            frac = duration - t
-            pos += c.speeds * frac
-            lift += c.speeds * frac
-            t = duration
+            pos = wrap01(pos + c.speeds * (duration - t))
             break
 
-        record_until(t + c.dt, c.speeds)
         lift = np.where(c.batch, lift + c.dist, lift + c.speeds * c.dt)
         pos = pos + c.speeds * c.dt
         _snap(pos, c, rp, 0.0)
         t += c.dt
 
         for i in np.nonzero(c.batch)[0]:
-            events.append(EventRecord(t, _KIND_OF_CODE[int(c.code[i])], int(i)))
+            events.append(EventRecord(t, _KIND_OF_CODE[c.code[i]], int(i)))
         if len(events) > max_events:
             raise SimulationError(
                 f"event count exceeded {max_events} (s={rp.s}, r={rp.r}, "
-                f"feedback={fs.kind}, n={n}); aborting runaway run"
+                f"feedback={fs.kind}, n={pos.size}); aborting runaway run"
             )
 
         sorted_lift = lift[order]
-        if np.any(np.diff(sorted_lift) < -1e-9):
+        if np.any(np.diff(sorted_lift) < -1e-9) or sorted_lift[-1] - sorted_lift[0] > 1.0 + 1e-9:
             raise SimulationError("cyclic order violated; integration bug")
 
-        if sample_times is None:
-            times.append(t)
-            states.append(pos.copy())
-
-    if sample_times is None and times[-1] < duration:
-        times.append(duration)
-        states.append(pos.copy())
-    elif sample_times is not None:
-        # flush any samples at exactly the horizon
-        record_until(duration, np.zeros(n))
+    t = duration  # the last stop; a batch within 1e-15 * duration of it counts as on it
+    record(np.inf, 0.0)
 
     return Trajectory(
         times=np.array(times),

@@ -145,17 +145,27 @@ def test_validation_error_exit_code(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("payload", [
-    {"does_not_exist": 1},
-    {"feedback": {"kind": "hill", "gamma": 0.5}},
-    {"feedback": {"kind": "linear", "gamma": 0.5, "bogus": 1}},
-    {"feedback": "linear"},
-    {"n": "abc"},
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"does_not_exist": 1}),
+    ("simulate", {"feedback": {"kind": "hill", "gamma": 0.5}}),
+    ("simulate", {"feedback": {"kind": "linear", "gamma": 0.5, "bogus": 1}}),
+    ("simulate", {"feedback": "linear"}),
+    ("simulate", {"n": "abc"}),
+    ("simulate", {"n": -1}),
+    ("retmap", {"grid": -1}),
+    ("simulate", {"n": 2.5}),
+    ("sweep-fig4", {"points": 0}),
+    ("pde-steady", {"grid": 0}),
+    ("simulate", {"feedback": {"kind": "linear", "gamma": "x"}}),
+    ("simulate", {"feedback": {"kind": "tabulated", "points": [["a", 1], [1, 0.5]]}}),
+    ("simulate", {"initial": "foo"}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
-        "feedback-not-object", "non-number"])
-def test_unknown_config_key_exit_code(tmp_path, payload, capsys):
+        "feedback-not-object", "non-number", "negative-count", "negative-grid",
+        "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
+        "table-entry-not-number", "unknown-initial"])
+def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
-    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
 
@@ -196,6 +206,17 @@ def test_paper_scale_flag_changes_config(tmp_path, monkeypatch):
         assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), *flag]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert (meta["config"]["n"], meta["config"]["points"]) == (n, points)
+
+
+def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
+    # the sweep is stubbed, so no worker pool is started
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "sweep-fig4",
+                        lambda cfg, seed, out, threads: seen.append(threads) or 0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for threads in ("64", "2", "0"):
+        assert run_cli(["sweep-fig4", "--out", str(tmp_path / "t"), "--threads", threads]) == 0
+    assert seen == [3, 2, 1]
 
 
 def test_only_cli_writes_files():

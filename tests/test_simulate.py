@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rscycle import simulate
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
@@ -47,10 +48,19 @@ def test_next_event_batches_ties():
     assert kinds == {(0, EventKind.HIT_CYCLE_END), (1, EventKind.HIT_R_START)}
 
 
-def test_single_cell_period_is_one_regardless_of_feedback():
+# every sample mode records the post-batch state at a batch time
+SAMPLE_MODES = pytest.mark.parametrize("mode", ["events", "endpoints", "grid"])
+
+
+def _sample(mode, duration):
+    return [duration] if mode == "grid" else mode
+
+
+@SAMPLE_MODES
+def test_single_cell_period_is_one_regardless_of_feedback(mode):
     # a lone cell never sees a signal while in R, so its period is exactly 1
     for fs in (ZERO, POS, FeedbackSpec.linear(-0.6)):
-        traj = simulate_exact(Population(np.array([0.0])), RP, fs, 1.0)
+        traj = simulate_exact(Population(np.array([0.0])), RP, fs, 1.0, sample=_sample(mode, 1.0))
         assert traj.states[-1][0] == 0.0
         kinds = [e.kind for e in traj.events]
         assert kinds == [
@@ -62,8 +72,9 @@ def test_single_cell_period_is_one_regardless_of_feedback():
         np.testing.assert_allclose(times, [0.2, 0.6, 1.0])
 
 
-def test_wrap_lands_exactly_on_zero():
-    traj = simulate_exact(Population(np.array([0.9])), RP, ZERO, 0.1)
+@SAMPLE_MODES
+def test_wrap_lands_exactly_on_zero(mode):
+    traj = simulate_exact(Population(np.array([0.9])), RP, ZERO, 0.1, sample=_sample(mode, 0.1))
     assert traj.states[-1][0] == 0.0
 
 
@@ -110,8 +121,6 @@ def test_section_map_matches_exact_engine():
     # the section map is the exact engine stopped when the leader reaches 1:
     # same hits batch by batch, same final state bit for bit, except that
     # the cells hitting 1 stop there instead of wrapping to 0
-    kind_of = {"s": EventKind.HIT_S_END, "r": EventKind.HIT_R_START,
-               "1": EventKind.HIT_CYCLE_END}
     rng = np.random.default_rng(11)
     for trial in range(300):
         k = rng.integers(2, 9)
@@ -131,11 +140,51 @@ def test_section_map_matches_exact_engine():
         start = 0
         for size in batch_sizes:
             got = sorted((e.cell, e.kind) for e in traj.events[start:start + size])
-            want = sorted((c, kind_of[code]) for c, code in hits[start:start + size])
+            want = sorted(hits[start:start + size])
             assert got == want
             start += size
         assert final[-1] == 1.0
         np.testing.assert_array_equal(traj.states[-1], np.where(final == 1.0, 0.0, final))
+
+
+def test_sample_grid_matches_event_snapshots():
+    # a grid of the event times of an "events" run gives the same samples bit
+    # for bit: a grid time at a batch takes the post-batch state
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        k = rng.integers(2, 9)
+        s = rng.uniform(0.05, 0.4)
+        r = rng.uniform(s + 0.1, 0.95)
+        rp = RegionParams(s=s, r=r)
+        fs = FeedbackSpec.linear(rng.uniform(-0.8, 0.8))
+        pop = Population(np.sort(rng.random(k)), rng.uniform(0.1, 1.0, k))
+        duration = rng.uniform(0.5, 3.0)
+
+        ref = simulate_exact(pop, rp, fs, duration)
+        traj = simulate_exact(pop, rp, fs, duration, sample=ref.times)
+
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_array_equal(traj.states, ref.states)
+        assert np.all((traj.states >= 0.0) & (traj.states < 1.0))
+        # one ulp before each stop, a cell about to wrap can round to 1.0
+        early = simulate_exact(pop, rp, fs, duration, sample=np.nextafter(ref.times[1:], 0.0))
+        assert np.all((early.states >= 0.0) & (early.states < 1.0))
+
+
+def test_order_check_covers_wrap_pair(monkeypatch):
+    # a leader that laps the trailer breaks no adjacent pair of the sorted
+    # lifts; only the wrap pair (leader minus trailer > 1) shows it
+    real = simulate._next_crossing
+
+    def lapping(*args):
+        c = real(*args)
+        dist = c.dist.copy()
+        dist[-1] += 1.0
+        return c._replace(dist=dist)
+
+    monkeypatch.setattr(simulate, "_next_crossing", lapping)
+    with pytest.raises(SimulationError, match="cyclic order"):
+        simulate_exact(Population(np.array([0.1, 0.5, 0.9])), RP, ZERO, 1.0)
 
 
 def test_event_budget_guard():
