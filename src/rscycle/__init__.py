@@ -27,8 +27,6 @@ from .simulate import (
     NoiseSpec,
     SimulationError,
     Trajectory,
-    cell_speeds,
-    next_event,
     simulate_exact,
     simulate_sde,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "NoiseSpec",
     "SimulationError",
     "Trajectory",
-    "cell_speeds",
-    "next_event",
     "simulate_exact",
     "simulate_sde",
     "ClusterDecomposition",

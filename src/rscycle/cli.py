@@ -18,6 +18,7 @@ certificate fails, 4 when a simulation aborts (runaway or impossible state).
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -27,20 +28,8 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import (
-    CertificateError,
-    classify_case,
-    cyclic_spacing,
-    saturating_feedback,
-    spectrum,
-)
-from .model import (
-    FeedbackSpec,
-    Population,
-    RegionParams,
-    ValidationError,
-    max_isolated_clusters,
-)
+from .cyclic import CertificateError, classify_case, cyclic_spacing, saturating_feedback, spectrum
+from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
 from .simulate import NoiseSpec, SimulationError, simulate_exact, simulate_sde
@@ -127,7 +116,10 @@ def _feedback_from_config(cfg) -> FeedbackSpec:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: json.load also parses the literals NaN and Infinity."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number_list(value, size=None) -> bool:

@@ -27,13 +27,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import (
-    CertificateError,
-    FeedbackSpec,
-    RegionParams,
-    ValidationError,
-)
-from .model import max_isolated_clusters
+from .model import (CertificateError, FeedbackSpec, RegionParams, ValidationError,
+                    max_isolated_clusters)
 from .returnmap import advance_to_section
 from .simulate import EventKind
 

@@ -14,8 +14,8 @@ closed form in terms of alpha = f(1/2).  Composition, fixed points, and
 the two-cluster outcome classification are built on an exact
 piecewise-affine representation.
 
-The numeric map advances the clusters with the same event step as the
-exact engine, `simulate._next_crossing`, so the two cannot drift apart.
+The numeric map is the exact engine's region-clock kernel, `simulate._Flow`,
+run until a cluster reaches 1, so the two cannot drift apart.
 """
 
 from dataclasses import dataclass
@@ -23,13 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    CertificateError,
-    FeedbackSpec,
-    RegionParams,
-    ValidationError,
-)
-from .simulate import _KIND_OF_CODE, EventKind, _next_crossing, _snap
+from .model import CertificateError, FeedbackSpec, RegionParams, ValidationError
+from .simulate import _KIND_OF_CODE, EventKind, _Flow
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
@@ -46,25 +41,22 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
 
     positions must ascend in [0, 1].  Returns (t1, final positions, events)
     where events is the boundary-hit list [(cluster index, EventKind)] in
-    time order.  Nothing wraps; the leader finishes at exactly 1.
+    time order, a batch sorted by (time to its boundary, index).  Nothing
+    wraps; the clusters reaching the section finish at exactly 1.
     """
-    pos = np.asarray(positions, dtype=float).copy()
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    t = 0.0
+    pos = np.asarray(positions, dtype=float)
+    if pos.max() >= 1.0:
+        return 0.0, pos.copy(), []
+    flow = _Flow(pos, np.asarray(weights, dtype=float), rp, fs)
     hits: List[Tuple[int, EventKind]] = []
-
     for _ in range(3 * pos.size + 10):
-        if pos.max() >= 1.0:
-            return t, pos, hits
-        c = _next_crossing(pos, w, total, rp, fs)
-        pos = pos + c.speeds * c.dt
-        _snap(pos, c, rp, 1.0)
-        t += c.dt
-        members = np.nonzero(c.batch)[0][np.argsort(c.tt[c.batch], kind="stable")]
-        hits.extend((int(i), _KIND_OF_CODE[c.code[i]]) for i in members)
-        if np.any(c.batch & (c.code == 2)):
-            return t, pos, hits
+        batch = sorted(flow.pop(flow.next_dt()))
+        hits.extend((i, _KIND_OF_CODE[code]) for _, i, code in batch)
+        finished = [i for _, i, code in batch if code == 2]
+        if finished:
+            final = flow.phases()
+            final[finished] = 1.0
+            return flow.t, final, hits
     raise CertificateError("section advance did not terminate; integration bug")
 
 

@@ -15,24 +15,23 @@ post-batch state moved along the frozen speeds, so a sample at a batch
 time is the post-batch state and every sampled phase lies in [0, 1).
 
 The exact engine and the section map `returnmap.advance_to_section` share
-one event step, `_next_crossing`; its speed law `_speeds` also drives the
-stochastic engine.
+one region-clock kernel, `_Flow`.  Cells never overtake and no region
+straddles 0, so the occupants of S, the middle arc and R form three FIFO
+queues, and the next batch is found among the three queue heads: an event
+costs O(batch) work, and positions are rebuilt (O(n)) only at a sample.
 """
 
+import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import (
-    TIE_TOL,
-    FeedbackSpec,
-    Population,
-    RegionParams,
-    ValidationError,
-    wrap01,
-)
+from .model import TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError, wrap01
 
 
 class SimulationError(RuntimeError):
@@ -87,56 +86,95 @@ def _speeds(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
     return np.where(pos >= rp.r, 1.0 + fI, 1.0)
 
 
-class _Crossing(NamedTuple):
-    """The next boundary crossing of the frozen field, with per-cell data."""
+class _Flow:
+    """The exact flow as three FIFO queues of cells, one per region.
 
-    dt: float             # time to the earliest crossing
-    batch: np.ndarray     # cells that hit within TIE_TOL of dt
-    speeds: np.ndarray
-    code: np.ndarray      # boundary ahead: 0 is s, 1 is r, 2 is 1
-    dist: np.ndarray      # distance to that boundary
-    tt: np.ndarray        # time to that boundary
-
-
-def _next_crossing(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> _Crossing:
-    """One event step of the flow from phases pos in [0, 1)."""
-    speeds = _speeds(pos, w, total, rp, fs)
-    in_s = pos < rp.s
-    mid = (pos >= rp.s) & (pos < rp.r)
-    dist = np.where(in_s, rp.s - pos, np.where(mid, rp.r - pos, 1.0 - pos))
-    code = np.where(in_s, 0, np.where(mid, 1, 2))
-    tt = dist / speeds
-    dt = float(tt.min())
-    if dt <= 0.0:
-        raise SimulationError("non-positive time to next boundary; a cell sits past it")
-    return _Crossing(dt, tt <= dt + TIE_TOL, speeds, code, dist, tt)
-
-
-def _snap(pos: np.ndarray, c: _Crossing, rp: RegionParams, end: float) -> None:
-    """Place every batch member exactly on its boundary; one reaching 1 goes to end."""
-    pos[c.batch & (c.code == 0)] = rp.s
-    pos[c.batch & (c.code == 1)] = rp.r
-    pos[c.batch & (c.code == 2)] = end
-
-
-_KIND_OF_CODE = tuple(EventKind)  # indexed by _Crossing.code
-
-
-def cell_speeds(pop: Population, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
-    """Instantaneous speed of every cell: 1 + f(I) inside R when someone is
-    signaling, 1 everywhere else."""
-    return _speeds(pop.phases, pop.weights, pop.total_weight, rp, fs)
-
-
-def next_event(pop: Population, rp: RegionParams, fs: FeedbackSpec):
-    """Time to the next boundary crossing and the cells that share it.
-
-    Returns (dt_star, hits) where hits is a list of (cell_index, EventKind)
-    covering every cell whose crossing time is within TIE_TOL of the
-    earliest one.
+    S and the middle arc run on the clock t, R on its own clock tau, which
+    advances by v dt with v = 1 + f(I).  A cell's phase is its entry phase
+    plus its region's clock minus its entry clock, so a cell that has just
+    crossed sits exactly on the boundary.  Codes: 0 is S and its end s, 1 is
+    the middle arc and r, 2 is R and 1.
     """
-    c = _next_crossing(pop.phases, pop.weights, pop.total_weight, rp, fs)
-    return c.dt, [(int(i), _KIND_OF_CODE[c.code[i]]) for i in np.nonzero(c.batch)[0]]
+
+    def __init__(self, pos: np.ndarray, w: np.ndarray, rp: RegionParams, fs: FeedbackSpec):
+        self.t = self.tau = 0.0
+        phases, weights = pos.tolist(), w.tolist()
+        region = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]
+        # per-cell state in arrays that numpy reads without a copy at a sample
+        self.entry, self.since = array("d", phases), array("d", bytes(8 * len(phases)))
+        self.region = array("b", region)
+        self.queues = (deque(), deque(), deque())  # head first: nearest the region's end
+        for i in sorted(range(len(phases)), key=phases.__getitem__, reverse=True):
+            self.queues[region[i]].append(i)
+        self.ends, self.starts = (rp.s, rp.r, 1.0), (rp.s, rp.r, 0.0)  # region end, next start
+        n = len(weights)
+        if weights.count(weights[0]) == n:  # I is a count over n: tabulate 1 + f(I) once
+            self._w, self._v = None, (1.0 + fs(np.arange(n + 1) / n)).tolist()
+        else:  # fs validates every call, so 1 + f(I) is cached per I
+            self._w, self._total, self._fs, self._v = weights, math.fsum(weights), fs, {}
+        self.v = self._speed()
+        self.due = [self._due(code) for code in range(3)]
+
+    def _speed(self) -> float:
+        S = self.queues[0]
+        if self._w is None:
+            return self._v[len(S)]
+        I = math.fsum(self._w[i] for i in S) / self._total
+        if I not in self._v:
+            self._v[I] = 1.0 + (self._fs(I) if I > 0.0 else 0.0)
+        return self._v[I]
+
+    def _due(self, code: int) -> float:
+        """The region clock at which the head of queue code reaches the region's end."""
+        q = self.queues[code]
+        return self.since[q[0]] + (self.ends[code] - self.entry[q[0]]) if q else math.inf
+
+    def next_dt(self) -> float:
+        """Time to the earliest crossing: the first of the three queue heads."""
+        due, t = self.due, self.t
+        self.head_tt = tts = (due[0] - t, due[1] - t, (due[2] - self.tau) / self.v)
+        dt = min(tts)
+        if dt <= 0.0:
+            raise SimulationError("non-positive time to next boundary; a cell sits past it")
+        return dt
+
+    def advance(self, dt: float) -> None:
+        self.t += dt
+        self.tau += self.v * dt
+
+    def pop(self, dt: float) -> list:
+        """Advance by dt, from next_dt, and move each cell crossing within TIE_TOL
+        of it to the next region; return the batch as (time to cross, cell, code)."""
+        batch, due, limit = [], self.due, dt + TIE_TOL
+        for code, tt in enumerate(self.head_tt):
+            while tt <= limit:
+                batch.append((tt, self.queues[code].popleft(), code))
+                due[code] = self._due(code)
+                tt = (due[2] - self.tau) / self.v if code == 2 else due[code] - self.t
+        self.advance(dt)
+        entry, since, s_changed = self.entry, self.since, False
+        for _, i, code in batch:
+            nxt = 0 if code == 2 else code + 1
+            q, start, clock = self.queues[nxt], self.starts[code], self.tau if nxt == 2 else self.t
+            if q and entry[q[-1]] + (clock - since[q[-1]]) < start:
+                raise SimulationError("cyclic order violated; integration bug")
+            entry[i], since[i], self.region[i] = start, clock, nxt
+            q.append(i)
+            if len(q) == 1:
+                due[nxt] = self._due(nxt)
+            s_changed |= code != 1  # S lost or gained a cell
+        if s_changed:
+            self.v = self._speed()
+        return batch
+
+    def phases(self, offset: float = 0.0) -> np.ndarray:
+        """Every phase at time t + offset along the frozen speeds, in [0, 1)."""
+        clocks = np.array([self.t + offset, self.t + offset, self.tau + self.v * offset])
+        moved = clocks[np.frombuffer(self.region, np.int8)] - np.frombuffer(self.since)
+        return wrap01(np.frombuffer(self.entry) + moved)
+
+
+_KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.pop
 
 
 def simulate_exact(
@@ -160,73 +198,60 @@ def simulate_exact(
     """
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
-    pos = pop.phases.copy()
-    w = pop.weights.copy()
-    total = w.sum()
-
-    # unwrapped coordinate, used to assert that cells never overtake
-    lift = pos.copy()
-    order = np.argsort(pos, kind="stable")
-
     if isinstance(sample, str):
         if sample not in ("events", "endpoints"):
             raise ValidationError(f"unknown sample mode {sample!r}")
-        grid = None if sample == "events" else np.array([duration])
+        grid = None if sample == "events" else [duration]
     else:
         grid = np.asarray(sample, dtype=float)
         ascending = grid.size > 0 and np.all(np.diff(grid) >= 0)
         if not (ascending and grid[0] >= 0 and grid[-1] <= duration + TIE_TOL):
             raise ValidationError("sample times must be nonempty and ascend within [0, duration]")
+        grid = grid.tolist()
 
+    flow = _Flow(pop.phases, pop.weights, rp, fs)
     times: List[float] = []
     states: List[np.ndarray] = []
     events: List[EventRecord] = []
     pending = 0  # index of the first grid time not yet sampled
-    t = 0.0
 
-    def record(t_next, speeds):
-        # the one sample rule, at each stop t of the loop (see the docstring)
+    def record(t, t_next):
+        # the one sample rule, at each stop t of the loop (see the docstring);
+        # the horizon (t_next = inf) holds its state for every grid time left
         nonlocal pending
         if grid is None:
             times.append(t)
-            states.append(pos.copy())
+            states.append(flow.phases())
             return
-        while pending < grid.size and grid[pending] < t_next:
-            times.append(float(grid[pending]))
-            states.append(wrap01(pos + speeds * (grid[pending] - t)))
+        while pending < len(grid) and grid[pending] < t_next:
+            times.append(grid[pending])
+            states.append(flow.phases(grid[pending] - t if t_next < np.inf else 0.0))
             pending += 1
 
-    while t < duration * (1.0 - 1e-15):
-        c = _next_crossing(pos, w, total, rp, fs)
-        record(min(t + c.dt, duration), c.speeds)
-        if t + c.dt > duration:
-            pos = wrap01(pos + c.speeds * (duration - t))
+    t, stop = 0.0, duration * (1.0 - 1e-15)
+    while t < stop:
+        dt = flow.next_dt()
+        record(t, min(t + dt, duration))
+        if t + dt > duration:
+            flow.advance(duration - t)
             break
-
-        lift = np.where(c.batch, lift + c.dist, lift + c.speeds * c.dt)
-        pos = pos + c.speeds * c.dt
-        _snap(pos, c, rp, 0.0)
-        t += c.dt
-
-        for i in np.nonzero(c.batch)[0]:
-            events.append(EventRecord(t, _KIND_OF_CODE[c.code[i]], int(i)))
+        batch = flow.pop(dt)
+        t = flow.t
+        if len(batch) > 1:
+            batch.sort(key=itemgetter(1))  # a batch is listed by cell
+        for _, i, code in batch:
+            events.append(EventRecord(t, _KIND_OF_CODE[code], i))
         if len(events) > max_events:
             raise SimulationError(
                 f"event count exceeded {max_events} (s={rp.s}, r={rp.r}, "
-                f"feedback={fs.kind}, n={pos.size}); aborting runaway run"
+                f"feedback={fs.kind}, n={pop.phases.size}); aborting runaway run"
             )
-
-        sorted_lift = lift[order]
-        if np.any(np.diff(sorted_lift) < -1e-9) or sorted_lift[-1] - sorted_lift[0] > 1.0 + 1e-9:
-            raise SimulationError("cyclic order violated; integration bug")
-
-    t = duration  # the last stop; a batch within 1e-15 * duration of it counts as on it
-    record(np.inf, 0.0)
+    record(duration, np.inf)  # a batch within 1e-15 * duration of the horizon counts as on it
 
     return Trajectory(
         times=np.array(times),
         states=np.vstack(states),
-        weights=w,
+        weights=pop.weights.copy(),
         events=events,
     )
 

@@ -159,10 +159,14 @@ def test_validation_error_exit_code(tmp_path):
     ("simulate", {"feedback": {"kind": "linear", "gamma": "x"}}),
     ("simulate", {"feedback": {"kind": "tabulated", "points": [["a", 1], [1, 0.5]]}}),
     ("simulate", {"initial": "foo"}),
+    ("simulate", {"cycles": float("nan"), "n": 5}),
+    ("simulate", {"engine": "sde", "sigma": float("nan"), "n": 5, "cycles": 1.0}),
+    ("simulate", {"feedback": {"kind": "linear", "gamma": float("inf")}}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
-        "table-entry-not-number", "unknown-initial"])
+        "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
+        "infinite-feedback-value"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rscycle import simulate
+import exact_oracle
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
+    _KIND_OF_CODE,
     EventKind,
     NoiseSpec,
     SimulationError,
-    cell_speeds,
-    next_event,
+    _Flow,
     simulate_exact,
     simulate_sde,
 )
@@ -19,30 +21,41 @@ POS = FeedbackSpec.linear(0.6)
 ZERO = FeedbackSpec.none()
 
 
+def _flow(phases):
+    pop = Population(np.array(phases))
+    return _Flow(pop.phases, pop.weights, RP, POS)
+
+
+def _speeds_of(flow):
+    return [flow.v if region == 2 else 1.0 for region in flow.region]
+
+
+def _next_batch(flow):
+    dt = flow.next_dt()
+    return dt, [(i, _KIND_OF_CODE[code]) for _, i, code in flow.pop(dt)]
+
+
 def test_cell_speeds_frozen():
     # one cell of two in S -> I = 0.5, f = 0.3; only the R cell is boosted
-    pop = Population(np.array([0.1, 0.7]))
-    np.testing.assert_allclose(cell_speeds(pop, RP, POS), [1.0, 1.3])
+    np.testing.assert_allclose(_speeds_of(_flow([0.1, 0.7])), [1.0, 1.3])
 
 
 def test_cell_speeds_without_signal():
-    pop = Population(np.array([0.3, 0.7]))  # nobody in S
-    np.testing.assert_allclose(cell_speeds(pop, RP, POS), [1.0, 1.0])
+    # nobody in S
+    np.testing.assert_allclose(_speeds_of(_flow([0.3, 0.7])), [1.0, 1.0])
 
 
 def test_next_event_frozen():
     # cell 0 at 0.1 reaches s=0.2 after 0.1; cell 1 at 0.55 reaches r=0.6
     # after 0.05 (both at unit speed).  The R-entry wins.
-    pop = Population(np.array([0.1, 0.55]))
-    dt, hits = next_event(pop, RP, POS)
+    dt, hits = _next_batch(_flow([0.1, 0.55]))
     assert dt == pytest.approx(0.05)
     assert hits == [(1, EventKind.HIT_R_START)]
 
 
 def test_next_event_batches_ties():
     # cell 0 at 0.7 reaches 1 after 0.3; cell 1 at 0.3 reaches r after 0.3
-    pop = Population(np.array([0.7, 0.3]))
-    dt, hits = next_event(pop, RP, POS)
+    dt, hits = _next_batch(_flow([0.7, 0.3]))
     assert dt == pytest.approx(0.3)
     kinds = {(c, k) for c, k in hits}
     assert kinds == {(0, EventKind.HIT_CYCLE_END), (1, EventKind.HIT_R_START)}
@@ -172,19 +185,84 @@ def test_sample_grid_matches_event_snapshots():
 
 
 def test_order_check_covers_wrap_pair(monkeypatch):
-    # a leader that laps the trailer breaks no adjacent pair of the sorted
-    # lifts; only the wrap pair (leader minus trailer > 1) shows it
-    real = simulate._next_crossing
+    # a leader that laps the trailer: the cell wrapping at 1 enters S one
+    # lap ahead, in front of the S queue's tail
+    real_init = _Flow.__init__
 
-    def lapping(*args):
-        c = real(*args)
-        dist = c.dist.copy()
-        dist[-1] += 1.0
-        return c._replace(dist=dist)
+    def lapping(self, *args):
+        real_init(self, *args)
+        self.starts = self.starts[:2] + (1.0,)
 
-    monkeypatch.setattr(simulate, "_next_crossing", lapping)
+    monkeypatch.setattr(_Flow, "__init__", lapping)
     with pytest.raises(SimulationError, match="cyclic order"):
-        simulate_exact(Population(np.array([0.1, 0.5, 0.9])), RP, ZERO, 1.0)
+        simulate_exact(Population(np.array([0.05, 0.5, 0.9])), RP, ZERO, 1.0)
+
+
+def _batches(events):
+    """The (cell, kind) lists of consecutive events that share a time."""
+    out = []
+    for i, ev in enumerate(events):
+        if i == 0 or ev.time != events[i - 1].time:
+            out.append([])
+        out[-1].append((ev.cell, ev.kind))
+    return out
+
+
+def _assert_matches_oracle(stops, batches, traj, tol):
+    assert _batches(traj.events) == [batch for _, batch in batches]
+    assert len(traj.times) == len(stops)
+    np.testing.assert_allclose(traj.times, [t for t, _ in stops], rtol=0.0, atol=tol)
+    np.testing.assert_allclose(traj.states, [p for _, p in stops], rtol=0.0, atol=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_matches_oracle(data):
+    # the region-clock kernel against the per-event numpy loop it replaced
+    n = data.draw(st.integers(1, 16))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    phases = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    s = data.draw(st.floats(0.05, 0.45))
+    rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
+    fs = FeedbackSpec.linear(data.draw(st.floats(-0.8, 0.8, allow_subnormal=False)))
+    duration = data.draw(st.floats(0.01, 3.0))
+    stops, batches, margin = exact_oracle.simulate(phases, weights, rp, fs, duration)
+    traj = simulate_exact(Population(phases, weights), rp, fs, duration)
+    # rounding may put a crossing on either side of the tie threshold, and a
+    # batch on either side of the horizon
+    near = [t for t, _ in batches] + [ev.time for ev in traj.events]
+    assume(margin > 1e-13 and all(abs(t - duration) > 1e-9 for t in near))
+    _assert_matches_oracle(stops, batches, traj, 1e-12)
+
+    x = np.sort(phases)
+    t1, final, hits = advance_to_section(x, weights, rp, fs)
+    t1_ref, final_ref, batches = exact_oracle.advance_to_section(x, weights, rp, fs)
+    assert len(hits) == sum(len(b) for b in batches)
+    start = 0
+    for batch in batches:
+        assert sorted(hits[start:start + len(batch)]) == sorted(batch)
+        start += len(batch)
+    assert abs(t1 - t1_ref) <= 1e-12
+    np.testing.assert_allclose(final, final_ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.6, -0.6])
+def test_kernel_matches_oracle_long_run(gamma):
+    # over 250 cycles a gap can pass within rounding of TIE_TOL, where the two
+    # engines may batch a crossing with its neighbour's or just after it; so
+    # each cell's own crossings are compared, and the final state
+    rng = np.random.default_rng(2007)
+    pop = Population(rng.random(4), rng.uniform(0.1, 1.0, 4))
+    args = (RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(gamma), 250.0)
+    stops, batches, _ = exact_oracle.simulate(pop.phases, pop.weights, *args)
+    traj = simulate_exact(pop, *args)
+    for cell in range(4):
+        want = [(t, kind) for t, batch in batches for c, kind in batch if c == cell]
+        got = [(ev.time, ev.kind) for ev in traj.events if ev.cell == cell]
+        assert [kind for _, kind in got] == [kind for _, kind in want]
+        np.testing.assert_allclose([t for t, _ in got], [t for t, _ in want], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(traj.states[-1], stops[-1][1], rtol=0.0, atol=1e-9)
 
 
 def test_event_budget_guard():
