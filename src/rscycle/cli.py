@@ -32,7 +32,7 @@ from .cyclic import CertificateError, classify_case, cyclic_spacing, saturating_
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
-from .simulate import NoiseSpec, SimulationError, simulate_exact, simulate_sde
+from .simulate import NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
 
 _DEFAULTS = {
     "simulate": {
@@ -213,45 +213,47 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     return 0
 
 
-def _sweep_point(args):
-    index, value, cfg, seed = args
-    w = 1.0 / value
-    rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
-    fs = FeedbackSpec.linear(cfg["gamma"])
-    M = max_isolated_clusters(rp)
-    rng = np.random.default_rng([seed, index])
+def _sweep_block(args):
+    """Rows of the sweep points first, first + 1, ..., one per value, as one
+    Euler-Maruyama block; point i draws its start and its noise from
+    default_rng([seed, i])."""
+    first, values, cfg, seed = args
     n = int(cfg["n"])
-    pop = Population(rng.random(n))
-    steps_total = int(round(cfg["cycles"] / cfg["dt"]))
-    traj = simulate_sde(
-        pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
-        float(cfg["cycles"]), seed=rng, sample_every=steps_total,
+    widths = [1.0 / value for value in values]  # |S| + |R| of each point
+    geometry = [RegionParams(s=w / 2.0, r=1.0 - w / 2.0) for w in widths]
+    rngs = [np.random.default_rng([seed, first + i]) for i in range(len(values))]
+    start = np.array([rng.random(n) for rng in rngs])
+    steps = int(round(cfg["cycles"] / cfg["dt"]))
+    _, states = _em_block(
+        start, [rp.s for rp in geometry], [rp.r for rp in geometry],
+        FeedbackSpec.linear(cfg["gamma"]), np.ones(n),
+        NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), steps, rngs, steps,
     )
-    N = count_clusters_histogram(
-        traj.final_population(), bins=int(cfg["bins"]),
-        occupancy_threshold=cfg["occupancy_threshold"],
-    )
-    if N == 0:
-        verdict = "none"
-    elif N <= M:
-        verdict = "le_M"
-    else:
-        verdict = "ge_M_plus_1"
-    return index, (value, M, N, verdict)
+    rows = []
+    for value, rp, phases in zip(values, geometry, states[-1]):
+        M = max_isolated_clusters(rp)
+        N = count_clusters_histogram(
+            Population(phases), bins=int(cfg["bins"]),
+            occupancy_threshold=cfg["occupancy_threshold"],
+        )
+        verdict = "none" if N == 0 else "le_M" if N <= M else "ge_M_plus_1"
+        rows.append((value, M, N, verdict))
+    return rows
 
 
 def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     points = int(cfg["points"])
-    values = np.linspace(cfg["lo"], cfg["hi"], points + 1)[1:]
-    jobs = [(i, float(v), cfg, seed) for i, v in enumerate(values)]
-    if threads > 1:
-        with multiprocessing.Pool(threads) as pool:
-            results = list(pool.imap(_sweep_point, jobs))
+    values = np.linspace(cfg["lo"], cfg["hi"], points + 1)[1:].tolist()
+    # one block of contiguous points per worker; the rows do not depend on the split
+    bounds = [points * i // threads for i in range(threads + 1)]
+    jobs = [(lo, values[lo:hi], cfg, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(jobs) > 1:
+        with multiprocessing.Pool(len(jobs)) as pool:
+            blocks = pool.map(_sweep_block, jobs)
     else:
-        results = [_sweep_point(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
+        blocks = [_sweep_block(job) for job in jobs]
     _write_csv(out / "sweep.csv", "sweep_value,M,N,verdict", "%.17g,%d,%d,%s",
-               (row for _, row in results))
+               (row for block in blocks for row in block))
     return 0
 
 

@@ -41,9 +41,13 @@ TIE_TOL = 1e-12
 def wrap01(x):
     """Map x onto [0, 1). Works on scalars and arrays.
 
-    Float `%` rounds a tiny negative x up to exactly 1.0; that is set to 0.0.
+    Bit for bit the same as `x % 1.0`, which is an exact fmod followed, for
+    a negative x, by one rounded `+ 1.0`: x - floor(x) is the same single
+    rounding of the same exact value, and several times cheaper.  Either
+    rounds a tiny negative x up to exactly 1.0; that is set to 0.0.
     """
-    y = np.asarray(x, dtype=float) % 1.0
+    x = np.asarray(x, dtype=float)
+    y = x - np.floor(x)
     if y.ndim == 0:
         return np.float64(0.0) if y == 1.0 else y
     y[y == 1.0] = 0.0
@@ -236,7 +240,7 @@ class Population:
         self.phases = np.asarray(self.phases, dtype=float).copy()
         if self.phases.ndim != 1 or self.phases.size == 0:
             raise ValidationError("population needs a non-empty 1-d phase array")
-        if np.any(self.phases < 0.0) or np.any(self.phases >= 1.0):
+        if not np.all((self.phases >= 0.0) & (self.phases < 1.0)):  # NaN fails too
             raise ValidationError("phases must lie in [0, 1)")
         if self.weights is None:
             self.weights = np.ones(self.phases.size, dtype=float)
@@ -244,8 +248,8 @@ class Population:
             self.weights = np.asarray(self.weights, dtype=float).copy()
             if self.weights.shape != self.phases.shape:
                 raise ValidationError("weights must match phases in shape")
-            if np.any(self.weights <= 0.0):
-                raise ValidationError("weights must be positive")
+            if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+                raise ValidationError("weights must be positive and finite")
 
     def __len__(self) -> int:
         return self.phases.size

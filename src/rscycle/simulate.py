@@ -7,6 +7,15 @@ be integrated event to event without discretization error.  The stochastic
 engine is a plain Euler-Maruyama discretization with wrapped additive
 noise, used for the cluster-count experiments.
 
+The stochastic engine is one block stepper, `_em_block`: it advances P
+independent runs as one (P, n) array of phases, each row with its own
+region bounds and its own generator.  With unit weights, I = j/n for every
+row comes from one count over the block, and the R step (1 + f(j/n)) dt is
+read from a table built once per run.  Only the normal draws stay per row,
+one standard_normal(n) per row and step, so each row's stream, and its
+result, is bit for bit that of the row run alone.  `simulate_sde` is the
+P = 1 caller; the cluster-count sweep of the CLI steps its points as blocks.
+
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
 as one batch and the signaling fraction is recomputed once afterwards.
@@ -79,11 +88,10 @@ class Trajectory:
         return Population(wrap01(self.states[-1]), self.weights.copy())
 
 
-def _speeds(pos, w, total, rp: RegionParams, fs: FeedbackSpec) -> np.ndarray:
-    """The speed law: 1 + f(I) in R and 1 elsewhere, I the weighted share in S."""
-    I = float(w[pos < rp.s].sum() / total)
-    fI = fs(I) if I > 0.0 else 0.0
-    return np.where(pos >= rp.r, 1.0 + fI, 1.0)
+def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
+    """The speed law for n cells of equal weight: entry j is the speed
+    1 + f(j/n) in R while j cells are in S (cells outside R move at 1)."""
+    return 1.0 + fs(np.arange(n + 1) / n)
 
 
 class _Flow:
@@ -109,7 +117,7 @@ class _Flow:
         self.ends, self.starts = (rp.s, rp.r, 1.0), (rp.s, rp.r, 0.0)  # region end, next start
         n = len(weights)
         if weights.count(weights[0]) == n:  # I is a count over n: tabulate 1 + f(I) once
-            self._w, self._v = None, (1.0 + fs(np.arange(n + 1) / n)).tolist()
+            self._w, self._v = None, _speed_table(fs, n).tolist()
         else:  # fs validates every call, so 1 + f(I) is cached per I
             self._w, self._total, self._fs, self._v = weights, math.fsum(weights), fs, {}
         self.v = self._speed()
@@ -256,6 +264,47 @@ def simulate_exact(
     )
 
 
+def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, weights: np.ndarray,
+              noise: NoiseSpec, steps: int, rngs, sample_every: int):
+    """Euler-Maruyama on a block of P independent runs sharing fs, weights and noise.
+
+    pos is a (P, n) array of phases.  Row p has its own region bounds s[p],
+    r[p] and its own generator rngs[p], which draws one standard_normal(n)
+    per step, so each row's stream is that of a run on its own.  Each step
+    the speeds are frozen at the row's signaling fraction I: a cell in R
+    moves by (1 + f(I)) dt, any other by dt; then the sigma-scaled normals
+    are added and the row is wrapped.  Returns the sampled step numbers (0,
+    every multiple of sample_every, and steps) and the block at each.
+    """
+    n = pos.shape[1]
+    dt = noise.dt
+    s, r = np.asarray(s, dtype=float)[:, None], np.asarray(r, dtype=float)[:, None]
+    if np.all(weights == 1.0):  # I = j/n: one table of R steps for the run
+        r_steps = _speed_table(fs, n) * dt
+
+        def r_step(in_s):
+            return r_steps[np.count_nonzero(in_s, axis=1)]
+    else:  # I is the weighted share in S
+        total = weights.sum()
+
+        def r_step(in_s):
+            shares = (float(weights[row].sum() / total) for row in in_s)
+            return np.array([(1.0 + fs(I) if I > 0.0 else 1.0) * dt for I in shares])
+
+    normals = np.empty_like(pos)
+    ks, states = [0], [pos.copy()]
+    for k in range(1, steps + 1):
+        for row, rng in zip(normals, rngs):
+            rng.standard_normal(out=row)
+        pos = pos + np.where(pos >= r, r_step(pos < s)[:, None], dt)
+        pos += noise.sigma * normals
+        pos = wrap01(pos)
+        if k % sample_every == 0 or k == steps:
+            ks.append(k)
+            states.append(pos)
+    return ks, states
+
+
 def simulate_sde(
     pop: Population,
     rp: RegionParams,
@@ -275,26 +324,13 @@ def simulate_sde(
         raise ValidationError("duration must be > 0")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
-    rng = np.random.default_rng(seed)
-    pos = pop.phases.copy()
-    w = pop.weights.copy()
-    total = w.sum()
-    n = pos.size
     steps = int(round(duration / noise.dt))
-
-    times = [0.0]
-    states = [pos.copy()]
-    for k in range(1, steps + 1):
-        speeds = _speeds(pos, w, total, rp, fs)
-        pos = wrap01(pos + speeds * noise.dt + noise.sigma * rng.standard_normal(n))
-        if k % sample_every == 0 or k == steps:
-            times.append(k * noise.dt)
-            states.append(pos.copy())
-
+    ks, states = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, pop.weights,
+                           noise, steps, [np.random.default_rng(seed)], sample_every)
     return Trajectory(
-        times=np.array(times),
+        times=np.array(ks) * noise.dt,
         states=np.vstack(states),
-        weights=w,
+        weights=pop.weights.copy(),
         events=[],
         seed=seed,
     )

@@ -10,14 +10,21 @@ included.  It is O(n) per event, so it is only for small runs.
 import numpy as np
 
 from rscycle.model import TIE_TOL, wrap01
-from rscycle.simulate import EventKind, SimulationError, _speeds
+from rscycle.simulate import EventKind, SimulationError
 
 KINDS = tuple(EventKind)  # indexed by the boundary code: 0 is s, 1 is r, 2 is 1
 
 
+def speed_law(pos, w, total, rp, fs):
+    """The speed law: 1 + f(I) in R and 1 elsewhere, I the weighted share in S."""
+    I = float(w[pos < rp.s].sum() / total)
+    fI = fs(I) if I > 0.0 else 0.0
+    return np.where(pos >= rp.r, 1.0 + fI, 1.0)
+
+
 def next_crossing(pos, w, total, rp, fs):
     """(dt, batch mask, speeds, boundary code, distance, time to boundary)."""
-    speeds = _speeds(pos, w, total, rp, fs)
+    speeds = speed_law(pos, w, total, rp, fs)
     in_s = pos < rp.s
     mid = (pos >= rp.s) & (pos < rp.r)
     dist = np.where(in_s, rp.s - pos, np.where(mid, rp.r - pos, 1.0 - pos))

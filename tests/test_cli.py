@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sde_oracle
 from rscycle import cli
 from rscycle.model import CertificateError, RegionParams
 from rscycle.returnmap import as_piecewise
@@ -82,6 +83,18 @@ def test_sweep_deterministic_across_runs_and_threads(tmp_path):
         outs.append((out / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("gamma", [0.6, -0.6], ids=["pos", "neg"])
+def test_sweep_matches_pointwise_reference(tmp_path, gamma, threads):
+    # the block stepper against one Euler-Maruyama run per point
+    payload = {"points": 5, "n": 60, "cycles": 4.0, "sigma": 1e-3, "gamma": gamma}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli(["sweep-fig4", "--config", cfg, "--seed", "4", "--out", str(tmp_path),
+                    "--threads", threads]) == 0
+    reference = sde_oracle.sweep_csv({**cli._DEFAULTS["sweep-fig4"], **payload}, 4)
+    assert (tmp_path / "sweep.csv").read_bytes() == reference
 
 
 def test_sweep_seed_changes_output(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rscycle.model import (
     FeedbackSpec,
@@ -89,6 +92,29 @@ def test_wrap01():
     assert wrap01(-1e-17) == 0.0
 
 
+def _wrap_by_remainder(x):
+    y = np.remainder(np.asarray(x, dtype=float), 1.0)
+    return np.where(y == 1.0, 0.0, y)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [0.0, -0.0, -5e-324, 5e-324, -1e-17, 1.0 - 2.0 ** -53, 1.0, np.nextafter(1.0, 2.0),
+         -1.0, 1e300, -1e300, 2.0 ** 51 + 0.5, -(2.0 ** 51) - 0.5]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=FINITE | st.sampled_from(EDGES),
+       xs=arrays(np.float64, st.integers(0, 40), elements=FINITE | st.sampled_from(EDGES)))
+def test_wrap01_is_remainder_bit_for_bit(x, xs):
+    # wrap01 is x - floor(x); it must equal x % 1.0 (with 1.0 set to 0.0) in
+    # every bit, the sign of zero included, and lie in [0, 1)
+    for value in (x, xs):
+        got, want = wrap01(value), _wrap_by_remainder(value)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == want.tobytes()
+        assert np.all((got >= 0.0) & (got < 1.0))
+
+
 def test_linear_feedback_values():
     fs = FeedbackSpec.linear(0.6)
     assert fs(0.0) == 0.0
@@ -164,6 +190,16 @@ def test_population_validation_and_weights():
         Population(np.array([0.1, 0.2]), weights=np.array([1.0, -1.0]))
     with pytest.raises(ValidationError):
         Population(np.array([0.1, 0.2]), weights=np.array([1.0]))
+
+
+@pytest.mark.parametrize("phases, weights", [
+    ([np.nan, 0.3], None),
+    ([0.1, 0.3], [np.inf, 1.0]),
+    ([0.1, 0.3], [np.nan, 1.0]),
+], ids=["nan-phase", "inf-weight", "nan-weight"])
+def test_population_rejects_non_finite(phases, weights):
+    with pytest.raises(ValidationError):
+        Population(np.array(phases), None if weights is None else np.array(weights))
 
 
 def test_population_copy_is_deep():

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exact_oracle
+import sde_oracle
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
@@ -11,6 +12,7 @@ from rscycle.simulate import (
     EventKind,
     NoiseSpec,
     SimulationError,
+    _em_block,
     _Flow,
     simulate_exact,
     simulate_sde,
@@ -342,3 +344,33 @@ def test_sde_final_population_round_trip():
     out = traj.final_population()
     assert np.all((out.phases >= 0.0) & (out.phases < 1.0))
     np.testing.assert_array_equal(out.weights, pop.weights)
+
+
+@pytest.mark.parametrize("gamma", [0.6, -0.6])
+def test_em_block_matches_reference(gamma):
+    # each row of the block is a sweep point run on its own: same start,
+    # same normals, same final phases in every bit
+    cfg = {"gamma": gamma, "n": 50, "cycles": 6.0, "sigma": 1e-3, "dt": 0.02,
+           "bins": 120, "occupancy_threshold": 2.0}
+    values = [1.3, 2.2, 3.7, 5.1]
+    rps = [RegionParams(s=0.5 / v, r=1.0 - 0.5 / v) for v in values]
+    rngs = [np.random.default_rng([11, i]) for i in range(len(values))]
+    start = np.array([rng.random(cfg["n"]) for rng in rngs])
+    steps = int(round(cfg["cycles"] / cfg["dt"]))
+    _, states = _em_block(start, [rp.s for rp in rps], [rp.r for rp in rps],
+                          FeedbackSpec.linear(gamma), np.ones(cfg["n"]),
+                          NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), steps, rngs, steps)
+    for i, value in enumerate(values):
+        final, _ = sde_oracle.sweep_point(i, value, cfg, 11)
+        assert states[-1][i].tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("weights", [None, [2.0, 1.0, 0.5, 1.0, 3.0] * 5], ids=["unit", "unequal"])
+@pytest.mark.parametrize("fs", [POS, FeedbackSpec.linear(-0.6)], ids=["pos", "neg"])
+def test_sde_samples_match_reference(fs, weights):
+    pop = Population(np.random.default_rng(4).random(25), None if weights is None else np.array(weights))
+    spec = NoiseSpec(sigma=1e-2, dt=0.01)
+    traj = simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
+    times, states = sde_oracle.simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
