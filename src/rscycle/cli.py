@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import CertificateError, classify_case, cyclic_spacing, saturating_feedback, spectrum
+from .cyclic import (CertificateError, _saturating_feedback, classify_case, cyclic_spacing,
+                     saturating_feedback, spectrum)
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
@@ -265,14 +266,20 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     F = as_piecewise(rp, alpha)
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
+    analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call
     _write_csv(out / "return_map.csv", "x,F(x),F2(x)", "%.17g,%.17g,%.17g",
-               zip(xs, F(xs), F2(xs)))
-    _write_json(out / "fixed_points.json", fixed_points(F2).to_jsonable())
+               zip(xs, analytic, F2(xs)))
+    report = fixed_points(F2)
+    _write_json(out / "fixed_points.json", {
+        "points": [{"location": p.location, "multiplier": p.multiplier, "class": p.kind}
+                   for p in report.points],
+        "neutral_intervals": [[lo, hi] for lo, hi in report.neutral_intervals],
+    })
 
+    # each numeric point is a certificate replay of the closed form
     fs = saturating_feedback(2, alpha)
     rows = []
-    for x in xs:
-        ana = analytic_F_k2(float(x), rp, alpha)
+    for x, ana in zip(xs, analytic):
         num, _ = numeric_F(np.array([float(x)]), rp, fs)
         rows.append((x, ana, num[0], abs(ana - num[0])))
     _write_csv(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
@@ -382,6 +389,8 @@ def main(argv=None) -> int:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         threads = max(1, min(ns.threads, os.cpu_count() or 1))
+        # a command's work must not depend on the commands run before it in the process
+        _saturating_feedback.cache_clear()
         code = _COMMANDS[ns.command](cfg, ns.seed, out, threads)
         _write_metadata(out, ns.command, cfg, ns.seed)
         return code

@@ -129,6 +129,9 @@ class FeedbackSpec:
     table: Optional[Tuple[Tuple[float, float], ...]] = None
     v_min: float = 0.05
     v_max: float = 20.0
+    # the last (n, read-only speed table) that simulate._speed_table built for this spec
+    _speed_memo: Optional[Tuple[int, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def linear(cls, gamma: float, v_min: float = 0.05, v_max: float = 20.0) -> "FeedbackSpec":
@@ -143,8 +146,7 @@ class FeedbackSpec:
     @classmethod
     def tabulated(cls, points: Sequence[Tuple[float, float]],
                   v_min: float = 0.05, v_max: float = 20.0) -> "FeedbackSpec":
-        table = tuple((float(a), float(b)) for a, b in points)
-        return cls(kind="tabulated", table=table, v_min=v_min, v_max=v_max)
+        return cls(kind="tabulated", table=points, v_min=v_min, v_max=v_max)
 
     @classmethod
     def none(cls) -> "FeedbackSpec":
@@ -168,6 +170,8 @@ class FeedbackSpec:
             if self.theta <= 0 or self.h <= 0:
                 raise ValidationError("hill feedback needs theta > 0 and h > 0")
         else:
+            if self.table is not None:  # a tuple of float pairs, so the spec hashes by value
+                object.__setattr__(self, "table", tuple((float(a), float(b)) for a, b in self.table))
             if self.table is None or len(self.table) < 2:
                 raise ValidationError("tabulated feedback needs at least two points")
             xs = np.array([p[0] for p in self.table])
@@ -209,6 +213,10 @@ class FeedbackSpec:
                 f"[{self.v_min}, {self.v_max}]: range "
                 f"[{speeds.min():.6g}, {speeds.max():.6g}]"
             )
+
+    def __getstate__(self):
+        # a copy or a pickle starts without the memo: an unpickled table is writeable
+        return {**self.__dict__, "_speed_memo": None}
 
     @property
     def sign(self) -> int:

@@ -271,15 +271,6 @@ class FixedPointReport:
     points: List[FixedPoint]
     neutral_intervals: List[Tuple[float, float]]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "points": [
-                {"location": p.location, "multiplier": p.multiplier, "class": p.kind}
-                for p in self.points
-            ],
-            "neutral_intervals": [[lo, hi] for lo, hi in self.neutral_intervals],
-        }
-
 
 def _classify_multiplier(m: float) -> str:
     if abs(m) > 1.0 + _NEUTRAL_TOL:

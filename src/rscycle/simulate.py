@@ -90,8 +90,21 @@ class Trajectory:
 
 def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
     """The speed law for n cells of equal weight: entry j is the speed
-    1 + f(j/n) in R while j cells are in S (cells outside R move at 1)."""
-    return 1.0 + fs(np.arange(n + 1) / n)
+    1 + f(j/n) in R while j cells are in S (cells outside R move at 1).
+
+    Memoized on the spec object: fs keeps the last (n, table) built for it,
+    so every replay of one shared spec (the section map's) reads one table.
+    Sharing is safe because the spec is frozen and the table is read-only.
+    The memo lives and dies with the spec, so a run's work does not depend
+    on earlier runs in the process.
+    """
+    memo = fs._speed_memo
+    if memo is None or memo[0] != n:
+        table = 1.0 + fs(np.arange(n + 1) / n)
+        table.flags.writeable = False
+        memo = (n, table)
+        object.__setattr__(fs, "_speed_memo", memo)  # fs is frozen; the memo is not part of its value
+    return memo[1]
 
 
 class _Flow:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import sde_oracle
-from rscycle import cli
+from rscycle import cli, cyclic
+from rscycle.cyclic import saturating_feedback
 from rscycle.model import CertificateError, RegionParams
 from rscycle.returnmap import as_piecewise
 from rscycle.simulate import SimulationError
@@ -129,6 +130,15 @@ def test_retmap_outputs(tmp_path):
     assert agree[0] == "x,F_analytic,F_numeric,abs_diff"
     worst = max(float(line.split(",")[3]) for line in agree[1:])
     assert worst < 1e-9
+
+
+def test_each_command_starts_with_an_empty_profile_cache(tmp_path):
+    # a command's work must not depend on the commands run before it
+    saturating_feedback(3, 0.3)
+    cfg = write_config(tmp_path, "c.json", {"grid": 5})
+    assert run_cli(["retmap", "--config", cfg, "--out", str(tmp_path)]) == 0
+    info = cyclic._saturating_feedback.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)  # retmap's own (2, alpha), built once
 
 
 def test_cyclic_outputs(tmp_path):

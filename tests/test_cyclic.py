@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rscycle import cyclic, simulate
 from rscycle.cyclic import (
     Case,
     build_A,
@@ -13,6 +16,7 @@ from rscycle.cyclic import (
 )
 from rscycle.model import (
     CertificateError,
+    FeedbackSpec,
     RegionParams,
     ValidationError,
     max_isolated_clusters,
@@ -55,6 +59,49 @@ def test_saturating_feedback_pins_value_at_one_over_k():
             assert fs(0.0) == 0.0
             assert fs(1.0 / k) == pytest.approx(beta, abs=1e-15)
             assert fs(1.0) == pytest.approx(beta, abs=1e-15)
+
+
+def test_saturating_feedback_is_one_shared_spec_per_k_beta():
+    fs = saturating_feedback(3, 0.4)
+    assert saturating_feedback(3, 0.4) == fs
+    assert saturating_feedback(3, 0.4) is fs
+    assert saturating_feedback(4, 0.4) != fs
+    assert saturating_feedback(3, -0.4) != fs
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.table = ((0.0, 0.0), (1.0, 0.9))
+
+
+@pytest.mark.parametrize("beta", [5e-324, -1e-320, 2e-310])
+def test_saturating_feedback_subnormal_beta_is_zero_feedback(beta):
+    # a subnormal ramp underflowed to 0 near I = 0 and failed validation
+    fs = saturating_feedback(2, beta)
+    assert fs.sign == 0
+    zero = simulate._speed_table(FeedbackSpec.none(), 4)
+    assert simulate._speed_table(fs, 4).tobytes() == zero.tobytes()
+
+
+@pytest.mark.parametrize("k,beta", [(2, 0.45), (3, -0.3), (4, 0.25), (5, -0.15)])
+def test_cached_spec_and_table_change_no_result(k, beta):
+    # a small (r, s) grid inside the k = M+1 band, each point computed with
+    # a cold cache (fresh specs, so fresh speed tables), then again warm
+    points = []
+    for a in (0.2, 0.5, 0.8):
+        width = 1.0 / k + a * (1.0 / (k - 1) - 1.0 / k)
+        for b in (0.2, 0.5, 0.8):
+            s = 0.02 + b * (width - 0.03)
+            points.append(RegionParams(s=s, r=1.0 - (width - s)))
+
+    def result(rp):
+        case = classify_case(rp, k, beta)
+        return case, cyclic_spacing(case, rp, k, beta), cyclic_solution(rp, k, beta)
+
+    cold = []
+    for rp in points:
+        cyclic._saturating_feedback.cache_clear()
+        cold.append(result(rp))
+    hits = cyclic._saturating_feedback.cache_info().hits
+    assert [result(rp) for rp in points] == cold
+    assert cyclic._saturating_feedback.cache_info().hits > hits
 
 
 def test_classification_boundaries_consistent():

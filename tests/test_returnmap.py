@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rscycle.cyclic import saturating_feedback
 from rscycle.model import (
@@ -94,6 +96,18 @@ def test_analytic_matches_numeric_both_regimes():
         for x in rng.random(40):
             num, _ = numeric_F(np.array([x]), rp, fs)
             assert analytic_F_k2(x, rp, alpha) == pytest.approx(num[0], abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(0.01, 0.95), gap=st.floats(0.01, 0.98), alpha=st.floats(-0.9, 3.0),
+       x=st.floats(0.0, 1.0))
+def test_analytic_map_is_numeric_map(s, gap, alpha, x):
+    # the closed form against a replay of the section map, off its breakpoints
+    assume(s + gap < 0.99)
+    rp = RegionParams(s=s, r=s + gap)
+    assume(np.min(np.abs(as_piecewise(rp, alpha).breakpoints - x)) > 1e-9)
+    num, _ = numeric_F(np.array([x]), rp, saturating_feedback(2, alpha))
+    assert abs(analytic_F_k2(x, rp, alpha) - num[0]) <= 1e-12
 
 
 def test_numeric_t1_equals_new_coordinate():

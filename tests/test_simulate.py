@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +17,7 @@ from rscycle.simulate import (
     SimulationError,
     _em_block,
     _Flow,
+    _speed_table,
     simulate_exact,
     simulate_sde,
 )
@@ -374,3 +378,25 @@ def test_sde_samples_match_reference(fs, weights):
     times, states = sde_oracle.simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+def test_speed_table_is_a_read_only_memo():
+    fs = FeedbackSpec.linear(0.6)
+    table = _speed_table(fs, 10)
+    with pytest.raises(ValueError):
+        table[3] = 2.0
+    assert _speed_table(fs, 10) is table
+    assert table.tobytes() == (1.0 + fs(np.arange(11) / 10)).tobytes()
+    assert fs == POS and repr(fs) == repr(POS)  # the memo is not part of the spec's value
+    for twin in (copy.deepcopy(fs), pickle.loads(pickle.dumps(fs))):
+        assert twin == fs and twin._speed_memo is None
+        with pytest.raises(ValueError):
+            _speed_table(twin, 10)[3] = 2.0
+
+
+def test_equal_specs_give_the_same_table():
+    # a table given as lists of ints is the same profile as the classmethod's
+    a = FeedbackSpec.tabulated([(0.0, 0.0), (0.5, -0.3), (1.0, -0.4)])
+    b = FeedbackSpec(kind="tabulated", table=[[0, 0], [0.5, -0.3], [1, -0.4]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _speed_table(a, 40).tobytes() == _speed_table(b, 40).tobytes()
