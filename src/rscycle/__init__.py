@@ -37,7 +37,6 @@ from .clusters import (
     decompose,
     default_merge_delta,
     gap_report,
-    widths_series,
 )
 from .returnmap import (
     FixedPoint,
@@ -89,7 +88,6 @@ __all__ = [
     "decompose",
     "default_merge_delta",
     "gap_report",
-    "widths_series",
     "FixedPoint",
     "FixedPointReport",
     "PiecewiseAffineMap",

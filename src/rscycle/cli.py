@@ -131,8 +131,15 @@ def _is_number_list(value, size=None) -> bool:
 def _load_config(path, command: str, overrides: dict) -> dict:
     cfg = dict(_DEFAULTS[command])
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {path}: {exc.strerror}")
+        except ValueError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}")
+        if not isinstance(user, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(user).__name__}")
         for key, value in user.items():
             if key not in cfg:
                 raise ValidationError(f"unknown config key {key!r} for {command}")
@@ -288,6 +295,9 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
 
 def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
+    if cfg["k_min"] < 2:
+        raise ValidationError(f"k_min must be >= 2 (a cyclic solution has k >= 2 clusters), "
+                              f"got {cfg['k_min']}")
     spectrum_rows = []
     betas = np.linspace(cfg["beta_lo"], cfg["beta_hi"], int(cfg["beta_points"]))
     for k in range(int(cfg["k_min"]), int(cfg["k_max"]) + 1):
@@ -385,6 +395,8 @@ def main(argv=None) -> int:
     if getattr(ns, "paper_scale", False):
         overrides = {"n": 5000, "points": 100}
     try:
+        if ns.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {ns.seed}")
         cfg = _load_config(ns.config, ns.command, overrides)
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)

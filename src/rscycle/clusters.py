@@ -1,5 +1,4 @@
-"""Grouping diagnostics: gaps, delta-chains, histogram cluster counts, and
-width tracking for a named group of cells."""
+"""Grouping diagnostics: gaps, delta-chains and histogram cluster counts."""
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -7,7 +6,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import Population, RegionParams, ValidationError
-from .simulate import Trajectory
 
 
 @dataclass
@@ -132,76 +130,3 @@ def count_clusters_histogram(pop: Population, bins: int = 120,
     # cyclic runs of marked bins
     transitions = np.sum(marked & ~np.roll(marked, 1))
     return int(transitions)
-
-
-@dataclass
-class WidthSegment:
-    indices: List[int]
-    times: List[float]
-    widths: List[float]
-
-
-@dataclass
-class WidthsSeriesReport:
-    segments: List[WidthSegment]
-    split_time: Optional[float]      # first time a tracked group lost identity
-
-
-def widths_series(traj: Trajectory, members, rp: RegionParams) -> WidthsSeriesReport:
-    """Lead-to-tail width of a group of cells at every sample of a
-    trajectory.
-
-    The group is the given member indices in cyclic order at the first
-    sample.  If an internal gap reaches |R|+|S| the group has lost its
-    identity: the series is flagged, split at that gap, and the parts are
-    tracked separately from then on.
-    """
-    members = [int(i) for i in members]
-    if len(members) == 0:
-        raise ValidationError("empty member list")
-    bound = rp.interaction_length
-
-    first = traj.states[0]
-    start = sorted(members, key=lambda i: first[i])
-    # rotate so the largest internal gap is the outside of the group
-    xs = np.array([first[i] % 1.0 for i in start])
-    gaps = (np.roll(xs, -1) - xs) % 1.0
-    cut = int(np.argmax(gaps))
-    start = start[cut + 1:] + start[:cut + 1]
-
-    live = [WidthSegment(indices=start, times=[], widths=[])]
-    done: List[WidthSegment] = []
-    split_time: Optional[float] = None
-
-    for t, state in zip(traj.times, traj.states):
-        nxt_live: List[WidthSegment] = []
-        for seg in live:
-            xs = np.array([state[i] % 1.0 for i in seg.indices])
-            internal = (xs[1:] - xs[:-1]) % 1.0 if len(xs) > 1 else np.array([])
-            if internal.size and internal.max() >= bound:
-                if split_time is None:
-                    split_time = float(t)
-                j = int(np.argmax(internal))
-                left = WidthSegment(indices=seg.indices[: j + 1], times=[], widths=[])
-                right = WidthSegment(indices=seg.indices[j + 1:], times=[], widths=[])
-                done.append(seg)
-                for part in (left, right):
-                    w = _group_width(state, part.indices)
-                    part.times.append(float(t))
-                    part.widths.append(w)
-                    nxt_live.append(part)
-            else:
-                seg.times.append(float(t))
-                seg.widths.append(_group_width(state, seg.indices))
-                nxt_live.append(seg)
-        live = nxt_live
-
-    return WidthsSeriesReport(segments=done + live, split_time=split_time)
-
-
-def _group_width(state, indices) -> float:
-    if len(indices) == 1:
-        return 0.0
-    tail = state[indices[0]] % 1.0
-    lead = state[indices[-1]] % 1.0
-    return float((lead - tail) % 1.0)

@@ -25,7 +25,10 @@ thousands of times.  The validated profile is built once per (k, beta), in
 a bounded cache keyed on (k, beta) that each CLI command empties before it
 runs, and the shared spec keeps the last speed table built for it (see
 `simulate._speed_table`).  Sharing is safe because a FeedbackSpec is frozen
-and its table is read-only.  Every replay still runs.
+and its table is read-only.  Every replay still runs.  A replay's start,
+weights, expected image and closure residual are Python floats, and the
+section map builds and reads its cells as floats, so the only numpy work
+per replay is the one array of final positions it returns.
 """
 
 import warnings
@@ -132,10 +135,10 @@ def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
     except ValidationError:
         return None
     fs = saturating_feedback(k, beta)
-    start = np.arange(k, dtype=float) * d
-    t1, final, hits = advance_to_section(start, np.full(k, 1.0 / k), rp, fs)
-    expect = np.concatenate([start[1:], [1.0]])
-    residual = float(np.max(np.abs(final - expect)))
+    start = [i * d for i in range(k)]
+    t1, final, hits = advance_to_section(start, [1.0 / k] * k, rp, fs)
+    expect = start[1:] + [1.0]
+    residual = max(abs(x - y) for x, y in zip(final.tolist(), expect))
     residual = max(residual, abs(t1 - d))
     if residual >= _CLOSURE_TOL:
         return None

@@ -9,6 +9,7 @@ weighted fraction of the population currently inside S and f is a monotone
 feedback profile with f(0) = 0.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -105,7 +106,7 @@ def max_isolated_clusters(rp: RegionParams) -> int:
     k <= 1/(|R|+|S|), so the count is the floor of that reciprocal.
     """
     # tiny nudge so exact-integer reciprocals are not rounded down by fp
-    return int(np.floor(1.0 / rp.interaction_length + 1e-9))
+    return math.floor(1.0 / rp.interaction_length + 1e-9)
 
 
 @dataclass(frozen=True)

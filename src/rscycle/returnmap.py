@@ -15,7 +15,10 @@ the two-cluster outcome classification are built on an exact
 piecewise-affine representation.
 
 The numeric map is the exact engine's region-clock kernel, `simulate._Flow`,
-run until a cluster reaches 1, so the two cannot drift apart.
+run until a cluster reaches 1, so the two cannot drift apart.  A section
+advance converts its inputs to Python floats once, builds and reads its
+cells as floats, and builds the returned positions as one array at the end:
+apart from that, no numpy work is done per replay.
 """
 
 from dataclasses import dataclass
@@ -44,19 +47,20 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
     time order, a batch sorted by (time to its boundary, index).  Nothing
     wraps; the clusters reaching the section finish at exactly 1.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.max() >= 1.0:
-        return 0.0, pos.copy(), []
-    flow = _Flow(pos, np.asarray(weights, dtype=float), rp, fs)
+    pos = list(map(float, positions))
+    if max(pos) >= 1.0:
+        return 0.0, np.array(pos), []
+    flow = _Flow(pos, list(map(float, weights)), rp, fs)
     hits: List[Tuple[int, EventKind]] = []
-    for _ in range(3 * pos.size + 10):
+    for _ in range(3 * len(pos) + 10):
         batch = sorted(flow.pop(flow.next_dt()))
         hits.extend((i, _KIND_OF_CODE[code]) for _, i, code in batch)
         finished = [i for _, i, code in batch if code == 2]
         if finished:
-            final = flow.phases()
-            final[finished] = 1.0
-            return flow.t, final, hits
+            final = flow.phase_list()
+            for i in finished:
+                final[i] = 1.0
+            return flow.t, np.array(final), hits
     raise CertificateError("section advance did not terminate; integration bug")
 
 
@@ -73,7 +77,7 @@ def numeric_F(p, rp: RegionParams, fs: FeedbackSpec,
         raise ValidationError("simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1")
     k = p.size + 1
     if weights is None:
-        w = np.full(k, 1.0 / k)
+        w = [1.0 / k] * k
     else:
         w = np.asarray(weights, dtype=float)
         if w.size != k or np.any(w <= 0.0):
@@ -81,8 +85,7 @@ def numeric_F(p, rp: RegionParams, fs: FeedbackSpec,
     if p[-1] == 1.0:
         # leader already on the section: pure relabel
         return np.concatenate(([0.0], p[:-1])), 0.0
-    pos = np.concatenate(([0.0], p))
-    t1, final, _ = advance_to_section(pos, w, rp, fs)
+    t1, final, _ = advance_to_section([0.0, *p.tolist()], w, rp, fs)
     return final[:-1].copy(), t1
 
 

@@ -28,6 +28,10 @@ one region-clock kernel, `_Flow`.  Cells never overtake and no region
 straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
 costs O(batch) work, and positions are rebuilt (O(n)) only at a sample.
+`_Flow` takes its cells as lists of Python floats.  The sampler rebuilds
+positions as one array (`phases`); the section map reads them back as a
+list (`phase_list`, the same arithmetic bit for bit), so a replay of a few
+clusters does no numpy work per call.
 """
 
 import math
@@ -117,9 +121,9 @@ class _Flow:
     the middle arc and r, 2 is R and 1.
     """
 
-    def __init__(self, pos: np.ndarray, w: np.ndarray, rp: RegionParams, fs: FeedbackSpec):
+    def __init__(self, phases: List[float], weights: List[float], rp: RegionParams,
+                 fs: FeedbackSpec):
         self.t = self.tau = 0.0
-        phases, weights = pos.tolist(), w.tolist()
         region = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]
         # per-cell state in arrays that numpy reads without a copy at a sample
         self.entry, self.since = array("d", phases), array("d", bytes(8 * len(phases)))
@@ -194,6 +198,17 @@ class _Flow:
         moved = clocks[np.frombuffer(self.region, np.int8)] - np.frombuffer(self.since)
         return wrap01(np.frombuffer(self.entry) + moved)
 
+    def phase_list(self) -> List[float]:
+        """phases() as Python floats, with the same arithmetic bit for bit:
+        entry + (clock - since), then x - floor(x), with 1.0 set to 0.0."""
+        clocks = (self.t, self.t, self.tau)
+        out = []
+        for entry, since, code in zip(self.entry, self.since, self.region):
+            x = entry + (clocks[code] - since)
+            x -= math.floor(x)
+            out.append(0.0 if x == 1.0 else x)
+        return out
+
 
 _KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.pop
 
@@ -230,7 +245,7 @@ def simulate_exact(
             raise ValidationError("sample times must be nonempty and ascend within [0, duration]")
         grid = grid.tolist()
 
-    flow = _Flow(pop.phases, pop.weights, rp, fs)
+    flow = _Flow(pop.phases.tolist(), pop.weights.tolist(), rp, fs)
     times: List[float] = []
     states: List[np.ndarray] = []
     events: List[EventRecord] = []

@@ -197,6 +197,24 @@ def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     assert err.startswith("validation error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, argv, named", [
+    (None, ["simulate"], "cannot read config"),
+    ("{bad", ["simulate"], "not valid JSON"),
+    ("[1, 2]", ["simulate"], "JSON object"),
+    ("{}", ["simulate", "--seed", "-1"], "seed"),
+    ('{"k_min": 1}', ["cyclic"], "k_min"),
+], ids=["missing-config", "invalid-json", "config-not-object", "negative-seed",
+        "k-min-below-two"])
+def test_bad_invocation_exit_code(tmp_path, text, argv, named, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run_cli([*argv, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_certificate_error_exit_code(tmp_path, monkeypatch):
     def boom(cfg, seed, out, threads):
         raise CertificateError("synthetic")

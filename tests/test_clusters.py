@@ -6,7 +6,6 @@ from rscycle.clusters import (
     decompose,
     default_merge_delta,
     gap_report,
-    widths_series,
 )
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.simulate import simulate_exact
@@ -150,38 +149,31 @@ def test_histogram_validation():
         count_clusters_histogram(pop, occupancy_threshold=0.0)
 
 
-def test_widths_series_tracks_contraction():
+def _lead_to_tail(traj, members):
+    """Width of a group given tail to lead, and its internal gaps, at every sample."""
+    x = traj.states[:, members]
+    return (x[:, -1] - x[:, 0]) % 1.0, np.diff(x, axis=1) % 1.0
+
+
+def test_isolated_group_contracts_under_positive_feedback():
     # positive feedback squeezes an isolated group while it holds together
     rp = RegionParams(s=0.2, r=0.6)
     fs = FeedbackSpec.linear(0.8)
     phases = np.array([0.62, 0.7, 0.78])
     traj = simulate_exact(Population(phases), rp, fs, 5.0)
-    rep = widths_series(traj, [0, 1, 2], rp)
-    assert rep.split_time is None
-    seg = rep.segments[0]
-    assert seg.widths[0] == pytest.approx(0.16)
-    assert seg.widths[-1] < seg.widths[0]
+    widths, internal = _lead_to_tail(traj, [0, 1, 2])
+    assert internal.max() < rp.interaction_length
+    assert widths[0] == pytest.approx(0.16)
+    assert widths[-1] < widths[0]
 
 
-def test_widths_series_spreading_pair_stalls_at_isolation():
+def test_spreading_pair_stalls_below_interaction_length():
     # a pair under negative feedback spreads until interaction ceases; the
-    # width climbs to just below |R|+|S| and the group never formally splits
+    # width climbs to just below |R|+|S| and the pair never comes apart
     rp = RegionParams(s=0.1, r=0.9)
     fs = FeedbackSpec.linear(-0.6)
     traj = simulate_exact(Population(np.array([0.0, 0.05])), rp, fs, 15.0)
-    rep = widths_series(traj, [0, 1], rp)
-    assert rep.split_time is None
-    seg = rep.segments[0]
-    assert seg.widths[-1] > 0.19
-    assert seg.widths[-1] < rp.interaction_length
-
-
-def test_widths_series_detects_split():
-    # members straddling two separated clusters have no shared identity:
-    # the internal gap already exceeds |R|+|S| = 0.2 at the first sample
-    rp = RegionParams(s=0.1, r=0.9)
-    phases = np.array([0.0, 0.01, 0.5, 0.51])
-    traj = simulate_exact(Population(phases), rp, FeedbackSpec.none(), 1.0)
-    rep = widths_series(traj, [1, 2], rp)
-    assert rep.split_time == 0.0
-    assert len(rep.segments) >= 2
+    widths, internal = _lead_to_tail(traj, [0, 1])
+    assert internal.max() < rp.interaction_length
+    assert widths[-1] > 0.19
+    assert widths[-1] < rp.interaction_length

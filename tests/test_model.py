@@ -85,6 +85,19 @@ def test_max_isolated_clusters_monotone_in_interaction_length():
         prev = m
 
 
+def test_max_isolated_clusters_is_the_int_of_the_numpy_floor():
+    # a 400 x 400 (s, r) grid, plus arcs whose reciprocal is an exact integer
+    grid = ((np.arange(400) + 0.5) / 400).tolist()
+    cases = [(s, r) for r in grid for s in grid if s < r]
+    cases += [(w / 2, 1.0 - w / 2) for w in (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6, 1 / 8, 1 / 10)]
+    cases += [(0.125, 0.875), (0.1, 0.9), (1 / 6, 5 / 6), (0.05, 0.85)]
+    for s, r in cases:
+        rp = RegionParams(s=s, r=r)
+        m = max_isolated_clusters(rp)
+        assert type(m) is int
+        assert m == int(np.floor(1.0 / rp.interaction_length + 1e-9))
+
+
 def test_wrap01():
     assert wrap01(1.0) == 0.0
     assert wrap01(-0.25) == pytest.approx(0.75)

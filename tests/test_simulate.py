@@ -29,7 +29,7 @@ ZERO = FeedbackSpec.none()
 
 def _flow(phases):
     pop = Population(np.array(phases))
-    return _Flow(pop.phases, pop.weights, RP, POS)
+    return _Flow(pop.phases.tolist(), pop.weights.tolist(), RP, POS)
 
 
 def _speeds_of(flow):
@@ -269,6 +269,58 @@ def test_kernel_matches_oracle_long_run(gamma):
         assert [kind for _, kind in got] == [kind for _, kind in want]
         np.testing.assert_allclose([t for t, _ in got], [t for t, _ in want], rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(traj.states[-1], stops[-1][1], rtol=0.0, atol=1e-9)
+
+
+def _draw_cells(data, n):
+    """n phases in [0, 1) and either unit or unequal weights."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    phases = data.draw(st.lists(unit, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        weights = [1.0] * n
+    else:
+        weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    s = data.draw(st.floats(0.05, 0.45))
+    rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
+    gamma = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.01, 0.8))
+    return phases, weights, rp, FeedbackSpec.linear(gamma)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_phase_list_is_phases_bit_for_bit(data):
+    # the section map's float read-out against the sampler's array read-out,
+    # at the start and after each batch of a run of several laps
+    n = data.draw(st.integers(1, 12))
+    phases, weights, rp, fs = _draw_cells(data, n)
+    flow = _Flow(phases, weights, rp, fs)
+    assert _hex(flow.phase_list()) == _hex(flow.phases().tolist())
+    for _ in range(data.draw(st.integers(1, 8 * n))):
+        flow.pop(flow.next_dt())
+        assert _hex(flow.phase_list()) == _hex(flow.phases().tolist())
+
+
+def test_phase_list_sets_a_rounded_up_one_to_zero():
+    # a tiny negative phase minus its floor rounds to exactly 1.0
+    flow = _Flow([-1e-300, 0.5], [1.0, 1.0], RP, POS)
+    assert _hex(flow.phase_list()) == _hex(flow.phases().tolist()) == _hex([0.0, 0.5])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_section_map_same_for_lists_and_arrays(data):
+    k = data.draw(st.integers(2, 9))
+    phases, weights, rp, fs = _draw_cells(data, k)
+    x = sorted(phases)
+    t1, final, hits = advance_to_section(x, weights, rp, fs)
+    t1_nd, final_nd, hits_nd = advance_to_section(np.array(x), np.array(weights), rp, fs)
+    assert t1.hex() == t1_nd.hex()
+    assert final.dtype == final_nd.dtype == np.float64
+    assert final.tobytes() == final_nd.tobytes()
+    assert hits == hits_nd
 
 
 def test_event_budget_guard():
