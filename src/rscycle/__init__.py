@@ -14,12 +14,9 @@ from .model import (
     CertificateError,
     FeedbackSpec,
     Population,
-    Region,
     RegionParams,
     ValidationError,
     max_isolated_clusters,
-    region_of,
-    signaling_fraction,
 )
 from .simulate import (
     EventKind,
@@ -36,7 +33,6 @@ from .clusters import (
     count_clusters_histogram,
     decompose,
     default_merge_delta,
-    gap_report,
 )
 from .returnmap import (
     FixedPoint,
@@ -47,7 +43,6 @@ from .returnmap import (
     as_piecewise,
     classify_k2,
     compose,
-    find_fixed_configuration,
     fixed_points,
     numeric_F,
 )
@@ -69,12 +64,9 @@ __all__ = [
     "CertificateError",
     "FeedbackSpec",
     "Population",
-    "Region",
     "RegionParams",
     "ValidationError",
     "max_isolated_clusters",
-    "region_of",
-    "signaling_fraction",
     "EventKind",
     "EventRecord",
     "NoiseSpec",
@@ -87,7 +79,6 @@ __all__ = [
     "count_clusters_histogram",
     "decompose",
     "default_merge_delta",
-    "gap_report",
     "FixedPoint",
     "FixedPointReport",
     "PiecewiseAffineMap",
@@ -96,7 +87,6 @@ __all__ = [
     "as_piecewise",
     "classify_k2",
     "compose",
-    "find_fixed_configuration",
     "fixed_points",
     "numeric_F",
     "Case",

@@ -298,6 +298,9 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
     if cfg["k_min"] < 2:
         raise ValidationError(f"k_min must be >= 2 (a cyclic solution has k >= 2 clusters), "
                               f"got {cfg['k_min']}")
+    if cfg["k_max"] < cfg["k_min"]:
+        raise ValidationError(f"k_max must be >= k_min, got k_min={cfg['k_min']}, "
+                              f"k_max={cfg['k_max']}")
     spectrum_rows = []
     betas = np.linspace(cfg["beta_lo"], cfg["beta_hi"], int(cfg["beta_points"]))
     for k in range(int(cfg["k_min"]), int(cfg["k_max"]) + 1):

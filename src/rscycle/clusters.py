@@ -1,23 +1,11 @@
 """Grouping diagnostics: gaps, delta-chains and histogram cluster counts."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .model import Population, RegionParams, ValidationError
-
-
-@dataclass
-class GapReport:
-    """Cyclic gaps between consecutive cells, sorted by phase.
-
-    Each entry is (from_index, to_index, width): the arc from cell
-    from_index forward to cell to_index.  Indices refer to the population's
-    own ordering; widths sum to 1 around the circle.
-    """
-
-    gaps: List[Tuple[int, int, float]]
 
 
 def _sorted_gaps(phases: np.ndarray):
@@ -31,12 +19,6 @@ def _sorted_gaps(phases: np.ndarray):
     if np.all(phases == phases[0]):
         widths[-1] = 1.0
     return order, widths
-
-
-def gap_report(pop: Population) -> GapReport:
-    order, widths = _sorted_gaps(pop.phases)
-    nxt = np.roll(order, -1)
-    return GapReport([(int(order[i]), int(nxt[i]), float(widths[i])) for i in range(len(pop))])
 
 
 @dataclass

@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -11,8 +11,7 @@ feedback profile with f(0) = 0.
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,12 +22,6 @@ class ValidationError(ValueError):
 
 class CertificateError(RuntimeError):
     """Raised when a numerical cross-check that must hold fails."""
-
-
-class Region(Enum):
-    IN_S = "InS"
-    MIDDLE = "Middle"
-    IN_R = "InR"
 
 
 # Feedback profiles are validated on this many interior sample points plus
@@ -86,18 +79,6 @@ class RegionParams:
         return self.len_R + self.len_S
 
 
-def region_of(x: float, rp: RegionParams) -> Region:
-    """Which region a phase sits in. Boundaries are half-open: s belongs to
-    the middle stretch, r belongs to R, and a cell that reaches 1 wraps to 0
-    and is therefore in S."""
-    p = float(wrap01(x))
-    if p < rp.s:
-        return Region.IN_S
-    if p < rp.r:
-        return Region.MIDDLE
-    return Region.IN_R
-
-
 def max_isolated_clusters(rp: RegionParams) -> int:
     """Largest number of groups that can be pairwise non-interacting.
 
@@ -119,35 +100,33 @@ class FeedbackSpec:
       tabulated monotone piecewise-linear interpolation of (I, f) pairs
 
     Validation enforces f(0) = 0, monotonicity with a single sign on (0, 1]
-    (or f identically zero), and the admissible speed window
-    0 < v_min <= 1 + f(I) <= v_max on a dense grid.
+    (or f identically zero), and the fixed speed window
+    v_min <= 1 + f(I) <= v_max, that is 0.05 to 20, on a dense grid.
     """
+
+    v_min: ClassVar[float] = 0.05
+    v_max: ClassVar[float] = 20.0
 
     kind: str
     gamma: Optional[float] = None
     theta: Optional[float] = None
     h: Optional[float] = None
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    v_min: float = 0.05
-    v_max: float = 20.0
     # the last (n, read-only speed table) that simulate._speed_table built for this spec
     _speed_memo: Optional[Tuple[int, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def linear(cls, gamma: float, v_min: float = 0.05, v_max: float = 20.0) -> "FeedbackSpec":
-        return cls(kind="linear", gamma=float(gamma), v_min=v_min, v_max=v_max)
+    def linear(cls, gamma: float) -> "FeedbackSpec":
+        return cls(kind="linear", gamma=float(gamma))
 
     @classmethod
-    def hill(cls, gamma: float, theta: float, h: float,
-             v_min: float = 0.05, v_max: float = 20.0) -> "FeedbackSpec":
-        return cls(kind="hill", gamma=float(gamma), theta=float(theta), h=float(h),
-                   v_min=v_min, v_max=v_max)
+    def hill(cls, gamma: float, theta: float, h: float) -> "FeedbackSpec":
+        return cls(kind="hill", gamma=float(gamma), theta=float(theta), h=float(h))
 
     @classmethod
-    def tabulated(cls, points: Sequence[Tuple[float, float]],
-                  v_min: float = 0.05, v_max: float = 20.0) -> "FeedbackSpec":
-        return cls(kind="tabulated", table=points, v_min=v_min, v_max=v_max)
+    def tabulated(cls, points: Sequence[Tuple[float, float]]) -> "FeedbackSpec":
+        return cls(kind="tabulated", table=points)
 
     @classmethod
     def none(cls) -> "FeedbackSpec":
@@ -157,11 +136,6 @@ class FeedbackSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "hill", "tabulated"):
             raise ValidationError(f"unknown feedback kind {self.kind!r}")
-        if not (0.0 < self.v_min <= 1.0 <= self.v_max):
-            raise ValidationError(
-                f"speed window must satisfy 0 < v_min <= 1 <= v_max, "
-                f"got ({self.v_min}, {self.v_max})"
-            )
         if self.kind == "linear":
             if self.gamma is None:
                 raise ValidationError("linear feedback needs gamma")
@@ -219,12 +193,6 @@ class FeedbackSpec:
         # a copy or a pickle starts without the memo: an unpickled table is writeable
         return {**self.__dict__, "_speed_memo": None}
 
-    @property
-    def sign(self) -> int:
-        """+1 for positive feedback, -1 for negative, 0 for none."""
-        v = float(self._raw(1.0))
-        return (v > 0) - (v < 0)
-
     def __call__(self, I):
         """Evaluate f at a signaling fraction in [0, 1]."""
         arr = np.asarray(I, dtype=float)
@@ -266,14 +234,3 @@ class Population:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    def copy(self) -> "Population":
-        return Population(self.phases.copy(), self.weights.copy())
-
-
-def signaling_fraction(pop: Population, rp: RegionParams) -> float:
-    """Weighted fraction of the population inside S = [0, s)."""
-    if len(pop) == 0:
-        raise ValidationError("empty population")
-    in_s = pop.phases < rp.s
-    return float(pop.weights[in_s].sum() / pop.total_weight)

@@ -22,7 +22,7 @@ apart from that, no numpy work is done per replay.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -64,28 +64,21 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
     raise CertificateError("section advance did not terminate; integration bug")
 
 
-def numeric_F(p, rp: RegionParams, fs: FeedbackSpec,
-              weights: Optional[Sequence[float]] = None):
+def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
     """One application of the section map, computed by exact event-driven
-    integration of the k weighted clusters.
+    integration of k clusters of equal weight.
 
     p holds (x_1, ..., x_{k-1}); the trailing cluster at 0 is implicit.
     Returns (image point, t1).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p < 0.0) or np.any(p > 1.0) or np.any(np.diff(p) < 0.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)) or np.any(np.diff(p) < 0.0):  # NaN fails too
         raise ValidationError("simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1")
     k = p.size + 1
-    if weights is None:
-        w = [1.0 / k] * k
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.size != k or np.any(w <= 0.0):
-            raise ValidationError("need one positive weight per cluster")
     if p[-1] == 1.0:
         # leader already on the section: pure relabel
         return np.concatenate(([0.0], p[:-1])), 0.0
-    t1, final, _ = advance_to_section([0.0, *p.tolist()], w, rp, fs)
+    t1, final, _ = advance_to_section([0.0, *p.tolist()], [1.0 / k] * k, rp, fs)
     return final[:-1].copy(), t1
 
 
@@ -105,8 +98,6 @@ def analytic_F_k2(x1, rp: RegionParams, alpha: float):
     four affine branches; which set applies depends on the sign of
     r + (1+alpha)s - 1.
     """
-    if alpha <= -1.0:
-        raise ValidationError("alpha must exceed -1")
     m = as_piecewise(rp, alpha)
     x = np.asarray(x1, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
@@ -349,8 +340,6 @@ def classify_k2(rp: RegionParams, alpha: float) -> str:
     """
     if alpha == 0.0:
         raise ValidationError("alpha = 0 has no feedback to classify")
-    if alpha <= -1.0:
-        raise ValidationError("alpha must exceed -1")
     F2 = compose(as_piecewise(rp, alpha), 2)
     rep = fixed_points(F2)
     sign = "positive" if alpha > 0.0 else "negative"
@@ -367,46 +356,3 @@ def classify_k2(rp: RegionParams, alpha: float) -> str:
     if alpha < 0.0 and fp.kind != "stable":
         raise CertificateError("negative feedback must stabilize the interior point")
     return f"{sign}-{fp.kind}-point"
-
-
-# ---------------------------------------------------------------------------
-# direct fixed-point search on the numeric map
-
-
-def find_fixed_configuration(rp: RegionParams, fs: FeedbackSpec, k: int,
-                             guess=None, tol: float = 1e-11,
-                             max_iter: int = 60) -> np.ndarray:
-    """Newton search (finite-difference Jacobian) for an interior fixed
-    point of the numeric section map with k clusters.
-
-    Because the map is piecewise affine, Newton lands exactly once the
-    iterate enters the fixed point's affine cell.  Seeded at equal spacing
-    unless a guess is given.
-    """
-    if k < 2:
-        raise ValidationError("need k >= 2 clusters")
-    if guess is None:
-        d = 1.0 / k
-        x = np.arange(1, k) * d
-    else:
-        x = np.asarray(guess, dtype=float).copy()
-    h = 1e-7
-    for _ in range(max_iter):
-        fx, _ = numeric_F(x, rp, fs)
-        g = fx - x
-        if np.max(np.abs(g)) < tol:
-            return x
-        J = np.empty((k - 1, k - 1))
-        for j in range(k - 1):
-            e = np.zeros(k - 1)
-            e[j] = h
-            hi, _ = numeric_F(np.clip(x + e, 0.0, 1.0), rp, fs)
-            lo, _ = numeric_F(np.clip(x - e, 0.0, 1.0), rp, fs)
-            J[:, j] = (hi - lo) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J - np.eye(k - 1), -g)
-        except np.linalg.LinAlgError:
-            raise CertificateError("singular Jacobian in fixed-point search")
-        x = np.clip(x + step, 1e-9, 1.0 - 1e-9)
-        x.sort()
-    raise CertificateError(f"fixed-point search did not converge for k={k}")

@@ -86,7 +86,6 @@ class Trajectory:
     states: np.ndarray
     weights: np.ndarray
     events: List[EventRecord] = field(default_factory=list)
-    seed: Optional[int] = None
 
     def final_population(self) -> Population:
         return Population(wrap01(self.states[-1]), self.weights.copy())
@@ -360,5 +359,4 @@ def simulate_sde(
         states=np.vstack(states),
         weights=pop.weights.copy(),
         events=[],
-        seed=seed,
     )

@@ -203,8 +203,9 @@ def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     ("[1, 2]", ["simulate"], "JSON object"),
     ("{}", ["simulate", "--seed", "-1"], "seed"),
     ('{"k_min": 1}', ["cyclic"], "k_min"),
+    ('{"k_min": 4, "k_max": 3, "region_grid": 2}', ["cyclic"], "k_max"),
 ], ids=["missing-config", "invalid-json", "config-not-object", "negative-seed",
-        "k-min-below-two"])
+        "k-min-below-two", "k-max-below-k-min"])
 def test_bad_invocation_exit_code(tmp_path, text, argv, named, capsys):
     cfg = tmp_path / "cfg.json"
     if text is not None:

@@ -5,7 +5,6 @@ from rscycle.clusters import (
     count_clusters_histogram,
     decompose,
     default_merge_delta,
-    gap_report,
 )
 from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.simulate import simulate_exact
@@ -13,28 +12,14 @@ from rscycle.simulate import simulate_exact
 RP = RegionParams(s=0.25, r=0.75)
 
 
-def test_gap_report_frozen():
-    pop = Population(np.array([0.1, 0.4, 0.8]))
-    rep = gap_report(pop)
-    assert rep.gaps == [(0, 1, pytest.approx(0.3)),
-                        (1, 2, pytest.approx(0.4)),
-                        (2, 0, pytest.approx(0.3))]
-
-
-def test_gap_report_unsorted_input():
-    pop = Population(np.array([0.8, 0.1, 0.4]))
-    rep = gap_report(pop)
-    widths = {(a, b): w for a, b, w in rep.gaps}
-    assert widths[(1, 2)] == pytest.approx(0.3)
-    assert widths[(2, 0)] == pytest.approx(0.4)
-    assert widths[(0, 1)] == pytest.approx(0.3)
-
-
 def test_gap_widths_sum_to_one():
+    # group widths plus separating gaps go once around the circle
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        pop = Population(rng.random(rng.integers(2, 40)))
-        total = sum(w for _, _, w in gap_report(pop).gaps)
+    pops = [Population(rng.random(rng.integers(2, 41))) for _ in range(10)]
+    pops += [Population(np.full(n, 0.3)) for n in (2, 17, 40)]  # all cells at one phase
+    for pop in pops:
+        dec = decompose(pop, RP)
+        total = sum(g.width for g in dec.groups) + sum(dec.separating_gaps)
         assert total == pytest.approx(1.0)
 
 

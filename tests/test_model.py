@@ -7,14 +7,12 @@ from hypothesis.extra.numpy import arrays
 from rscycle.model import (
     FeedbackSpec,
     Population,
-    Region,
     RegionParams,
     ValidationError,
     max_isolated_clusters,
-    region_of,
-    signaling_fraction,
     wrap01,
 )
+from rscycle.simulate import _Flow
 
 # Hand-computed interaction lengths and cluster capacities:
 #   (r, s) = (0.6, 0.2)  -> |R|+|S| = 0.6,  floor(1/0.6)  = 1
@@ -43,13 +41,16 @@ def test_region_params_rejects_bad_arcs(s, r):
         RegionParams(s=s, r=r)
 
 
+def _regions(phases, rp):
+    """The region of each phase as the exact kernel splits them: 0 is S, 1 the
+    middle arc, 2 is R."""
+    return list(_Flow(list(phases), [1.0] * len(phases), rp, FeedbackSpec.none()).region)
+
+
 def test_region_of_boundary_conventions():
     rp = RegionParams(s=0.25, r=0.75)
-    assert region_of(0.0, rp) is Region.IN_S
-    assert region_of(0.25, rp) is Region.MIDDLE  # S is half-open on the right
-    assert region_of(0.75, rp) is Region.IN_R    # R is closed on the left
-    assert region_of(1.0, rp) is Region.IN_S     # wraps to 0
-    assert region_of(0.999999, rp) is Region.IN_R
+    # S is half-open on the right, R closed on the left; a wrapped cell sits at 0, in S
+    assert _regions([0.0, 0.25, 0.75, 0.999999], rp) == [0, 1, 2, 2]
 
 
 def test_region_of_partitions_circle():
@@ -57,16 +58,9 @@ def test_region_of_partitions_circle():
     for _ in range(20):
         s = rng.uniform(0.05, 0.45)
         r = rng.uniform(s + 0.05, 0.95)
-        rp = RegionParams(s=s, r=r)
         xs = rng.random(500)
-        for x in xs:
-            reg = region_of(x, rp)
-            if x < s:
-                assert reg is Region.IN_S
-            elif x < r:
-                assert reg is Region.MIDDLE
-            else:
-                assert reg is Region.IN_R
+        assert _regions(xs.tolist(), RegionParams(s=s, r=r)) == [
+            0 if x < s else 1 if x < r else 2 for x in xs]
 
 
 @pytest.mark.parametrize("r,s,expected", CAPACITY_CASES)
@@ -133,11 +127,11 @@ def test_linear_feedback_values():
     assert fs(0.0) == 0.0
     assert fs(0.5) == pytest.approx(0.3)
     assert fs(1.0) == pytest.approx(0.6)
-    assert fs.sign == 1
+    assert np.sign(fs(1.0)) == 1
 
     fs = FeedbackSpec.linear(-0.6)
     assert fs(0.5) == pytest.approx(-0.3)
-    assert fs.sign == -1
+    assert np.sign(fs(1.0)) == -1
 
 
 def test_hill_feedback_is_monotone_and_anchored():
@@ -146,7 +140,7 @@ def test_hill_feedback_is_monotone_and_anchored():
     grid = np.linspace(0.0, 1.0, 200)
     vals = np.array([fs(g) for g in grid])
     assert np.all(np.diff(vals) >= 0)
-    assert fs.sign == 1
+    assert np.sign(fs(1.0)) == 1
 
 
 def test_tabulated_feedback_interpolates():
@@ -157,7 +151,7 @@ def test_tabulated_feedback_interpolates():
 
 def test_none_feedback_is_identically_zero():
     fs = FeedbackSpec.none()
-    assert fs.sign == 0
+    assert np.sign(fs(1.0)) == 0
     assert fs(0.7) == 0.0
 
 
@@ -172,13 +166,14 @@ def test_feedback_rejects_nonzero_origin():
 
 
 def test_feedback_rejects_speed_outside_bounds():
-    # 1 + f must stay inside [v_min, v_max]; f = -0.99 dips to 0.01 < 0.05
+    # 1 + f must stay inside [0.05, 20]; f = -0.99 dips to 0.01 < 0.05
     with pytest.raises(ValidationError):
         FeedbackSpec.linear(-0.99)
     with pytest.raises(ValidationError):
         FeedbackSpec.linear(25.0)
-    # custom bounds rescue the same profile
-    FeedbackSpec.linear(-0.99, v_min=1e-3)
+    # the window's ends are admissible
+    FeedbackSpec.linear(-0.95)
+    FeedbackSpec.linear(19.0)
 
 
 def test_feedback_rejects_nonmonotone():
@@ -215,21 +210,16 @@ def test_population_rejects_non_finite(phases, weights):
         Population(np.array(phases), None if weights is None else np.array(weights))
 
 
-def test_population_copy_is_deep():
-    pop = Population(np.array([0.1, 0.2]))
-    other = pop.copy()
-    other.phases[0] = 0.4
-    assert pop.phases[0] == 0.1
-
-
 def test_signaling_fraction_weighted():
-    rp = RegionParams(s=0.25, r=0.75)
-    pop = Population(np.array([0.1, 0.2, 0.5]), weights=np.array([1.0, 2.0, 1.0]))
-    # weight in S = 3 of total 4
-    assert signaling_fraction(pop, rp) == pytest.approx(0.75)
+    # weight in S = 3 of total 4, so the R speed is 1 + f(0.75)
+    fs = FeedbackSpec.linear(0.6)
+    flow = _Flow([0.1, 0.2, 0.5], [1.0, 2.0, 1.0], RegionParams(s=0.25, r=0.75), fs)
+    assert flow.v == pytest.approx(1.0 + 0.6 * 0.75)
 
 
 def test_signaling_fraction_uniform():
-    rp = RegionParams(s=0.2, r=0.6)
-    pop = Population(np.array([0.05, 0.1, 0.3, 0.7]))
-    assert signaling_fraction(pop, rp) == pytest.approx(0.5)
+    # two of four equal cells in S: I = 0.5 from the count table and from the weighted sum
+    fs = FeedbackSpec.linear(0.6)
+    phases, rp = [0.05, 0.1, 0.3, 0.7], RegionParams(s=0.2, r=0.6)
+    assert _Flow(phases, [1.0] * 4, rp, fs).v == pytest.approx(1.3)
+    assert _Flow(phases, [2.0, 2.0, 1.0, 3.0], rp, fs).v == pytest.approx(1.3)

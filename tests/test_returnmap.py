@@ -4,18 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rscycle.cyclic import saturating_feedback
-from rscycle.model import (
-    CertificateError,
-    FeedbackSpec,
-    RegionParams,
-    ValidationError,
-)
+from rscycle.model import CertificateError, RegionParams, ValidationError
 from rscycle.returnmap import (
     analytic_F_k2,
     as_piecewise,
     classify_k2,
     compose,
-    find_fixed_configuration,
     fixed_points,
     numeric_F,
 )
@@ -226,30 +220,16 @@ def test_classify_k2_rejects_degenerate_alpha():
         classify_k2(RP1, -1.0)
 
 
-def test_fixed_configuration_matches_two_cluster_point():
-    fs = saturating_feedback(2, 0.5)
-    p = find_fixed_configuration(RP1, fs, 2)
-    assert p[0] == pytest.approx(0.48, abs=1e-10)
-    img, _ = numeric_F(p, RP1, fs)
-    np.testing.assert_allclose(img, p, atol=1e-10)
-
-
-def test_fixed_configuration_three_clusters():
-    # equal-spacing seeds converge to the evenly spaced cyclic solution
-    rp = RegionParams(s=0.12, r=0.72)
-    fs = saturating_feedback(3, -0.3)
-    p = find_fixed_configuration(rp, fs, 3)
-    img, _ = numeric_F(p, rp, fs)
-    np.testing.assert_allclose(img, p, atol=1e-10)
-    d = p[0]
-    np.testing.assert_allclose(np.diff(np.concatenate(([0.0], p))), d, atol=1e-9)
-
-
 def test_numeric_F_validates_ordering():
     with pytest.raises(ValidationError):
         numeric_F(np.array([0.7, 0.3]), RP1, saturating_feedback(3, 0.5))
     with pytest.raises(ValidationError):
         numeric_F(np.array([-0.1]), RP1, saturating_feedback(2, 0.5))
+    # NaN fails the simplex check instead of reaching the kernel
+    with pytest.raises(ValidationError):
+        numeric_F([float("nan")], RP1, saturating_feedback(2, 0.5))
+    with pytest.raises(ValidationError):
+        numeric_F([0.3, float("nan")], RP1, saturating_feedback(2, 0.5))
 
 
 def test_piecewise_rejects_discontinuous_spec():
