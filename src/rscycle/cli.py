@@ -234,8 +234,8 @@ def _sweep_block(args):
     steps = int(round(cfg["cycles"] / cfg["dt"]))
     _, states = _em_block(
         start, [rp.s for rp in geometry], [rp.r for rp in geometry],
-        FeedbackSpec.linear(cfg["gamma"]), np.ones(n),
-        NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), steps, rngs, steps,
+        FeedbackSpec.linear(cfg["gamma"]), NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
+        steps, rngs, steps,
     )
     rows = []
     for value, rp, phases in zip(values, geometry, states[-1]):
@@ -381,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-fig4", parents=[common],
                              help="cluster-count sweep against region size")
     p_sweep.add_argument("--paper-scale", action="store_true",
-                         help="full-scale protocol (n=5000, 100 sweep points)")
+                         help="full-scale protocol (n=5000, 100 sweep points, 200 cycles)")
     sub.add_parser("retmap", parents=[common],
                    help="two-cluster return map, fixed points, agreement dump")
     sub.add_parser("cyclic", parents=[common],
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     overrides = {}
     if getattr(ns, "paper_scale", False):
-        overrides = {"n": 5000, "points": 100}
+        overrides = {"n": 5000, "points": 100, "cycles": 200.0}
     try:
         if ns.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {ns.seed}")

@@ -25,7 +25,6 @@ def _sorted_gaps(phases: np.ndarray):
 class Group:
     indices: List[int]          # member cells in cyclic order
     width: float                # arc from first to last member
-    weight: float
     isolated: bool              # both adjacent gaps >= |R|+|S|
     strictly_isolated: bool     # both adjacent gaps > |R|+|S|
 
@@ -81,7 +80,6 @@ def decompose(pop: Population, rp: RegionParams, delta: Optional[float] = None) 
             Group(
                 indices=[int(order[i]) for i in members],
                 width=width,
-                weight=float(pop.weights[order[members]].sum()),
                 isolated=gap_before >= bound and gap_after >= bound,
                 strictly_isolated=gap_before > bound and gap_after > bound,
             )
@@ -94,18 +92,18 @@ def count_clusters_histogram(pop: Population, bins: int = 120,
                              occupancy_threshold: float = 2.0) -> int:
     """Histogram-based cluster count.
 
-    Bins the phases, marks bins whose weighted count exceeds
-    occupancy_threshold times the uniform expectation, and returns the
-    number of cyclic runs of marked bins.  Returns 0 if nothing is marked
-    or if more than half of all bins are marked (no discernible clusters).
+    Bins the phases, marks bins whose cell count exceeds occupancy_threshold
+    times the uniform expectation n / bins, and returns the number of cyclic
+    runs of marked bins.  Returns 0 if nothing is marked or if more than half
+    of all bins are marked (no discernible clusters).
     """
     if bins < 2:
         raise ValidationError("need at least 2 bins")
     if occupancy_threshold <= 0:
         raise ValidationError("occupancy threshold must be positive")
     idx = np.minimum((pop.phases * bins).astype(int), bins - 1)
-    counts = np.bincount(idx, weights=pop.weights, minlength=bins)
-    marked = counts > occupancy_threshold * (pop.total_weight / bins)
+    counts = np.bincount(idx, minlength=bins)
+    marked = counts > occupancy_threshold * (len(pop) / bins)
     n_marked = int(marked.sum())
     if n_marked == 0 or n_marked > bins // 2:
         return 0

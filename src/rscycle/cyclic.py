@@ -1,8 +1,8 @@
 """Cyclic k-cluster solutions and their linear stability.
 
-For k equally weighted clusters the section map has a fixed point with
-equal return spacing d; when k = M+1 (one more cluster than can sit
-pairwise isolated) the advance window contains at most one signaling
+For k clusters (each 1/k of the population) the section map has a fixed
+point with equal return spacing d; when k = M+1 (one more cluster than can
+sit pairwise isolated) the advance window contains at most one signaling
 cluster while the responsive region is occupied, and only beta = f(1/k)
 enters.  Three event patterns partition the (r, s) band:
 
@@ -26,9 +26,9 @@ a bounded cache keyed on (k, beta) that each CLI command empties before it
 runs, and the shared spec keeps the last speed table built for it (see
 `simulate._speed_table`).  Sharing is safe because a FeedbackSpec is frozen
 and its table is read-only.  Every replay still runs.  A replay's start,
-weights, expected image and closure residual are Python floats, and the
-section map builds and reads its cells as floats, so the only numpy work
-per replay is the one array of final positions it returns.
+expected image and closure residual are Python floats, and the section map
+builds and reads its cells as floats, so the only numpy work per replay is
+the one array of final positions it returns.
 """
 
 import warnings
@@ -136,7 +136,7 @@ def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
         return None
     fs = saturating_feedback(k, beta)
     start = [i * d for i in range(k)]
-    t1, final, hits = advance_to_section(start, [1.0 / k] * k, rp, fs)
+    t1, final, hits = advance_to_section(start, rp, fs)
     expect = start[1:] + [1.0]
     residual = max(abs(x - y) for x, y in zip(final.tolist(), expect))
     residual = max(residual, abs(t1 - d))

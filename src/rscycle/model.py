@@ -1,11 +1,11 @@
 """Core model objects: the unit-circle phase variable, the signaling and
-responsive regions, feedback profiles, and weighted populations.
+responsive regions, feedback profiles, and populations of cells.
 
 Cells live on the circle [0, 1) and advance with unit base speed.  Two arcs
 control the coupling: the signaling region S = [0, s) just after division,
 and the responsive region R = [r, 1) just before it, with 0 < s < r < 1.
-Cells inside R have their speed multiplied by 1 + f(I), where I is the
-weighted fraction of the population currently inside S and f is a monotone
+Cells inside R have their speed multiplied by 1 + f(I), where I = j/n is
+the fraction of the n cells currently inside S and f is a monotone
 feedback profile with f(0) = 0.
 """
 
@@ -204,14 +204,9 @@ class FeedbackSpec:
 
 @dataclass
 class Population:
-    """Phases (and optional weights) of the cells.
-
-    Weights let a handful of entries stand for point clusters of many cells;
-    the weighted total plays the role of n when computing fractions.
-    """
+    """Phases of the cells, each in [0, 1).  Every cell counts once in I."""
 
     phases: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float).copy()
@@ -219,18 +214,6 @@ class Population:
             raise ValidationError("population needs a non-empty 1-d phase array")
         if not np.all((self.phases >= 0.0) & (self.phases < 1.0)):  # NaN fails too
             raise ValidationError("phases must lie in [0, 1)")
-        if self.weights is None:
-            self.weights = np.ones(self.phases.size, dtype=float)
-        else:
-            self.weights = np.asarray(self.weights, dtype=float).copy()
-            if self.weights.shape != self.phases.shape:
-                raise ValidationError("weights must match phases in shape")
-            if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
-                raise ValidationError("weights must be positive and finite")
 
     def __len__(self) -> int:
         return self.phases.size
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())

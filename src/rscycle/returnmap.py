@@ -1,9 +1,10 @@
 """Return map of the k-cluster flow through the section x_{k-1} = 1.
 
-A configuration of k weighted point clusters is written as
-(0, x_1, ..., x_{k-1}) with 0 <= x_1 <= ... <= x_{k-1} <= 1.  Advancing the
-flow until the leading cluster reaches 1 and relabeling (the leader wraps
-to 0 and becomes the new trailing cluster) defines the single-advance map
+A configuration of k point clusters, each 1/k of the population, is
+written as (0, x_1, ..., x_{k-1}) with 0 <= x_1 <= ... <= x_{k-1} <= 1.
+Advancing the flow until the leading cluster reaches 1 and relabeling (the
+leader wraps to 0 and becomes the new trailing cluster) defines the
+single-advance map
 
     F(x_1, ..., x_{k-1}) = (x_0(t1), x_1(t1), ..., x_{k-2}(t1)),
 
@@ -39,18 +40,19 @@ _FIXED_POINT_TOL = 1e-10
 # numeric section map
 
 
-def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
+def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
     """Run the cluster flow until the leading cluster reaches 1.
 
-    positions must ascend in [0, 1].  Returns (t1, final positions, events)
-    where events is the boundary-hit list [(cluster index, EventKind)] in
-    time order, a batch sorted by (time to its boundary, index).  Nothing
-    wraps; the clusters reaching the section finish at exactly 1.
+    positions must ascend in [0, 1]; each cluster counts once in I.  Returns
+    (t1, final positions, events) where events is the boundary-hit list
+    [(cluster index, EventKind)] in time order, a batch sorted by (time to
+    its boundary, index).  Nothing wraps; the clusters reaching the section
+    finish at exactly 1.
     """
     pos = list(map(float, positions))
     if max(pos) >= 1.0:
         return 0.0, np.array(pos), []
-    flow = _Flow(pos, list(map(float, weights)), rp, fs)
+    flow = _Flow(pos, rp, fs)
     hits: List[Tuple[int, EventKind]] = []
     for _ in range(3 * len(pos) + 10):
         batch = sorted(flow.pop(flow.next_dt()))
@@ -66,19 +68,17 @@ def advance_to_section(positions, weights, rp: RegionParams, fs: FeedbackSpec):
 
 def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
     """One application of the section map, computed by exact event-driven
-    integration of k clusters of equal weight.
+    integration of k clusters.
 
-    p holds (x_1, ..., x_{k-1}); the trailing cluster at 0 is implicit.
-    Returns (image point, t1).
+    p holds (x_1, ..., x_{k-1}), k >= 2; the trailing cluster at 0 is
+    implicit.  Returns (image point, t1).  A leader already on the section
+    is a pure relabel: t1 = 0 and the image is (0, x_1, ..., x_{k-2}).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not np.all((p >= 0.0) & (p <= 1.0)) or np.any(np.diff(p) < 0.0):  # NaN fails too
-        raise ValidationError("simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1")
-    k = p.size + 1
-    if p[-1] == 1.0:
-        # leader already on the section: pure relabel
-        return np.concatenate(([0.0], p[:-1])), 0.0
-    t1, final, _ = advance_to_section([0.0, *p.tolist()], [1.0 / k] * k, rp, fs)
+    # NaN fails the range check; an empty p (k = 1) has no section map
+    if p.size == 0 or not np.all((p >= 0.0) & (p <= 1.0)) or np.any(np.diff(p) < 0.0):
+        raise ValidationError("simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
+    t1, final, _ = advance_to_section([0.0, *p.tolist()], rp, fs)
     return final[:-1].copy(), t1
 
 

@@ -9,11 +9,11 @@ noise, used for the cluster-count experiments.
 
 The stochastic engine is one block stepper, `_em_block`: it advances P
 independent runs as one (P, n) array of phases, each row with its own
-region bounds and its own generator.  With unit weights, I = j/n for every
-row comes from one count over the block, and the R step (1 + f(j/n)) dt is
-read from a table built once per run.  Only the normal draws stay per row,
-one standard_normal(n) per row and step, so each row's stream, and its
-result, is bit for bit that of the row run alone.  `simulate_sde` is the
+region bounds and its own generator.  I = j/n for every row comes from one
+count over the block, and the R step (1 + f(j/n)) dt is read from a table
+built once per run.  Only the normal draws stay per row, one
+standard_normal(n) per row and step, so each row's stream, and its result,
+is bit for bit that of the row run alone.  `simulate_sde` is the
 P = 1 caller; the cluster-count sweep of the CLI steps its points as blocks.
 
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
@@ -22,6 +22,9 @@ as one batch and the signaling fraction is recomputed once afterwards.
 The exact engine samples by one rule: the state at a time is the last
 post-batch state moved along the frozen speeds, so a sample at a batch
 time is the post-batch state and every sampled phase lies in [0, 1).
+
+Both engines have one speed law, the table of `_speed_table`: while j of
+the n cells are in S, a cell in R moves at 1 + f(j/n).
 
 The exact engine and the section map `returnmap.advance_to_section` share
 one region-clock kernel, `_Flow`.  Cells never overtake and no region
@@ -84,16 +87,15 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    weights: np.ndarray
     events: List[EventRecord] = field(default_factory=list)
 
     def final_population(self) -> Population:
-        return Population(wrap01(self.states[-1]), self.weights.copy())
+        return Population(wrap01(self.states[-1]))
 
 
 def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
-    """The speed law for n cells of equal weight: entry j is the speed
-    1 + f(j/n) in R while j cells are in S (cells outside R move at 1).
+    """The speed law for n cells: entry j is the speed 1 + f(j/n) in R
+    while j cells are in S (cells outside R move at 1).
 
     Memoized on the spec object: fs keeps the last (n, table) built for it,
     so every replay of one shared spec (the section map's) reads one table.
@@ -120,8 +122,7 @@ class _Flow:
     the middle arc and r, 2 is R and 1.
     """
 
-    def __init__(self, phases: List[float], weights: List[float], rp: RegionParams,
-                 fs: FeedbackSpec):
+    def __init__(self, phases: List[float], rp: RegionParams, fs: FeedbackSpec):
         self.t = self.tau = 0.0
         region = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]
         # per-cell state in arrays that numpy reads without a copy at a sample
@@ -131,22 +132,9 @@ class _Flow:
         for i in sorted(range(len(phases)), key=phases.__getitem__, reverse=True):
             self.queues[region[i]].append(i)
         self.ends, self.starts = (rp.s, rp.r, 1.0), (rp.s, rp.r, 0.0)  # region end, next start
-        n = len(weights)
-        if weights.count(weights[0]) == n:  # I is a count over n: tabulate 1 + f(I) once
-            self._w, self._v = None, _speed_table(fs, n).tolist()
-        else:  # fs validates every call, so 1 + f(I) is cached per I
-            self._w, self._total, self._fs, self._v = weights, math.fsum(weights), fs, {}
-        self.v = self._speed()
+        self._v = _speed_table(fs, len(phases)).tolist()  # indexed by the count in S
+        self.v = self._v[len(self.queues[0])]
         self.due = [self._due(code) for code in range(3)]
-
-    def _speed(self) -> float:
-        S = self.queues[0]
-        if self._w is None:
-            return self._v[len(S)]
-        I = math.fsum(self._w[i] for i in S) / self._total
-        if I not in self._v:
-            self._v[I] = 1.0 + (self._fs(I) if I > 0.0 else 0.0)
-        return self._v[I]
 
     def _due(self, code: int) -> float:
         """The region clock at which the head of queue code reaches the region's end."""
@@ -188,7 +176,7 @@ class _Flow:
                 due[nxt] = self._due(nxt)
             s_changed |= code != 1  # S lost or gained a cell
         if s_changed:
-            self.v = self._speed()
+            self.v = self._v[len(self.queues[0])]
         return batch
 
     def phases(self, offset: float = 0.0) -> np.ndarray:
@@ -244,7 +232,7 @@ def simulate_exact(
             raise ValidationError("sample times must be nonempty and ascend within [0, duration]")
         grid = grid.tolist()
 
-    flow = _Flow(pop.phases.tolist(), pop.weights.tolist(), rp, fs)
+    flow = _Flow(pop.phases.tolist(), rp, fs)
     times: List[float] = []
     states: List[np.ndarray] = []
     events: List[EventRecord] = []
@@ -286,44 +274,37 @@ def simulate_exact(
     return Trajectory(
         times=np.array(times),
         states=np.vstack(states),
-        weights=pop.weights.copy(),
         events=events,
     )
 
 
-def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, weights: np.ndarray,
-              noise: NoiseSpec, steps: int, rngs, sample_every: int):
-    """Euler-Maruyama on a block of P independent runs sharing fs, weights and noise.
+def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: int,
+              rngs, sample_every: int):
+    """Euler-Maruyama on a block of P independent runs sharing fs and noise.
 
     pos is a (P, n) array of phases.  Row p has its own region bounds s[p],
     r[p] and its own generator rngs[p], which draws one standard_normal(n)
     per step, so each row's stream is that of a run on its own.  Each step
-    the speeds are frozen at the row's signaling fraction I: a cell in R
-    moves by (1 + f(I)) dt, any other by dt; then the sigma-scaled normals
-    are added and the row is wrapped.  Returns the sampled step numbers (0,
+    the speeds are frozen at the row's count j in S: a cell in R moves by
+    (1 + f(j/n)) dt, any other by dt; then the sigma-scaled normals are
+    added and the row is wrapped.  Returns the sampled step numbers (0,
     every multiple of sample_every, and steps) and the block at each.
+
+    Raises ValidationError if steps < 1: a horizon shorter than one step
+    would return the start as the result.
     """
-    n = pos.shape[1]
+    if steps < 1:
+        raise ValidationError(f"the horizon must hold at least one step of dt={noise.dt}, "
+                              f"got {steps} steps")
     dt = noise.dt
     s, r = np.asarray(s, dtype=float)[:, None], np.asarray(r, dtype=float)[:, None]
-    if np.all(weights == 1.0):  # I = j/n: one table of R steps for the run
-        r_steps = _speed_table(fs, n) * dt
-
-        def r_step(in_s):
-            return r_steps[np.count_nonzero(in_s, axis=1)]
-    else:  # I is the weighted share in S
-        total = weights.sum()
-
-        def r_step(in_s):
-            shares = (float(weights[row].sum() / total) for row in in_s)
-            return np.array([(1.0 + fs(I) if I > 0.0 else 1.0) * dt for I in shares])
-
+    r_steps = _speed_table(fs, pos.shape[1]) * dt  # entry j: the R step while j cells are in S
     normals = np.empty_like(pos)
     ks, states = [0], [pos.copy()]
     for k in range(1, steps + 1):
         for row, rng in zip(normals, rngs):
             rng.standard_normal(out=row)
-        pos = pos + np.where(pos >= r, r_step(pos < s)[:, None], dt)
+        pos = pos + np.where(pos >= r, r_steps[np.count_nonzero(pos < s, axis=1)][:, None], dt)
         pos += noise.sigma * normals
         pos = wrap01(pos)
         if k % sample_every == 0 or k == steps:
@@ -352,11 +333,6 @@ def simulate_sde(
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
     steps = int(round(duration / noise.dt))
-    ks, states = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, pop.weights,
-                           noise, steps, [np.random.default_rng(seed)], sample_every)
-    return Trajectory(
-        times=np.array(ks) * noise.dt,
-        states=np.vstack(states),
-        weights=pop.weights.copy(),
-        events=[],
-    )
+    ks, states = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, noise, steps,
+                           [np.random.default_rng(seed)], sample_every)
+    return Trajectory(times=np.array(ks) * noise.dt, states=np.vstack(states), events=[])

@@ -15,16 +15,16 @@ from rscycle.simulate import EventKind, SimulationError
 KINDS = tuple(EventKind)  # indexed by the boundary code: 0 is s, 1 is r, 2 is 1
 
 
-def speed_law(pos, w, total, rp, fs):
-    """The speed law: 1 + f(I) in R and 1 elsewhere, I the weighted share in S."""
-    I = float(w[pos < rp.s].sum() / total)
+def speed_law(pos, rp, fs):
+    """The speed law: 1 + f(I) in R and 1 elsewhere, I the fraction of cells in S."""
+    I = np.count_nonzero(pos < rp.s) / pos.size
     fI = fs(I) if I > 0.0 else 0.0
     return np.where(pos >= rp.r, 1.0 + fI, 1.0)
 
 
-def next_crossing(pos, w, total, rp, fs):
+def next_crossing(pos, rp, fs):
     """(dt, batch mask, speeds, boundary code, distance, time to boundary)."""
-    speeds = speed_law(pos, w, total, rp, fs)
+    speeds = speed_law(pos, rp, fs)
     in_s = pos < rp.s
     mid = (pos >= rp.s) & (pos < rp.r)
     dist = np.where(in_s, rp.s - pos, np.where(mid, rp.r - pos, 1.0 - pos))
@@ -42,14 +42,12 @@ def snap(pos, batch, code, rp, end):
     pos[batch & (code == 2)] = end
 
 
-def simulate(phases, weights, rp, fs, duration):
+def simulate(phases, rp, fs, duration):
     """The stops (time, state) at t = 0, after each batch and at the horizon;
     the batches as (time, [(cell, EventKind)] in cell order); and the tie
     margin, the smallest distance of a time to a boundary from the batch
     threshold dt + TIE_TOL."""
     pos = np.asarray(phases, dtype=float).copy()
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
     lift = pos.copy()  # unwrapped positions
     order = np.argsort(pos, kind="stable")
     stops, batches = [], []
@@ -57,7 +55,7 @@ def simulate(phases, weights, rp, fs, duration):
     t = 0.0
     while t < duration * (1.0 - 1e-15):
         stops.append((t, pos.copy()))
-        dt, batch, speeds, code, dist, tt = next_crossing(pos, w, total, rp, fs)
+        dt, batch, speeds, code, dist, tt = next_crossing(pos, rp, fs)
         margin = min(margin, np.abs(tt - (dt + TIE_TOL)).min())
         if t + dt > duration:
             pos = wrap01(pos + speeds * (duration - t))
@@ -74,16 +72,17 @@ def simulate(phases, weights, rp, fs, duration):
     return stops, batches, margin
 
 
-def advance_to_section(positions, weights, rp, fs):
+def advance_to_section(positions, rp, fs):
     """(t1, final positions, batches of (cell, EventKind)), each batch in
-    (time to its boundary, cell) order; the cells reaching 1 stop there."""
+    (time to its boundary, cell) order, and the tie margin as in `simulate`;
+    the cells reaching 1 stop there."""
     pos = np.asarray(positions, dtype=float).copy()
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
     t = 0.0
     batches = []
+    margin = np.inf
     while pos.max() < 1.0:
-        dt, batch, speeds, code, _, tt = next_crossing(pos, w, total, rp, fs)
+        dt, batch, speeds, code, _, tt = next_crossing(pos, rp, fs)
+        margin = min(margin, np.abs(tt - (dt + TIE_TOL)).min())
         pos = pos + speeds * dt
         snap(pos, batch, code, rp, 1.0)
         t += dt
@@ -91,4 +90,4 @@ def advance_to_section(positions, weights, rp, fs):
         batches.append([(int(i), KINDS[code[i]]) for i in members])
         if np.any(batch & (code == 2)):
             break
-    return t, pos, batches
+    return t, pos, batches, margin

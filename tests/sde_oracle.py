@@ -25,13 +25,11 @@ def simulate_sde(pop, rp, fs, noise, duration, seed=None, sample_every=1):
     sample_every, and the last step."""
     rng = np.random.default_rng(seed)
     pos = pop.phases.copy()
-    w = pop.weights
-    total = w.sum()
     n = pos.size
     steps = int(round(duration / noise.dt))
     times, states = [0.0], [pos.copy()]
     for k in range(1, steps + 1):
-        v = speed_law(pos, w, total, rp, fs)
+        v = speed_law(pos, rp, fs)
         pos = wrap(pos + v * noise.dt + noise.sigma * rng.standard_normal(n))
         if k % sample_every == 0 or k == steps:
             times.append(k * noise.dt)

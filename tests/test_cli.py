@@ -185,11 +185,15 @@ def test_validation_error_exit_code(tmp_path):
     ("simulate", {"cycles": float("nan"), "n": 5}),
     ("simulate", {"engine": "sde", "sigma": float("nan"), "n": 5, "cycles": 1.0}),
     ("simulate", {"feedback": {"kind": "linear", "gamma": float("inf")}}),
+    ("sweep-fig4", {"n": 50, "points": 3, "cycles": -5}),
+    ("sweep-fig4", {"n": 50, "points": 3, "cycles": 0.001}),
+    ("simulate", {"engine": "sde", "n": 5, "cycles": 0.001}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
         "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
-        "infinite-feedback-value"])
+        "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
+        "sde-horizon-below-one-step"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -247,11 +251,24 @@ def test_paper_scale_flag_changes_config(tmp_path, monkeypatch):
     # the sweep itself is stubbed: a paper-scale run would take minutes
     monkeypatch.setitem(cli._COMMANDS, "sweep-fig4", lambda cfg, seed, out, threads: 0)
     cfg = write_config(tmp_path, "c.json", SMALL_SWEEP)
-    for flag, n, points in ((["--paper-scale"], 5000, 100), ([], 40, 3)):
+    for flag, n, points, cycles in ((["--paper-scale"], 5000, 100, 200.0), ([], 40, 3, 3.0)):
         out = tmp_path / f"ps{n}"
         assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), *flag]) == 0
         meta = json.loads((out / "metadata.json").read_text())
-        assert (meta["config"]["n"], meta["config"]["points"]) == (n, points)
+        assert (meta["config"]["n"], meta["config"]["points"], meta["config"]["cycles"]) == (
+            n, points, cycles)
+
+
+def test_sweep_horizon_below_one_step_exit_code_with_workers(tmp_path, monkeypatch, capsys):
+    # a worker of the pool raises as the single process does (the
+    # sweep-horizon-below-one-step id above), and nothing is written
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, "c.json", {"n": 50, "points": 3, "cycles": 0.001})
+    out = tmp_path / "x"
+    assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ def test_decompose_two_tight_groups():
     assert len(dec.groups) == 2
     for g in dec.groups:
         assert g.width == pytest.approx(0.004)
-        assert g.weight == pytest.approx(3.0)
+        assert len(g.indices) == 3
         # separating gaps are 0.496 < 0.5 = |R|+|S|, so not isolated
         assert not g.isolated
     assert sorted(len(g.indices) for g in dec.groups) == [3, 3]
@@ -61,7 +61,7 @@ def test_decompose_single_blob_wraps():
     dec = decompose(pop, RP)
     assert len(dec.groups) == 1
     assert dec.groups[0].width == pytest.approx(0.02)
-    assert dec.groups[0].weight == pytest.approx(4.0)
+    assert len(dec.groups[0].indices) == 4
 
 
 def test_decompose_rejects_bad_delta():
@@ -97,14 +97,6 @@ def test_histogram_rotation_invariance_on_bin_multiples():
     for shift_bins in (1, 7, 60, 119):
         shifted = Population((phases + shift_bins / bins) % 1.0)
         assert count_clusters_histogram(shifted, bins=bins) == base
-
-
-def test_histogram_weight_scale_invariance():
-    rng = np.random.default_rng(4)
-    phases = np.concatenate([0.3 + 0.002 * rng.random(30), 0.9 + 0.002 * rng.random(30)])
-    pop1 = Population(phases)
-    pop2 = Population(phases, weights=np.full(60, 17.0))
-    assert count_clusters_histogram(pop1) == count_clusters_histogram(pop2) == 2
 
 
 def test_histogram_uniform_spread_counts_zero():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,7 @@ def test_region_params_rejects_bad_arcs(s, r):
 def _regions(phases, rp):
     """The region of each phase as the exact kernel splits them: 0 is S, 1 the
     middle arc, 2 is R."""
-    return list(_Flow(list(phases), [1.0] * len(phases), rp, FeedbackSpec.none()).region)
+    return list(_Flow(list(phases), rp, FeedbackSpec.none()).region)
 
 
 def test_region_of_boundary_conventions():
@@ -190,36 +192,23 @@ def test_feedback_rejects_out_of_range_input():
 
 
 def test_population_validation_and_weights():
+    # a population is its phases alone, with no weights: every cell counts once in I
     pop = Population(np.array([0.1, 0.5, 0.9]))
-    assert pop.total_weight == pytest.approx(3.0)
+    assert [f.name for f in fields(Population)] == ["phases"] and len(pop) == 3
     with pytest.raises(ValidationError):
         Population(np.array([0.1, 1.0]))
+    with pytest.raises(TypeError):
+        Population(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("phases", [[np.nan, 0.3], [0.1, np.inf]], ids=["nan-phase", "inf-phase"])
+def test_population_rejects_non_finite(phases):
     with pytest.raises(ValidationError):
-        Population(np.array([0.1, 0.2]), weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValidationError):
-        Population(np.array([0.1, 0.2]), weights=np.array([1.0]))
-
-
-@pytest.mark.parametrize("phases, weights", [
-    ([np.nan, 0.3], None),
-    ([0.1, 0.3], [np.inf, 1.0]),
-    ([0.1, 0.3], [np.nan, 1.0]),
-], ids=["nan-phase", "inf-weight", "nan-weight"])
-def test_population_rejects_non_finite(phases, weights):
-    with pytest.raises(ValidationError):
-        Population(np.array(phases), None if weights is None else np.array(weights))
-
-
-def test_signaling_fraction_weighted():
-    # weight in S = 3 of total 4, so the R speed is 1 + f(0.75)
-    fs = FeedbackSpec.linear(0.6)
-    flow = _Flow([0.1, 0.2, 0.5], [1.0, 2.0, 1.0], RegionParams(s=0.25, r=0.75), fs)
-    assert flow.v == pytest.approx(1.0 + 0.6 * 0.75)
+        Population(np.array(phases))
 
 
 def test_signaling_fraction_uniform():
-    # two of four equal cells in S: I = 0.5 from the count table and from the weighted sum
+    # two of four cells in S: I = 0.5, read from the count table
     fs = FeedbackSpec.linear(0.6)
     phases, rp = [0.05, 0.1, 0.3, 0.7], RegionParams(s=0.2, r=0.6)
-    assert _Flow(phases, [1.0] * 4, rp, fs).v == pytest.approx(1.3)
-    assert _Flow(phases, [2.0, 2.0, 1.0, 3.0], rp, fs).v == pytest.approx(1.3)
+    assert _Flow(phases, rp, fs).v == pytest.approx(1.3)

@@ -230,6 +230,9 @@ def test_numeric_F_validates_ordering():
         numeric_F([float("nan")], RP1, saturating_feedback(2, 0.5))
     with pytest.raises(ValidationError):
         numeric_F([0.3, float("nan")], RP1, saturating_feedback(2, 0.5))
+    # no point: k = 1 has no section map
+    with pytest.raises(ValidationError):
+        numeric_F([], RP1, saturating_feedback(2, 0.5))
 
 
 def test_piecewise_rejects_discontinuous_spec():

@@ -29,7 +29,7 @@ ZERO = FeedbackSpec.none()
 
 def _flow(phases):
     pop = Population(np.array(phases))
-    return _Flow(pop.phases.tolist(), pop.weights.tolist(), RP, POS)
+    return _Flow(pop.phases.tolist(), RP, POS)
 
 
 def _speeds_of(flow):
@@ -148,10 +148,9 @@ def test_section_map_matches_exact_engine():
         rp = RegionParams(s=s, r=r)
         fs = FeedbackSpec.linear(rng.uniform(-0.8, 0.8))
         x = np.concatenate(([0.0], np.sort(rng.random(k - 1))))
-        w = rng.uniform(0.1, 1.0, k)
 
-        t1, final, hits = advance_to_section(x, w, rp, fs)
-        traj = simulate_exact(Population(x, w), rp, fs, t1)
+        t1, final, hits = advance_to_section(x, rp, fs)
+        traj = simulate_exact(Population(x), rp, fs, t1)
 
         assert traj.times[-1] == t1
         batch_sizes = np.unique([e.time for e in traj.events], return_counts=True)[1]
@@ -176,7 +175,7 @@ def test_sample_grid_matches_event_snapshots():
         r = rng.uniform(s + 0.1, 0.95)
         rp = RegionParams(s=s, r=r)
         fs = FeedbackSpec.linear(rng.uniform(-0.8, 0.8))
-        pop = Population(np.sort(rng.random(k)), rng.uniform(0.1, 1.0, k))
+        pop = Population(np.sort(rng.random(k)))
         duration = rng.uniform(0.5, 3.0)
 
         ref = simulate_exact(pop, rp, fs, duration)
@@ -228,25 +227,24 @@ def test_kernel_matches_oracle(data):
     n = data.draw(st.integers(1, 16))
     unit = st.floats(0.0, 1.0, exclude_max=True)
     phases = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
-    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
     s = data.draw(st.floats(0.05, 0.45))
     rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
     fs = FeedbackSpec.linear(data.draw(st.floats(-0.8, 0.8, allow_subnormal=False)))
     duration = data.draw(st.floats(0.01, 3.0))
-    stops, batches, margin = exact_oracle.simulate(phases, weights, rp, fs, duration)
-    traj = simulate_exact(Population(phases, weights), rp, fs, duration)
-    # rounding may put a crossing on either side of the tie threshold, and a
-    # batch on either side of the horizon
+    stops, batches, margin = exact_oracle.simulate(phases, rp, fs, duration)
+    x = np.sort(phases)
+    t1_ref, final_ref, section_batches, section_margin = exact_oracle.advance_to_section(x, rp, fs)
+    traj = simulate_exact(Population(phases), rp, fs, duration)
+    # rounding may put a crossing on either side of the tie threshold, in the
+    # run and in the section advance, and a batch on either side of the horizon
     near = [t for t, _ in batches] + [ev.time for ev in traj.events]
-    assume(margin > 1e-13 and all(abs(t - duration) > 1e-9 for t in near))
+    assume(min(margin, section_margin) > 1e-13 and all(abs(t - duration) > 1e-9 for t in near))
     _assert_matches_oracle(stops, batches, traj, 1e-12)
 
-    x = np.sort(phases)
-    t1, final, hits = advance_to_section(x, weights, rp, fs)
-    t1_ref, final_ref, batches = exact_oracle.advance_to_section(x, weights, rp, fs)
-    assert len(hits) == sum(len(b) for b in batches)
+    t1, final, hits = advance_to_section(x, rp, fs)
+    assert len(hits) == sum(len(b) for b in section_batches)
     start = 0
-    for batch in batches:
+    for batch in section_batches:
         assert sorted(hits[start:start + len(batch)]) == sorted(batch)
         start += len(batch)
     assert abs(t1 - t1_ref) <= 1e-12
@@ -259,9 +257,9 @@ def test_kernel_matches_oracle_long_run(gamma):
     # engines may batch a crossing with its neighbour's or just after it; so
     # each cell's own crossings are compared, and the final state
     rng = np.random.default_rng(2007)
-    pop = Population(rng.random(4), rng.uniform(0.1, 1.0, 4))
+    pop = Population(rng.random(4))
     args = (RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(gamma), 250.0)
-    stops, batches, _ = exact_oracle.simulate(pop.phases, pop.weights, *args)
+    stops, batches, _ = exact_oracle.simulate(pop.phases, *args)
     traj = simulate_exact(pop, *args)
     for cell in range(4):
         want = [(t, kind) for t, batch in batches for c, kind in batch if c == cell]
@@ -271,18 +269,44 @@ def test_kernel_matches_oracle_long_run(gamma):
     np.testing.assert_allclose(traj.states[-1], stops[-1][1], rtol=0.0, atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_invariants(data):
+    # each cell crosses s, r and 1 in turn, from its initial region on; and the
+    # lifted final phases (final + laps), in initial order, keep that order
+    # and span at most one turn: no cell overtakes another, the wrap pair included
+    n = data.draw(st.integers(1, 16))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    phases = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    s = data.draw(st.floats(0.05, 0.45))
+    rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
+    fs = FeedbackSpec.linear(data.draw(st.floats(-0.8, 0.8, allow_subnormal=False)))
+    traj = simulate_exact(Population(phases), rp, fs, data.draw(st.floats(0.01, 3.0)))
+    due = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]  # code of the next crossing
+    wraps = np.zeros(n)
+    for ev in traj.events:
+        assert ev.kind == _KIND_OF_CODE[due[ev.cell]]
+        wraps[ev.cell] += due[ev.cell] == 2
+        due[ev.cell] = (due[ev.cell] + 1) % 3
+    # the sample rule wraps a phase that rounds to 1.0 to 0.0, so a cell that
+    # reaches 1 within rounding of the horizon, its HitCycleEnd past it, reads
+    # 0.0 while the event log still has it in R
+    final = traj.states[-1]
+    rounded = np.array([code == 2 and x < rp.r for code, x in zip(due, final)], dtype=bool)
+    assert np.all(final[rounded] == 0.0)
+    lift = (final + wraps + rounded)[np.argsort(phases, kind="stable")]
+    assert np.all(np.diff(lift) >= -1e-9)
+    assert lift[-1] - lift[0] <= 1.0 + 1e-9
+
+
 def _draw_cells(data, n):
-    """n phases in [0, 1) and either unit or unequal weights."""
+    """n phases in [0, 1), region bounds and a linear feedback."""
     unit = st.floats(0.0, 1.0, exclude_max=True)
     phases = data.draw(st.lists(unit, min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        weights = [1.0] * n
-    else:
-        weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
     s = data.draw(st.floats(0.05, 0.45))
     rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
     gamma = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.01, 0.8))
-    return phases, weights, rp, FeedbackSpec.linear(gamma)
+    return phases, rp, FeedbackSpec.linear(gamma)
 
 
 def _hex(values):
@@ -295,8 +319,8 @@ def test_phase_list_is_phases_bit_for_bit(data):
     # the section map's float read-out against the sampler's array read-out,
     # at the start and after each batch of a run of several laps
     n = data.draw(st.integers(1, 12))
-    phases, weights, rp, fs = _draw_cells(data, n)
-    flow = _Flow(phases, weights, rp, fs)
+    phases, rp, fs = _draw_cells(data, n)
+    flow = _Flow(phases, rp, fs)
     assert _hex(flow.phase_list()) == _hex(flow.phases().tolist())
     for _ in range(data.draw(st.integers(1, 8 * n))):
         flow.pop(flow.next_dt())
@@ -305,7 +329,7 @@ def test_phase_list_is_phases_bit_for_bit(data):
 
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
-    flow = _Flow([-1e-300, 0.5], [1.0, 1.0], RP, POS)
+    flow = _Flow([-1e-300, 0.5], RP, POS)
     assert _hex(flow.phase_list()) == _hex(flow.phases().tolist()) == _hex([0.0, 0.5])
 
 
@@ -313,10 +337,10 @@ def test_phase_list_sets_a_rounded_up_one_to_zero():
 @given(data=st.data())
 def test_section_map_same_for_lists_and_arrays(data):
     k = data.draw(st.integers(2, 9))
-    phases, weights, rp, fs = _draw_cells(data, k)
+    phases, rp, fs = _draw_cells(data, k)
     x = sorted(phases)
-    t1, final, hits = advance_to_section(x, weights, rp, fs)
-    t1_nd, final_nd, hits_nd = advance_to_section(np.array(x), np.array(weights), rp, fs)
+    t1, final, hits = advance_to_section(x, rp, fs)
+    t1_nd, final_nd, hits_nd = advance_to_section(np.array(x), rp, fs)
     assert t1.hex() == t1_nd.hex()
     assert final.dtype == final_nd.dtype == np.float64
     assert final.tobytes() == final_nd.tobytes()
@@ -394,12 +418,12 @@ def test_sde_respects_sample_every():
 
 
 def test_sde_final_population_round_trip():
-    pop = Population(np.array([0.2, 0.9]), weights=np.array([2.0, 1.0]))
+    pop = Population(np.array([0.2, 0.9]))
     spec = NoiseSpec(sigma=1e-4, dt=0.01)
     traj = simulate_sde(pop, RP, POS, spec, 0.5, seed=3)
     out = traj.final_population()
     assert np.all((out.phases >= 0.0) & (out.phases < 1.0))
-    np.testing.assert_array_equal(out.weights, pop.weights)
+    assert out.phases.tobytes() == traj.states[-1].tobytes()
 
 
 @pytest.mark.parametrize("gamma", [0.6, -0.6])
@@ -414,17 +438,17 @@ def test_em_block_matches_reference(gamma):
     start = np.array([rng.random(cfg["n"]) for rng in rngs])
     steps = int(round(cfg["cycles"] / cfg["dt"]))
     _, states = _em_block(start, [rp.s for rp in rps], [rp.r for rp in rps],
-                          FeedbackSpec.linear(gamma), np.ones(cfg["n"]),
+                          FeedbackSpec.linear(gamma),
                           NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), steps, rngs, steps)
     for i, value in enumerate(values):
         final, _ = sde_oracle.sweep_point(i, value, cfg, 11)
         assert states[-1][i].tobytes() == final.tobytes()
 
 
-@pytest.mark.parametrize("weights", [None, [2.0, 1.0, 0.5, 1.0, 3.0] * 5], ids=["unit", "unequal"])
-@pytest.mark.parametrize("fs", [POS, FeedbackSpec.linear(-0.6)], ids=["pos", "neg"])
-def test_sde_samples_match_reference(fs, weights):
-    pop = Population(np.random.default_rng(4).random(25), None if weights is None else np.array(weights))
+# "unit": every cell counts once in I, as in every run
+@pytest.mark.parametrize("fs", [POS, FeedbackSpec.linear(-0.6)], ids=["pos-unit", "neg-unit"])
+def test_sde_samples_match_reference(fs):
+    pop = Population(np.random.default_rng(4).random(25))
     spec = NoiseSpec(sigma=1e-2, dt=0.01)
     traj = simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
     times, states = sde_oracle.simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
