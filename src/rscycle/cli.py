@@ -9,17 +9,20 @@ hash, and the seed, so repeated runs are byte-identical.
 
 This module alone writes files, so the artifact format lives here: each CSV
 has a header line and reals as %.17g (which round-trips a float64), and
-each JSON file has indent 2, sorted keys and a trailing newline.
+each JSON file has indent 2, sorted keys and a trailing newline.  Tables of
+reals only go through _write_reals, which builds the %.17g bytes in numpy
+(exact digits from Dekker's two-product with a power of ten); tables that
+mix reals, labels and counts go through _write_csv, one row at a time.
 
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
 certificate fails, 4 when a simulation aborts (runaway or impossible state).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -160,6 +163,161 @@ def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
             fh.write(fmt % tuple(row) + "\n")
 
 
+# The all-real writer formats a value in numpy when 1e-5 <= x < 1e15 (its
+# decimal exponent E lies in [-5, 14]) or x is +0.0; every other value
+# (negative, -0.0, tiny, huge, non-finite) goes through "%.17g" one by one.
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # each one exact
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
+# One value takes a row of 28 bytes: byte 0 is unused, so that the digits
+# after "0." fall on whole uint32 words, and the longest %.17g (24 bytes)
+# plus its separator fits in bytes 1-25.
+_ROW = 28
+_BYTE = np.arange(_ROW)
+_KEEP = (_BYTE >= 1) & (_BYTE <= _BYTE[:, None] + 1)  # row L: bytes 1 .. L + 1
+_CHUNK_VALUES = 1 << 14
+
+
+@functools.cache
+def _digit_tables():
+    """(words, zeros): words[i] holds the four bytes "%04d" % i for
+    i < 10**4, and a zero byte then "0.d" for i = 10**4 + d; zeros[i]
+    counts the trailing zeros of "%04d" % i."""
+    i = np.arange(10 ** 4, dtype=np.uint16)[:, None]
+    chars = (i // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    lead = np.array([[0, ord("0"), ord("."), ord("0") + d] for d in range(10)], np.uint8)
+    words = np.concatenate([chars, lead]).view(np.uint32).ravel()
+    zeros = np.argmin(chars[:, ::-1] == ord("0"), axis=1)
+    zeros[0] = 4
+    return words, zeros
+
+
+def _two_product(a, b):
+    """(hi, lo) with hi = fl(a * b) and hi + lo == a * b exactly (Dekker);
+    each ufunc rounds once, so nothing is fused."""
+    hi = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _div_10k(x):
+    """x // 10**4 for int64 0 <= x < 10**9, by multiply and shift."""
+    return (x * 3518437209) >> 45
+
+
+def _decimal_digits(x):
+    """(D, E) for float64 x in [1e-5, 1e15): D, in [10**16, 10**17), holds
+    the 17 significant digits of x rounded half-even, and E is the decimal
+    exponent, so that D * 10**(E - 16) is x rounded."""
+    # E is fixed up from the exact product before rounding, so a value just
+    # below a power of ten (1e-07 is 9.9999999999999995e-08) gets the smaller E
+    E = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = _two_product(x, _POW10[16 - E])
+    while True:
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        bad = np.flatnonzero(low | high)
+        if not bad.size:
+            break
+        E[bad] += high[bad].astype(np.int64) - low[bad]
+        hi[bad], lo[bad] = _two_product(x[bad], _POW10[16 - E[bad]])
+    # hi >= 2**53 is an integer, so lo carries the whole fraction
+    whole = np.floor(lo)
+    frac = lo - whole
+    D = hi.astype(np.int64) + whole.astype(np.int64)
+    D += (frac > 0.5) | ((frac == 0.5) & (D % 2 == 1))
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E[carry] += 1
+    return D, E
+
+
+def _packed_digits(D):
+    """(packed, zeros): row i of the (len(D), 7) uint32 array packed holds a
+    zero byte, "0." and the 17 digits of D[i] in bytes 0-19; zeros[i] counts
+    the trailing zeros of D[i]."""
+    words, tail_zeros = _digit_tables()
+    # D = d0 | g1 | g2 | g3 | g4, a digit and four groups of four
+    q, r = np.divmod(D, 10 ** 8)
+    q_hi = _div_10k(q)
+    d0 = _div_10k(q_hi)
+    r_hi = _div_10k(r)
+    groups = (d0 + 10 ** 4, q_hi - d0 * 10 ** 4, q - q_hi * 10 ** 4, r_hi, r - r_hi * 10 ** 4)
+    zeros = tail_zeros[groups[4]]
+    for k in (3, 2, 1):  # groups after k all zero: count on into group k
+        i = np.flatnonzero(zeros == 4 * (4 - k))
+        zeros[i] += tail_zeros[groups[k][i]]
+    packed = np.empty((D.size, _ROW // 4), np.uint32)
+    for k, group in enumerate(groups):
+        packed[:, k] = words[group]
+    return packed, zeros
+
+
+def _format_g17(x, sep) -> bytes:
+    """The bytes of "%.17g" % v + chr(s) for each value v of the float64
+    vector x and separator byte s of sep, joined."""
+    fast = (x >= 1e-5) & (x < 1e15)
+    D, E = _decimal_digits(np.where(fast, x, 1.0))
+    packed, zeros = _packed_digits(D)
+    del D  # freed before the layout, to keep the peak memory low
+
+    # %g layout: fixed for -4 <= E < 17, else d.ddde-XX; trailing zeros and
+    # a bare "." dropped.  Every row gets E = -1 ("0." + 17 digits in bytes
+    # 1-19), then the other exponents are patched group by group.
+    buf = packed.view(np.uint8)
+    length = 19 - zeros
+    other = np.flatnonzero(E != -1)
+    # np.bincount, not np.unique: the first np.unique imports numpy.ma (~20 ms)
+    for e in (np.flatnonzero(np.bincount(E[other] + 5)) - 5).tolist():
+        i = other[E[other] == e]
+        digits = buf[i, 3:20]
+        if e >= 0:
+            buf[i, 1:e + 2] = digits[:, :e + 1]
+            buf[i, e + 2] = ord(".")
+            buf[i, e + 3:19] = digits[:, e + 1:]
+            length[i] = np.where(zeros[i] >= 16 - e, e + 1, 18 - zeros[i])
+        elif e >= -4:
+            buf[i, 3:2 - e] = ord("0")
+            buf[i, 2 - e:19 - e] = digits
+            length[i] -= e + 1
+        else:  # e == -5
+            buf[i, 1] = digits[:, 0]
+            buf[i, 3:19] = digits[:, 1:]
+            mantissa = np.where(zeros[i] == 16, 1, 18 - zeros[i])
+            buf[i[:, None], mantissa[:, None] + np.arange(1, 5)] = np.frombuffer(b"e-05", np.uint8)
+            length[i] = mantissa + 4
+    zero = (x == 0.0) & ~np.signbit(x)
+    buf[zero, 1] = ord("0")
+    length[zero] = 1
+    for j in np.flatnonzero(~(fast | zero)).tolist():
+        text = b"%.17g" % x[j]
+        buf[j, 1:len(text) + 1] = np.frombuffer(text, np.uint8)
+        length[j] = len(text)
+    buf.ravel()[np.arange(1, buf.size, _ROW) + length] = sep
+    return buf[np.take(_KEEP, length, axis=0)].tobytes()
+
+
+def _write_reals(path: Path, header: str, *columns) -> None:
+    """A table of float64 columns (vectors, or 2-D blocks of columns), one
+    header line, then the bytes fmt % tuple(row) gives with fmt "%.17g,...";
+    formatted in numpy, a chunk of rows at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+    width = sum(c.shape[1] for c in columns)
+    rows = max(1, _CHUNK_VALUES // width)
+    sep = np.full((rows, width), ord(","), np.uint8)
+    sep[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(columns[0]), rows):
+            block = np.concatenate([c[start:start + rows] for c in columns], axis=1)
+            fh.write(_format_g17(block.ravel(), sep[:len(block)].ravel()))
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -195,6 +353,8 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     elif initial == "uniform":
         phases = np.arange(n) / n
     elif _is_number_list(initial):
+        if len(initial) != n:
+            raise ValidationError(f"initial lists {len(initial)} phases but n is {n}")
         phases = np.asarray(initial, dtype=float)
     else:
         raise ValidationError(
@@ -212,12 +372,8 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     else:
         raise ValidationError(f"unknown engine {cfg['engine']!r}")
     cells = traj.states.shape[1]
-    _write_csv(
-        out / "trajectory.csv",
-        "t," + ",".join(f"phase_{i}" for i in range(cells)),
-        ",".join(["%.17g"] * (cells + 1)),
-        ((t, *state) for t, state in zip(traj.times, traj.states)),
-    )
+    _write_reals(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(cells)),
+                 traj.times, traj.states)
     return 0
 
 
@@ -256,6 +412,8 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     bounds = [points * i // threads for i in range(threads + 1)]
     jobs = [(lo, values[lo:hi], cfg, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(jobs) > 1:
+        import multiprocessing  # here only: with the socket modules it loads, ~10 ms of start-up
+
         with multiprocessing.Pool(len(jobs)) as pool:
             blocks = pool.map(_sweep_block, jobs)
     else:
@@ -274,8 +432,7 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
     analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call
-    _write_csv(out / "return_map.csv", "x,F(x),F2(x)", "%.17g,%.17g,%.17g",
-               zip(xs, analytic, F2(xs)))
+    _write_reals(out / "return_map.csv", "x,F(x),F2(x)", xs, analytic, F2(xs))
     report = fixed_points(F2)
     _write_json(out / "fixed_points.json", {
         "points": [{"location": p.location, "multiplier": p.multiplier, "class": p.kind}
@@ -285,12 +442,9 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
     # each numeric point is a certificate replay of the closed form
     fs = saturating_feedback(2, alpha)
-    rows = []
-    for x, ana in zip(xs, analytic):
-        num, _ = numeric_F(np.array([float(x)]), rp, fs)
-        rows.append((x, ana, num[0], abs(ana - num[0])))
-    _write_csv(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
-               "%.17g,%.17g,%.17g,%.17g", rows)
+    numeric = np.array([numeric_F(np.array([x]), rp, fs)[0][0] for x in xs.tolist()])
+    _write_reals(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
+                 xs, analytic, numeric, np.abs(analytic - numeric))
     return 0
 
 
@@ -340,8 +494,7 @@ def cmd_pde(cfg: dict, seed: int, out: Path, threads: int) -> int:
     profile = steady_profile(cfg["c"], rp, fs)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]), endpoint=False)
     u, b = profile.u(xs), profile.b(xs)
-    _write_csv(out / "profile.csv", "x,u,b,flux", "%.17g,%.17g,%.17g,%.17g",
-               zip(xs, u, b, b * u))
+    _write_reals(out / "profile.csv", "x,u,b,flux", xs, u, b, b * u)
     resid = flux_residual(profile)
     if resid > 1e-12:
         raise CertificateError(f"steady profile flux residual {resid:.3e}")

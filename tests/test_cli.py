@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sde_oracle
 from rscycle import cli, cyclic
@@ -188,12 +192,13 @@ def test_validation_error_exit_code(tmp_path):
     ("sweep-fig4", {"n": 50, "points": 3, "cycles": -5}),
     ("sweep-fig4", {"n": 50, "points": 3, "cycles": 0.001}),
     ("simulate", {"engine": "sde", "n": 5, "cycles": 0.001}),
+    ("simulate", {"initial": [0.1, 0.2], "n": 50, "cycles": 1}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
         "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
         "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
-        "sde-horizon-below-one-step"])
+        "sde-horizon-below-one-step", "initial-length-not-n"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -289,3 +294,106 @@ def test_only_cli_writes_files():
         if path.name != "cli.py":
             text = path.read_text()
             assert "open(" not in text and "savetxt(" not in text, path.name
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a sweep with more than one worker needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rscycle.cli; assert 'multiprocessing' not in sys.modules"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# The all-real CSV writer against the per-row "%.17g" formatting it replaced.
+
+def reference_csv(header, table):
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return (header + "\n" + "".join(fmt % tuple(row) + "\n" for row in table)).encode()
+
+
+def reference_lines(values):
+    return b"".join(b"%.17g\n" % v for v in values.tolist())
+
+
+def format_lines(values):
+    return cli._format_g17(values, np.full(values.size, ord("\n"), np.uint8))
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "table.csv"
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 6)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)
+                    | st.floats(1e-6, 2e15)))
+def test_real_writer_matches_per_row_format(table_path, table):
+    # negatives, subnormals, +-0.0 and huge values are drawn as well as the
+    # values formatted in numpy; the table goes in as a vector and a block
+    cli._write_reals(table_path, "a,b", table[:, 0], table[:, 1:])
+    assert table_path.read_bytes() == reference_csv("a,b", table)
+
+
+def half_way_ties(rng, count):
+    """For each decimal exponent E in [-5, 14], float64 values exactly half
+    way between two 17-digit decimals: j * 2**(E - 17) with j odd is
+    (j * 5**(16 - E) / 2) * 10**(E - 16)."""
+    for E in range(-5, 15):
+        five = 5 ** (16 - E)
+        lo, hi = -(-2 * 10 ** 16 // five), min(2 * 10 ** 17 // five, 2 ** 53)
+        j = rng.integers(lo // 2, hi // 2, count) * 2 + 1
+        yield E, np.ldexp(j.astype(float), E - 17)
+
+
+def test_real_formatter_sweep_matches_per_value_format():
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in range(-10, 16)])
+    near = [powers]
+    for direction in (0.0, np.inf):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    ties = []
+    for E, values in half_way_ties(rng, 2000):
+        for v in values[:20].tolist():  # 17 digits and a half, exactly
+            scaled = Fraction(v) * Fraction(10) ** (16 - E)
+            assert scaled.denominator == 2 and 10 ** 16 < scaled < 10 ** 17
+        ties.append(values)
+    edges = np.array([1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4,
+                      9.9999999999999995e-08, 1e15, np.nextafter(1e15, 0.0), 1e14,
+                      685186056114786.875, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308, -1e-5, np.inf, -np.inf, np.nan])
+    values = np.concatenate([
+        rng.random(250_000),
+        rng.random(250_000) * 10.0 ** rng.integers(-12, 17, 250_000),
+        10.0 ** rng.uniform(-12.0, 16.0, 250_000),
+        np.arange(250_000) / 1024.0,
+        *near, *ties, edges,
+    ])
+    assert values.size >= 1_000_000
+    for start in range(0, values.size, 1 << 14):
+        chunk = values[start:start + (1 << 14)]
+        assert format_lines(chunk) == reference_lines(chunk), start
+
+
+@pytest.mark.parametrize("engine", ["exact", "sde"])
+def test_trajectory_csv_matches_per_row_format(tmp_path, monkeypatch, engine):
+    runs = []
+    name = f"simulate_{engine}"
+    real = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, name, recording)
+    cfg = write_config(tmp_path, "c.json", {"engine": engine, "n": 30, "cycles": 3.0})
+    assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+    traj = runs[0]
+    header = "t," + ",".join(f"phase_{i}" for i in range(30))
+    table = np.column_stack((traj.times, traj.states))
+    assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(header, table)
