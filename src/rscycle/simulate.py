@@ -22,6 +22,8 @@ as one batch and the signaling fraction is recomputed once afterwards.
 The exact engine samples by one rule: the state at a time is the last
 post-batch state moved along the frozen speeds, so a sample at a batch
 time is the post-batch state and every sampled phase lies in [0, 1).
+A batch within TIE_TOL of the horizon is the run's last stop, so the
+event log and the final state agree on every cell's laps.
 
 Both engines have one speed law, the table of `_speed_table`: while j of
 the n cells are in S, a cell in R moves at 1 + f(j/n).
@@ -214,7 +216,10 @@ def simulate_exact(
     "endpoints" (the grid [duration]) or an ascending grid of times within
     [0, duration].  A grid time takes the state of the last stop at or before
     it, moved along the frozen speeds: at a batch time that is the post-batch
-    state, and every sampled phase lies in [0, 1).
+    state, and every sampled phase lies in [0, 1).  The horizon is one more
+    boundary: a batch within TIE_TOL of duration, on either side, is the
+    last stop.  Its events keep their own times, and its post-batch state is
+    sampled at duration and at every grid time left.
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
@@ -238,24 +243,18 @@ def simulate_exact(
     events: List[EventRecord] = []
     pending = 0  # index of the first grid time not yet sampled
 
-    def record(t, t_next):
-        # the one sample rule, at each stop t of the loop (see the docstring);
-        # the horizon (t_next = inf) holds its state for every grid time left
-        nonlocal pending
-        if grid is None:
+    t = 0.0
+    while True:  # at least once, so t = 0 is sampled however short the run
+        dt = flow.next_dt()
+        if grid is None:  # the sample rule of the docstring, at each stop t
             times.append(t)
             states.append(flow.phases())
-            return
-        while pending < len(grid) and grid[pending] < t_next:
-            times.append(grid[pending])
-            states.append(flow.phases(grid[pending] - t if t_next < np.inf else 0.0))
-            pending += 1
-
-    t, stop = 0.0, duration * (1.0 - 1e-15)
-    while t < stop:
-        dt = flow.next_dt()
-        record(t, min(t + dt, duration))
-        if t + dt > duration:
+        else:
+            while pending < len(grid) and grid[pending] < min(t + dt, duration):
+                times.append(grid[pending])
+                states.append(flow.phases(grid[pending] - t))
+                pending += 1
+        if t + dt > duration + TIE_TOL:
             flow.advance(duration - t)
             break
         batch = flow.pop(dt)
@@ -269,11 +268,12 @@ def simulate_exact(
                 f"event count exceeded {max_events} (s={rp.s}, r={rp.r}, "
                 f"feedback={fs.kind}, n={pop.phases.size}); aborting runaway run"
             )
-    record(duration, np.inf)  # a batch within 1e-15 * duration of the horizon counts as on it
-
+        if t >= duration - TIE_TOL:
+            break
+    rest = [duration] if grid is None else grid[pending:]  # each takes the horizon state
     return Trajectory(
-        times=np.array(times),
-        states=np.vstack(states),
+        times=np.array(times + rest),
+        states=np.vstack(states + [flow.phases()] * len(rest)),
         events=events,
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import exact_oracle
 import sde_oracle
-from rscycle.model import FeedbackSpec, Population, RegionParams, ValidationError
+from rscycle.model import TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
     _KIND_OF_CODE,
@@ -282,21 +282,69 @@ def test_kernel_invariants(data):
     rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.05, 0.95)))
     fs = FeedbackSpec.linear(data.draw(st.floats(-0.8, 0.8, allow_subnormal=False)))
     traj = simulate_exact(Population(phases), rp, fs, data.draw(st.floats(0.01, 3.0)))
+    assert np.all(np.diff(traj.times) > 0.0)
     due = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]  # code of the next crossing
     wraps = np.zeros(n)
     for ev in traj.events:
         assert ev.kind == _KIND_OF_CODE[due[ev.cell]]
         wraps[ev.cell] += due[ev.cell] == 2
         due[ev.cell] = (due[ev.cell] + 1) % 3
-    # the sample rule wraps a phase that rounds to 1.0 to 0.0, so a cell that
-    # reaches 1 within rounding of the horizon, its HitCycleEnd past it, reads
-    # 0.0 while the event log still has it in R
-    final = traj.states[-1]
-    rounded = np.array([code == 2 and x < rp.r for code, x in zip(due, final)], dtype=bool)
-    assert np.all(final[rounded] == 0.0)
-    lift = (final + wraps + rounded)[np.argsort(phases, kind="stable")]
+    lift = (traj.states[-1] + wraps)[np.argsort(phases, kind="stable")]
     assert np.all(np.diff(lift) >= -1e-9)
     assert lift[-1] - lift[0] <= 1.0 + 1e-9
+
+
+def _assert_laps_match_log(traj):
+    # each cell's laps, counted from the sampled states alone: the distance
+    # travelled between samples, under a turn each, is (x[k+1] - x[k]) mod 1,
+    # and initial + distance - final is the number of whole turns
+    assert np.all(np.diff(traj.times) > 0.0)
+    x = traj.states
+    turns = x[0] + ((x[1:] - x[:-1]) % 1.0).sum(axis=0) - x[-1]
+    laps = np.round(turns)
+    assert np.all(np.abs(turns - laps) <= 1e-9)
+    ends = [ev.cell for ev in traj.events if ev.kind == EventKind.HIT_CYCLE_END]
+    np.testing.assert_array_equal(laps, np.bincount(ends, minlength=x.shape[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_laps_from_states_match_the_log(data):
+    phases, rp, fs = _draw_cells(data, data.draw(st.integers(1, 16)))
+    _assert_laps_match_log(simulate_exact(Population(np.array(phases)), rp, fs,
+                                          data.draw(st.floats(0.01, 3.0))))
+
+
+# cell 4 reaches 1 a few ulps past the horizon, within TIE_TOL of it
+HORIZON_TIE = (Population(np.array([0, 0, 0, 0, 1e-5])),
+               RegionParams(s=0.09243255051407308, r=0.5), FeedbackSpec.linear(0.09375), 0.99999)
+
+
+@SAMPLE_MODES
+def test_batch_within_tie_tol_of_the_horizon_is_in_the_run(mode):
+    # the batch is the last stop: the log has the cell's HitCycleEnd, and the
+    # horizon state, at exactly the horizon, has it at 0
+    traj = simulate_exact(*HORIZON_TIE, sample=_sample(mode, HORIZON_TIE[-1]))
+    assert traj.times[-1] == HORIZON_TIE[-1]
+    assert [ev.kind for ev in traj.events if ev.cell == 4][-1] == EventKind.HIT_CYCLE_END
+    assert traj.states[-1][4] == 0.0
+    if mode == "events":
+        _assert_laps_match_log(traj)
+
+
+@pytest.mark.parametrize("duration", [5e-13, TIE_TOL])
+def test_run_within_tie_tol_samples_start_and_horizon(duration):
+    # the loop runs once however short the run: t = 0 is sampled, and the
+    # first batch, 5e-13 ahead, is within TIE_TOL of the horizon and ends it
+    start = np.array([0.2 - 5e-13, 0.5])
+    traj = simulate_exact(Population(start), RP, POS, duration)
+    np.testing.assert_array_equal(traj.times, [0.0, duration])
+    assert traj.states[0].tobytes() == start.tobytes()
+    assert traj.states[1][0] == 0.2
+    assert [(ev.cell, ev.kind) for ev in traj.events] == [(0, EventKind.HIT_S_END)]
+    grid = simulate_exact(Population(start), RP, POS, duration, sample=[0.0, duration])
+    assert grid.times.tobytes() == traj.times.tobytes()
+    assert grid.states.tobytes() == traj.states.tobytes()
 
 
 def _draw_cells(data, n):
@@ -407,6 +455,30 @@ def test_sde_noiseless_converges_first_order():
     assert e3 < e2
     # order ~1: ratio of successive errors in a loose band around 2
     assert 1.2 < e1 / e3
+
+
+@pytest.mark.parametrize("gamma", [0.6, -0.6])
+def test_noiseless_sde_within_c_dt_of_the_exact_flow(gamma):
+    # Euler on the piecewise-constant field takes each crossing up to one step
+    # late, so the endpoint error is O(dt); it aliases with where crossings
+    # fall in their steps and need not shrink when dt halves, so this is a
+    # bound, not a rate.  Worst error/dt over these 20 cases per sign: 5.20
+    # (amplifying) and 0.91 (damping); over 600 cases per sign, 6.1 and 6.0.
+    # C = 8 is 1.5x the worst here.
+    C = 8.0
+    rng = np.random.default_rng([0, int(gamma > 0)])
+    fs = FeedbackSpec.linear(gamma)
+    for _ in range(20):
+        n = int(rng.integers(2, 17))
+        s = rng.uniform(0.05, 0.4)
+        rp = RegionParams(s=s, r=rng.uniform(s + 0.1, 0.95))
+        cycles = float(rng.integers(1, 11))  # on the step grid of both dt
+        pop = Population(rng.random(n))
+        exact = simulate_exact(pop, rp, fs, cycles, sample="endpoints").states[-1]
+        for dt in (0.01, 0.0025):
+            traj = simulate_sde(pop, rp, fs, NoiseSpec(sigma=0.0, dt=dt), cycles, sample_every=10**9)
+            diff = np.abs(traj.states[-1] - exact)
+            assert np.minimum(diff, 1.0 - diff).max() <= C * dt
 
 
 def test_sde_respects_sample_every():
