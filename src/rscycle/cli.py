@@ -11,8 +11,9 @@ This module alone writes files, so the artifact format lives here: each CSV
 has a header line and reals as %.17g (which round-trips a float64), and
 each JSON file has indent 2, sorted keys and a trailing newline.  Tables of
 reals only go through _write_reals, which builds the %.17g bytes in numpy
-(exact digits from Dekker's two-product with a power of ten); tables that
-mix reals, labels and counts go through _write_csv, one row at a time.
+(exact digits from Dekker's two-product with a power of ten), and so does
+the time column of events.csv; the other tables that mix reals, labels and
+counts go through _write_csv, one row at a time.
 
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
 certificate fails, 4 when a simulation aborts (runaway or impossible state).
@@ -25,6 +26,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .cyclic import (CertificateError, _saturating_feedback, classify_case, cycl
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
-from .simulate import NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
+from .simulate import EventKind, NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
 
 _DEFAULTS = {
     "simulate": {
@@ -336,10 +339,25 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
+_KIND_FIELD = {kind: f",{kind.value},".encode() for kind in EventKind}
+
+
 def write_events_csv(traj, path) -> None:
-    """Boundary crossings of an exact run: t,kind,cell."""
-    rows = ((ev.time, ev.kind.value, ev.cell) for ev in traj.events)
-    _write_csv(path, "t,kind,cell", "%.17g,%s,%d", rows)
+    """Boundary crossings of an exact run: t,kind,cell, the bytes of
+    "%.17g,%s,%d" per event; the times are formatted in numpy, a chunk at
+    a time, and the kind and cell fields are read from tables."""
+    events = traj.events
+    cells = [b"%d\n" % i for i in range(max(map(itemgetter(2), events), default=-1) + 1)]
+    newline = np.full(_CHUNK_VALUES, ord("\n"), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"t,kind,cell\n")
+        for start in range(0, len(events), _CHUNK_VALUES):
+            chunk = events[start:start + _CHUNK_VALUES]
+            times = np.fromiter(map(itemgetter(0), chunk), float, len(chunk))
+            lines = _format_g17(times, newline[:len(chunk)]).splitlines()
+            fh.write(b"".join(chain.from_iterable(zip(
+                lines, map(_KIND_FIELD.__getitem__, map(itemgetter(1), chunk)),
+                map(cells.__getitem__, map(itemgetter(2), chunk))))))
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:

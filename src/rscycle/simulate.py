@@ -32,11 +32,23 @@ The exact engine and the section map `returnmap.advance_to_section` share
 one region-clock kernel, `_Flow`.  Cells never overtake and no region
 straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
-costs O(batch) work, and positions are rebuilt (O(n)) only at a sample.
-`_Flow` takes its cells as lists of Python floats.  The sampler rebuilds
-positions as one array (`phases`); the section map reads them back as a
-list (`phase_list`, the same arithmetic bit for bit), so a replay of a few
+costs O(batch) work.  `_Flow` takes its cells as lists of Python floats; the
+section map reads them back as a list (`phase_list`), so a replay of a few
 clusters does no numpy work per call.
+
+In "events" mode the exact engine samples from an event log, not from the
+flow: the loop logs each stop's clocks (t, tau) and its batch of (cell, code), and the
+sampled states are built after the loop.  A crossing's code fixes the
+cell's new entry phase, entry clock and region, as `_Flow.pop` sets them.
+`_build_event_states` fills one preallocated (K, n) array in blocks of
+`_CHUNK` stops: every cell's row is entry + (clock[region] - since) from the
+per-cell state at the block's first stop, and then only the columns of the
+cells that cross inside the block are rebuilt, each row from the cell's
+latest crossing at or before it.  A grid time takes the same arithmetic in
+one row, filled while the loop is at its stop from the flow's per-cell
+state, at the stop's clocks moved by the time past the stop at the stop's
+speed.  Every block is wrapped in place, so the build holds one (K, n)
+array and block-sized scratch.
 """
 
 import math
@@ -44,6 +56,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -127,7 +140,7 @@ class _Flow:
     def __init__(self, phases: List[float], rp: RegionParams, fs: FeedbackSpec):
         self.t = self.tau = 0.0
         region = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]
-        # per-cell state in arrays that numpy reads without a copy at a sample
+        # per-cell state in arrays that numpy reads without a copy (arrays())
         self.entry, self.since = array("d", phases), array("d", bytes(8 * len(phases)))
         self.region = array("b", region)
         self.queues = (deque(), deque(), deque())  # head first: nearest the region's end
@@ -181,15 +194,14 @@ class _Flow:
             self.v = self._v[len(self.queues[0])]
         return batch
 
-    def phases(self, offset: float = 0.0) -> np.ndarray:
-        """Every phase at time t + offset along the frozen speeds, in [0, 1)."""
-        clocks = np.array([self.t + offset, self.t + offset, self.tau + self.v * offset])
-        moved = clocks[np.frombuffer(self.region, np.int8)] - np.frombuffer(self.since)
-        return wrap01(np.frombuffer(self.entry) + moved)
+    def arrays(self):
+        """The per-cell entry phases, entry clocks and regions as numpy views."""
+        return np.frombuffer(self.entry), np.frombuffer(self.since), np.frombuffer(self.region, np.int8)
 
     def phase_list(self) -> List[float]:
-        """phases() as Python floats, with the same arithmetic bit for bit:
-        entry + (clock - since), then x - floor(x), with 1.0 set to 0.0."""
+        """Every phase at time t as Python floats, in [0, 1): entry + (clock -
+        since), then x - floor(x), with 1.0 set to 0.0 (the arithmetic of
+        the sampled states, bit for bit)."""
         clocks = (self.t, self.t, self.tau)
         out = []
         for entry, since, code in zip(self.entry, self.since, self.region):
@@ -200,6 +212,84 @@ class _Flow:
 
 
 _KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.pop
+_CHUNK = 64  # stops per block of _build_event_states
+
+
+def _fill(out, clocks, entry, since, region) -> None:
+    """out[k] = entry + (clocks[k, region] - since): the unwrapped phases of
+    one per-cell state at each row (t, t, tau) of clocks."""
+    np.take(clocks, region, axis=1, out=out, mode="clip")
+    out -= since
+    out += entry
+
+
+def _wrap(out, scratch) -> None:
+    """wrap01 in place; the floor goes to the first rows of scratch."""
+    scratch = scratch[:len(out)]
+    np.floor(out, out=scratch)
+    out -= scratch
+    out[out == 1.0] = 0.0
+
+
+def _fill_moved(out, flow, offsets) -> None:
+    """out[k] = the flow's phases moved by offsets[k] along its frozen
+    speeds, before the wrap: a block of rows from one stop."""
+    t, tau, v = flow.t, flow.tau, flow.v
+    clocks = np.array([(t + d, t + d, tau + v * d) for d in offsets]).reshape(-1, 3)
+    _fill(out, clocks, *flow.arrays())
+
+
+def _build_event_states(clocks, start, log, starts) -> np.ndarray:
+    """The state at each row of clocks, from the start state and the batches.
+
+    Row k of the (K, 3) array clocks is stop k's (t, t, tau), and log[k - 1]
+    is the batch of stop k as (time to cross, cell, code); rows past the log
+    have no batch.  start holds each cell's entry phase, entry clock and
+    region at stop 0, as numpy arrays that the build advances in place.  A
+    crossing of code c moves its cell to region (c + 1) % 3 with entry phase
+    starts[c], at that region's clock of its stop, as `_Flow.pop` does.
+    """
+    K, n = len(clocks), len(start[0])
+    entry, since, region = start
+    members = list(chain.from_iterable(log))
+    cells = np.fromiter(map(itemgetter(1), members), np.intp, len(members))
+    codes = np.fromiter(map(itemgetter(2), members), np.intp, len(members))
+    stops = np.repeat(np.arange(1, len(log) + 1), np.fromiter(map(len, log), np.intp, len(log)))
+    new_region = ((codes + 1) % 3).astype(np.int8)
+    new_entry = np.array(starts)[codes]
+    new_since = clocks[stops, np.where(new_region == 2, 2, 0)]
+    bounds = np.searchsorted(stops, np.arange(0, K + _CHUNK, _CHUNK)).tolist()
+    states = np.empty((K, n))
+    scratch = np.empty((min(K, _CHUNK), n))
+    column = np.empty(n, np.intp)
+    for first in range(0, K, _CHUNK):
+        block, rows = states[first:first + _CHUNK], clocks[first:first + _CHUNK]
+        _fill(block, rows, entry, since, region)
+        lo, hi = bounds[first // _CHUNK], bounds[first // _CHUNK + 1]
+        if lo < hi:
+            # the crossing cells' columns: row k takes the cell's latest
+            # crossing at or before it (index m + j for crossing j of the
+            # block), else its state at the block's first stop (index < m).
+            # A cell crosses at most once a stop, so no index is written twice.
+            cross = cells[lo:hi]
+            changed = np.flatnonzero(np.bincount(cross, minlength=n))
+            m = changed.size
+            column[changed] = np.arange(m)
+            latest = np.empty((len(block), m), np.intp)
+            latest[:] = np.arange(m)
+            latest[stops[lo:hi] - first, column[cross]] = np.arange(m, m + hi - lo)
+            np.maximum.accumulate(latest, axis=0, out=latest)
+            ent = np.concatenate((entry[changed], new_entry[lo:hi]))
+            sin = np.concatenate((since[changed], new_since[lo:hi]))
+            reg = np.concatenate((region[changed], new_region[lo:hi]))
+            sub = np.take_along_axis(rows, reg[latest], axis=1)
+            sub -= sin[latest]
+            sub += ent[latest]
+            block[:, changed] = sub
+            last = latest[-1]
+            entry[changed], since[changed], region[changed] = ent[last], sin[last], reg[last]
+        _wrap(block, scratch)
+    return states
 
 
 def simulate_exact(
@@ -221,6 +311,11 @@ def simulate_exact(
     last stop.  Its events keep their own times, and its post-batch state is
     sampled at duration and at every grid time left.
 
+    In "events" mode the loop logs each stop's clocks and batch, and
+    `_build_event_states` builds the states from that log after the loop.
+    On a grid the loop fills the rows of the grid times after each stop, from
+    the flow's per-cell state there; they are wrapped after the loop.
+
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
     """
@@ -238,29 +333,36 @@ def simulate_exact(
         grid = grid.tolist()
 
     flow = _Flow(pop.phases.tolist(), rp, fs)
-    times: List[float] = []
-    states: List[np.ndarray] = []
+    if grid is None:
+        start = [a.copy() for a in flow.arrays()]
+        times: List[float] = []  # t at each stop
+        taus: List[float] = []  # tau at each stop
+        log: List[list] = []  # the batch of each stop after the first
+    else:
+        states = np.empty((len(grid), pop.phases.size))
     events: List[EventRecord] = []
     pending = 0  # index of the first grid time not yet sampled
 
     t = 0.0
     while True:  # at least once, so t = 0 is sampled however short the run
         dt = flow.next_dt()
-        if grid is None:  # the sample rule of the docstring, at each stop t
+        if grid is None:
             times.append(t)
-            states.append(flow.phases())
-        else:
+            taus.append(flow.tau)
+        elif pending < len(grid) and grid[pending] < min(t + dt, duration):
+            first = pending
             while pending < len(grid) and grid[pending] < min(t + dt, duration):
-                times.append(grid[pending])
-                states.append(flow.phases(grid[pending] - t))
                 pending += 1
+            _fill_moved(states[first:pending], flow, [g - t for g in grid[first:pending]])
         if t + dt > duration + TIE_TOL:
-            flow.advance(duration - t)
+            offset = duration - t
             break
         batch = flow.pop(dt)
         t = flow.t
         if len(batch) > 1:
             batch.sort(key=itemgetter(1))  # a batch is listed by cell
+        if grid is None:
+            log.append(batch)
         for _, i, code in batch:
             events.append(EventRecord(t, _KIND_OF_CODE[code], i))
         if len(events) > max_events:
@@ -269,13 +371,21 @@ def simulate_exact(
                 f"feedback={fs.kind}, n={pop.phases.size}); aborting runaway run"
             )
         if t >= duration - TIE_TOL:
+            offset = 0.0
             break
-    rest = [duration] if grid is None else grid[pending:]  # each takes the horizon state
-    return Trajectory(
-        times=np.array(times + rest),
-        states=np.vstack(states + [flow.phases()] * len(rest)),
-        events=events,
-    )
+    # the horizon state is the last stop's moved by offset; each time left takes it
+    if grid is None:
+        ts = times + [t + offset]
+        clocks = np.column_stack((ts, ts, taus + [flow.tau + flow.v * offset]))
+        states = _build_event_states(clocks, start, log, flow.starts)
+        times.append(duration)
+    else:
+        _fill_moved(states[pending:], flow, [offset] * (len(grid) - pending))
+        scratch = np.empty((min(len(grid), _CHUNK), states.shape[1]))
+        for first in range(0, len(grid), _CHUNK):
+            _wrap(states[first:first + _CHUNK], scratch)
+        times = grid
+    return Trajectory(times=np.array(times), states=states, events=events)
 
 
 def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: int,

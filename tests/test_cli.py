@@ -14,7 +14,7 @@ from rscycle import cli, cyclic
 from rscycle.cyclic import saturating_feedback
 from rscycle.model import CertificateError, RegionParams
 from rscycle.returnmap import as_piecewise
-from rscycle.simulate import SimulationError
+from rscycle.simulate import EventKind, EventRecord, SimulationError, Trajectory
 
 
 def run_cli(args):
@@ -413,3 +413,53 @@ def test_trajectory_csv_matches_per_row_format(tmp_path, monkeypatch, engine):
     header = "t," + ",".join(f"phase_{i}" for i in range(30))
     table = np.column_stack((traj.times, traj.states))
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(header, table)
+
+
+# events.csv against the per-row "%.17g,%s,%d" formatting it replaced.
+
+def reference_events_csv(events):
+    rows = "".join("%.17g,%s,%d\n" % (ev.time, ev.kind.value, ev.cell) for ev in events)
+    return ("t,kind,cell\n" + rows).encode()
+
+
+def test_events_csv_matches_per_row_format(tmp_path, monkeypatch):
+    runs = []
+    real = cli.simulate_exact
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate_exact", recording)
+    cfg = write_config(tmp_path, "c.json", {"n": 30, "cycles": 3.0})
+    assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert len(runs[0].events) > 100
+    assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(runs[0].events)
+
+
+def _events_csv(path, events):
+    cli.write_events_csv(Trajectory(np.zeros(1), np.zeros((1, 1)), events), path)
+    return path.read_bytes()
+
+
+# times below 1e-5 are formatted one by one by "%.17g", the rest in numpy
+_EVENT_TIMES = st.one_of(st.floats(0.0, 1e-5), st.floats(1e-5, 1e3),
+                         st.sampled_from([0.0, 5e-324, 1e-7, np.nextafter(1e-5, 0.0), 1e-5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_EVENT_TIMES, st.sampled_from(list(EventKind)),
+                               st.integers(0, 12345)), max_size=30))
+def test_events_writer_matches_per_row_format(table_path, rows):
+    events = [EventRecord(*row) for row in rows]
+    assert _events_csv(table_path, events) == reference_events_csv(events)
+
+
+def test_events_writer_spans_chunks(tmp_path):
+    rng = np.random.default_rng(17)
+    count = cli._CHUNK_VALUES + 5
+    times = np.concatenate((rng.random(count - 100) * 50.0, rng.random(100) * 1e-6))
+    kinds = tuple(EventKind)
+    events = [EventRecord(t, kinds[k], c) for t, k, c in
+              zip(times.tolist(), rng.integers(0, 3, count).tolist(), rng.integers(0, 2000, count).tolist())]
+    assert _events_csv(tmp_path / "events.csv", events) == reference_events_csv(events)

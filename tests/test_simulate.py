@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exact_oracle
+import sampler_oracle
 import sde_oracle
 from rscycle.model import TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
+    _CHUNK,
     _KIND_OF_CODE,
     EventKind,
     NoiseSpec,
     SimulationError,
+    _build_event_states,
     _em_block,
     _Flow,
     _speed_table,
@@ -361,24 +365,126 @@ def _hex(values):
     return [float(x).hex() for x in values]
 
 
+def _start(flow):
+    """A copy of the flow's per-cell state, for the builder to advance."""
+    return [a.copy() for a in flow.arrays()]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_phase_list_is_phases_bit_for_bit(data):
-    # the section map's float read-out against the sampler's array read-out,
+    # the section map's float read-out against the engine's state builder,
     # at the start and after each batch of a run of several laps
     n = data.draw(st.integers(1, 12))
     phases, rp, fs = _draw_cells(data, n)
     flow = _Flow(phases, rp, fs)
-    assert _hex(flow.phase_list()) == _hex(flow.phases().tolist())
+    start, clocks, log, lists = _start(flow), [(0.0, 0.0, 0.0)], [], [flow.phase_list()]
     for _ in range(data.draw(st.integers(1, 8 * n))):
-        flow.pop(flow.next_dt())
-        assert _hex(flow.phase_list()) == _hex(flow.phases().tolist())
+        log.append(flow.pop(flow.next_dt()))
+        clocks.append((flow.t, flow.t, flow.tau))
+        lists.append(flow.phase_list())
+    states = _build_event_states(np.array(clocks), start, log, flow.starts)
+    assert [_hex(row) for row in states] == [_hex(x) for x in lists]
 
 
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
     flow = _Flow([-1e-300, 0.5], RP, POS)
-    assert _hex(flow.phase_list()) == _hex(flow.phases().tolist()) == _hex([0.0, 0.5])
+    built = _build_event_states(np.zeros((1, 3)), _start(flow), [], flow.starts)[0]
+    assert _hex(flow.phase_list()) == _hex(built) == _hex(sampler_oracle.phases(flow))
+    assert _hex(built) == _hex([0.0, 0.5])
+
+
+def _assert_same_run(pop, rp, fs, duration, sample):
+    got = simulate_exact(pop, rp, fs, duration, sample=sample)
+    want = sampler_oracle.simulate_exact(pop, rp, fs, duration, sample)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.events == want.events
+    return got
+
+
+def _tie_heavy_phases(data, n, rp):
+    """n phases that crowd onto ties: repeats, cells on s, on r and at 0,
+    and cells within 1e-12 of one another."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    anchors = [0.0, rp.s, rp.r, data.draw(unit)]
+    phases = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["free", "anchor", "repeat", "near"]))
+        if kind == "free" or (kind == "repeat" and not phases):
+            x = data.draw(unit)
+        elif kind == "anchor":
+            x = data.draw(st.sampled_from(anchors))
+        elif kind == "repeat":
+            x = data.draw(st.sampled_from(phases))
+        else:
+            nudge = data.draw(st.sampled_from([-1e-12, -4e-13, -1e-15, 1e-15, 4e-13, 1e-12]))
+            x = min(max(data.draw(st.sampled_from(anchors + phases)) + nudge, 0.0), 1.0 - 2**-53)
+        phases.append(x)
+    return np.array(phases)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_built_states_match_the_per_stop_sampler(data):
+    # states, times and events bit for bit against the per-stop sampler, for
+    # runs of K rows, K just below, at or just above a multiple of _CHUNK
+    n = data.draw(st.integers(1, 16))
+    _, rp, fs = _draw_cells(data, n)
+    pop = Population(_tie_heavy_phases(data, n, rp))
+    K = data.draw(st.integers(1, 3)) * _CHUNK + data.draw(st.sampled_from([-1, 0, 1]))
+    duration = 1.0
+    while len(stops := simulate_exact(pop, rp, fs, duration).times[:-1]) < K:
+        duration *= 2.0
+    # a horizon between stops K - 2 and K - 1: the run stops K - 1 times, and
+    # the horizon is its last row
+    assume(stops[K - 1] - stops[K - 2] > 1e-9)
+    duration = (stops[K - 2] + stops[K - 1]) / 2.0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    on_stops = rng.integers(0, K + 1)  # grid times on a stop, repeats allowed
+    grid = np.sort(np.concatenate((rng.uniform(0.0, duration, K - on_stops),
+                                   rng.choice(stops[:K - 1], on_stops))))
+    assert len(_assert_same_run(pop, rp, fs, duration, "events").states) == K
+    _assert_same_run(pop, rp, fs, duration, "endpoints")
+    assert len(_assert_same_run(pop, rp, fs, duration, grid).states) == K
+
+
+@pytest.mark.parametrize("gamma", [0.6, -0.6])
+def test_built_states_match_the_per_stop_sampler_at_n_1000(gamma):
+    pop = Population(np.random.default_rng(1000).random(1000))
+    args = (pop, RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(gamma), 0.4)
+    assert len(_assert_same_run(*args, "events").states) > 10 * _CHUNK
+    _assert_same_run(*args, "endpoints")
+    _assert_same_run(*args, np.linspace(0.0, 0.4, 3 * _CHUNK + 1))
+
+
+@pytest.mark.parametrize("phases", [[0.3], [0.1, 0.7]])
+@pytest.mark.parametrize("fs", [POS, FeedbackSpec.linear(-0.6)], ids=["pos", "neg"])
+def test_cells_crossing_several_times_in_one_block(phases, fs):
+    # one or two cells cross about three times a cycle each, so a block of
+    # _CHUNK stops holds many crossings of every cell; each row must take the
+    # cell's latest crossing at or before it
+    traj = _assert_same_run(Population(np.array(phases)), RP, fs, 60.0, "events")
+    stop = np.searchsorted(traj.times, [ev.time for ev in traj.events])
+    first_block = [ev.cell for ev, k in zip(traj.events, stop) if k < _CHUNK]
+    assert np.bincount(first_block, minlength=len(phases)).min() >= 2
+
+
+@pytest.mark.parametrize("mode", ["events", "grid"])
+def test_states_are_built_without_a_second_copy(mode):
+    # the (K, n) states are the run's one large allocation: no list of rows
+    # stacked after the loop, no whole-array temporary in the wrap
+    pop = Population(np.random.default_rng(5).random(1000))
+    sample = "events" if mode == "events" else np.linspace(0.0, 0.4, 1500)
+    tracemalloc.start()
+    try:
+        traj = simulate_exact(pop, RP, POS, 0.4, sample=sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape[0] >= 1000
+    assert peak < 1.25 * traj.states.nbytes
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
