@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import (CertificateError, _saturating_feedback, classify_case, cyclic_spacing,
-                     saturating_feedback, spectrum)
+from .cyclic import (CertificateError, _saturating_feedback, _spectra, classify_case,
+                     cyclic_spacing, saturating_feedback)
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
@@ -479,15 +479,15 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
         # band-midpoint geometry with |R| = |S| so that k = M + 1
         w = 1.0 / (k - 0.5)
         rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
-        for beta in betas:
+        rows = []
+        for beta in betas.tolist():
             if beta == 0.0:
                 continue
-            case = classify_case(rp, k, float(beta))
-            d = cyclic_spacing(case, rp, k, float(beta))
-            rep = spectrum(k, float(beta), case)
-            spectrum_rows.append(
-                (k, float(beta), case.value, d, rep.spectral_radius, rep.min_modulus)
-            )
+            case = classify_case(rp, k, beta)
+            rows.append((beta, case, cyclic_spacing(case, rp, k, beta)))
+        reports = _spectra(k, [(beta, case) for beta, case, _ in rows])
+        spectrum_rows += [(k, beta, case.value, d, rep.spectral_radius, rep.min_modulus)
+                          for (beta, case, d), rep in zip(rows, reports)]
     _write_csv(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
                "%d,%.17g,%s,%.17g,%.17g,%.17g", spectrum_rows)
 

@@ -17,7 +17,9 @@ linearization of the section map at the fixed point is a (k-1)x(k-1)
 matrix with ones on the subdiagonal and a constant last column, -(1+beta)
 in Case I and -1 otherwise; its spectrum is computed twice (polynomial
 companion roots with Newton polish, and a dense eigendecomposition) and
-the two answers must agree.
+the two answers must agree.  An atlas computes both spectra of all its
+rows for one k as one stack (`_spectra`): one eigvals call per solve and
+one Horner loop per polynomial, bit for bit the answer of one row alone.
 
 A certificate replay needs the profile `saturating_feedback(k, beta)` and
 the engine's speed table for it, and an atlas replays the same (k, beta)
@@ -31,11 +33,12 @@ builds and reads its cells as floats, so the only numpy work per replay is
 the one array of final positions it returns.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +72,7 @@ class SpectrumReport:
     spectral_radius: float
     min_modulus: float
     residuals: np.ndarray
+    dual_gap: float
 
 
 def saturating_feedback(k: int, beta: float) -> FeedbackSpec:
@@ -160,8 +164,8 @@ def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
     """
     if k < 2:
         raise ValidationError("need k >= 2")
-    if abs(beta) >= 1.0:
-        raise ValidationError("|beta| must be below 1")
+    if not math.isfinite(beta) or abs(beta) >= 1.0:
+        raise ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
     M = max_isolated_clusters(rp)
     if k != M + 1:
         warnings.warn(
@@ -241,19 +245,6 @@ def verify_root_requirement(lam: complex, k: int, beta: float) -> float:
     return float(abs((lam + beta) / (1.0 + beta) * lam ** (k - 1) - 1.0))
 
 
-def _char_roots(k: int, b: float) -> np.ndarray:
-    """Roots of lam^(k-1) + (1+b)(lam^(k-2) + ... + 1), Newton-polished."""
-    coeffs = np.concatenate(([1.0], np.full(k - 1, 1.0 + b)))
-    roots = np.roots(coeffs)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(3):
-        val = np.polyval(coeffs, roots)
-        der = np.polyval(dcoeffs, roots)
-        step = np.where(np.abs(der) > 0, val / np.where(der == 0, 1.0, der), 0.0)
-        roots = roots - step
-    return roots
-
-
 def spectrum(k: int, beta: float, case: Case) -> SpectrumReport:
     """Eigenvalues of the linearization, computed twice.
 
@@ -261,40 +252,105 @@ def spectrum(k: int, beta: float, case: Case) -> SpectrumReport:
     agree with a dense eigendecomposition of the assembled matrix within
     1e-8 or the report is refused.  residuals holds the root-requirement
     residual of each eigenvalue (with beta = 0 for Cases II/III, whose
-    matrix is the Case-I matrix at zero feedback).
+    matrix is the Case-I matrix at zero feedback), and dual_gap the worst
+    distance between a root and the eigenvalue paired with it.
+    """
+    return _spectra(k, [(beta, case)])[0]
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`np.polyval` of each row's coefficients (a row of coeffs) at that
+    row of x, in polyval's order of operations."""
+    y = np.zeros_like(x)
+    for j in range(coeffs.shape[1]):
+        y = y * x + coeffs[:, j, None]
+    return y
+
+
+def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]:
+    """`spectrum` of every (beta, case) row of one k, as stacks.
+
+    Row i's characteristic polynomial lam^(k-1) + c (lam^(k-2) + ... + 1),
+    c = 1 + beta in Case I and 1 otherwise, is solved as `np.roots` solves
+    it, by the eigenvalues of its companion matrix, and polished by three
+    Newton steps; then the matrices `build_A` gives are solved, and each
+    root is paired greedily with the nearest unpaired eigenvalue.  All rows
+    share one eigvals call per solve and one Horner loop per polynomial,
+    with row i's coefficients in row i.  numpy's elementwise loops give the
+    same bits at any position of a contiguous array, so each report is bit
+    for bit what a one-row call returns (a property test checks this
+    against the per-row reference).
+
+    eigvals returns a real stack only if every row is real, so each row
+    keeps the dtype of a one-row call only if the rows agree.  They do: for
+    k = 2 every row is real, and for k >= 3 every row has a complex pair.
+    At k = 3 the discriminant c (c - 4) is negative for 0 < c < 2; for
+    k >= 4, times (lam - 1) the polynomial is lam^k + b lam^(k-1) - (1 + b),
+    which has at most three real roots (Descartes' rule of signs), 1 among
+    them.
     """
     if k < 2:
         raise ValidationError("need k >= 2")
-    if case is Case.I:
-        if beta == 0.0 or abs(beta) >= 1.0:
-            raise ValidationError("Case I needs 0 < |beta| < 1")
-        b_eff = beta
-    else:
-        b_eff = 0.0
-    roots = _char_roots(k, b_eff)
-    eig = np.linalg.eigvals(build_A(k, beta, case))
+    for i, (beta, case) in enumerate(rows):
+        if not math.isfinite(beta) or abs(beta) >= 1.0:
+            raise ValidationError(f"spectrum row {i}: beta must be finite with |beta| < 1, "
+                                  f"got {beta!r}")
+        if case is Case.I and beta == 0.0:
+            raise ValidationError(f"spectrum row {i}: Case I needs 0 < |beta| < 1")
+    if not rows:
+        return []
+    b = [float(beta) if case is Case.I else 0.0 for beta, case in rows]
+    c = 1.0 + np.array(b)
+    n, m = len(rows), k - 1
+    subdiagonal = np.broadcast_to(np.eye(m, k=-1), (n, m, m))
 
-    # greedy pairing; k-1 is small
-    pool = list(range(eig.size))
-    worst = 0.0
-    for z in roots:
-        dists = [abs(z - eig[j]) for j in pool]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        pool.pop(j)
-    if worst > _DUAL_TOL:
+    companion = subdiagonal.copy()
+    companion[:, 0, :] = -c[:, None]
+    coeffs = np.empty((n, k))
+    coeffs[:, 0] = 1.0
+    coeffs[:, 1:] = c[:, None]
+    dcoeffs = coeffs[:, :-1] * np.arange(m, 0, -1)
+    roots = np.linalg.eigvals(companion)
+    for _ in range(3):
+        val = _horner(coeffs, roots)
+        der = _horner(dcoeffs, roots)
+        step = np.where(np.abs(der) > 0, val / np.where(der == 0, 1.0, der), 0.0)
+        roots = roots - step
+
+    A = subdiagonal.copy()
+    A[:, :, -1] = -c[:, None]
+    eig = np.linalg.eigvals(A)
+
+    # greedy pairing, root by root; np.hypot is the scalar complex abs
+    row = np.arange(n)
+    free = np.ones((n, m), dtype=bool)
+    gap = np.zeros(n)
+    for t in range(m):
+        diff = roots[:, t, None] - eig
+        dist = np.where(free, np.hypot(diff.real, diff.imag), np.inf)
+        j = dist.argmin(axis=1)
+        gap = np.maximum(gap, dist[row, j])
+        free[row, j] = False
+    bad = np.flatnonzero(gap > _DUAL_TOL)
+    if bad.size:
+        i = int(bad[0])
+        beta, case = rows[i]
         raise CertificateError(
-            f"companion roots and eigendecomposition disagree by {worst:.3e} "
-            f"for k={k}, beta={beta}, case {case.value}"
+            f"companion roots and eigendecomposition disagree by {gap[i]:.3e} "
+            f"for k={k}, beta={beta}, case {case.value} (row {i})"
         )
 
-    order = np.argsort(np.angle(roots), kind="stable")
-    roots = roots[order]
-    residuals = np.array([verify_root_requirement(z, k, b_eff) for z in roots])
+    order = np.argsort(np.angle(roots), axis=1, kind="stable")
+    roots = np.take_along_axis(roots, order, axis=1)
     mods = np.abs(roots)
-    return SpectrumReport(
-        eigenvalues=roots,
-        spectral_radius=float(mods.max()),
-        min_modulus=float(mods.min()),
-        residuals=residuals,
-    )
+    radius, low = mods.max(axis=1).tolist(), mods.min(axis=1).tolist()
+    return [
+        SpectrumReport(
+            eigenvalues=roots[i],
+            spectral_radius=radius[i],
+            min_modulus=low[i],
+            residuals=np.array([verify_root_requirement(z, k, b[i]) for z in roots[i].tolist()]),
+            dual_gap=float(gap[i]),
+        )
+        for i in range(n)
+    ]

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sde_oracle
+import spectrum_oracle
 from rscycle import cli, cyclic
-from rscycle.cyclic import saturating_feedback
+from rscycle.cyclic import classify_case, cyclic_spacing, saturating_feedback
 from rscycle.model import CertificateError, RegionParams
 from rscycle.returnmap import as_piecewise
 from rscycle.simulate import EventKind, EventRecord, SimulationError, Trajectory
@@ -154,6 +155,26 @@ def test_cyclic_outputs(tmp_path):
     regions = (out / "regions.csv").read_text().splitlines()
     assert regions[0] == "r,s,k,case"
     assert all(line.split(",")[3] in ("I", "II", "III") for line in regions[1:])
+
+
+def test_cyclic_spectrum_matches_the_per_row_oracle(tmp_path):
+    # one stacked solve per k writes the bytes of one oracle spectrum per row
+    payload = {"k_min": 2, "k_max": 6, "beta_lo": -0.9, "beta_hi": 0.7, "beta_points": 9,
+               "region_grid": 6}
+    out = tmp_path / "cy"
+    assert run_cli(["cyclic", "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", str(out)]) == 0
+    lines = ["k,beta,case,d,spectral_radius,min_modulus"]
+    for k in range(2, 7):
+        w = 1.0 / (k - 0.5)
+        rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
+        for beta in np.linspace(-0.9, 0.7, 9).tolist():
+            case = classify_case(rp, k, beta)
+            rep, _ = spectrum_oracle.spectrum(k, beta, case)
+            lines.append("%d,%.17g,%s,%.17g,%.17g,%.17g" % (
+                k, beta, case.value, cyclic_spacing(case, rp, k, beta),
+                rep.spectral_radius, rep.min_modulus))
+    assert (out / "spectrum.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_pde_outputs(tmp_path):

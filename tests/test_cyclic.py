@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spectrum_oracle
 from rscycle import cyclic, simulate
 from rscycle.cyclic import (
     Case,
@@ -206,6 +209,84 @@ def test_spectrum_validation():
         spectrum(1, 0.5, Case.I)
     with pytest.raises(ValidationError):
         spectrum(3, 1.5, Case.I)
+
+
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), 5.0, -1.0])
+def test_spectrum_rejects_bad_beta_in_every_case(case, beta):
+    # nan raised numpy's LinAlgError, and Cases II/III accepted |beta| >= 1
+    with pytest.raises(ValidationError):
+        spectrum(3, beta, case)
+
+
+def test_one_bad_row_is_rejected_before_the_stack_is_solved():
+    rows = [(0.2, Case.I), (-0.3, Case.II), (float("nan"), Case.III), (0.1, Case.I)]
+    with pytest.raises(ValidationError, match="row 2"):
+        cyclic._spectra(4, rows)
+    assert cyclic._spectra(4, []) == []
+
+
+def test_classify_case_rejects_non_finite_beta():
+    # a nan beta ran every replay before "no case verifies"
+    rp = RegionParams(s=0.2, r=0.8)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            classify_case(rp, 3, beta)
+
+
+def test_dual_gap_is_the_oracle_pairing_distance():
+    for k in (2, 3, 5, 8, 12):
+        for beta, case in ((0.45, Case.I), (-0.45, Case.I), (0.3, Case.II), (-0.7, Case.III)):
+            rep = spectrum(k, beta, case)
+            _, worst = spectrum_oracle.spectrum(k, beta, case)
+            assert 0.0 <= rep.dual_gap <= 1e-8
+            assert rep.dual_gap == worst
+
+
+def _assert_same_report(got, want):
+    assert got.eigenvalues.dtype == want.eigenvalues.dtype
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.residuals.dtype == want.residuals.dtype
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert float(got.spectral_radius).hex() == float(want.spectral_radius).hex()
+    assert float(got.min_modulus).hex() == float(want.min_modulus).hex()
+    assert float(got.dual_gap).hex() == float(want.dual_gap).hex()
+
+
+_BETA = st.one_of(
+    st.sampled_from([1e-300, -1e-300, 0.999, -0.999]),
+    st.floats(min_value=-0.999, max_value=0.999, allow_nan=False),
+)
+_ROW = st.tuples(_BETA, st.sampled_from(list(Case))).filter(
+    lambda row: row[0] != 0.0 or row[1] is not Case.I)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 12), rows=st.lists(_ROW, min_size=1, max_size=60))
+def test_stacked_spectra_match_the_per_row_oracle(k, rows):
+    got = cyclic._spectra(k, rows)
+    assert len(got) == len(rows)
+    for (beta, case), rep in zip(rows, got):
+        _assert_same_report(rep, spectrum_oracle.spectrum(k, beta, case)[0])
+
+
+def test_a_disagreeing_row_is_named(monkeypatch):
+    rows = [(0.2, Case.I), (-0.3, Case.I), (0.25, Case.II), (0.4, Case.III)]
+    real = np.linalg.eigvals
+    calls = []
+
+    def perturbed(a):
+        w = real(a)
+        calls.append(a.shape)
+        if len(calls) == 2:  # the build_A stack; the first call is the companions
+            w = w.copy()
+            w[2, 1] += 1e-6
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+    with pytest.raises(CertificateError, match=r"beta=0\.25, case II \(row 2\)"):
+        cyclic._spectra(4, rows)
+    assert calls == [(4, 3, 3), (4, 3, 3)]
 
 
 def test_spacing_validation():
