@@ -1,6 +1,8 @@
 """Grouping diagnostics: gaps, delta-chains and histogram cluster counts."""
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import List, Optional
 
 import numpy as np
@@ -61,24 +63,26 @@ def decompose(pop: Population, rp: RegionParams, delta: Optional[float] = None) 
     breaks = np.nonzero(widths >= delta)[0]
     if breaks.size == 0:
         breaks = np.array([int(np.argmax(widths))])
+    order, widths, breaks = order.tolist(), widths.tolist(), breaks.tolist()
 
     bound = rp.interaction_length
     groups: List[Group] = []
     seps: List[float] = []
-    k = breaks.size
+    k = len(breaks)
     for j in range(k):
         start = (breaks[j] + 1) % m
         stop = breaks[(j + 1) % k]          # inclusive; the next break gap follows it
         if start <= stop:
-            members = list(range(start, stop + 1))
+            members, inner = order[start:stop + 1], widths[start:stop]
         else:
-            members = list(range(start, m)) + list(range(0, stop + 1))
-        width = float(sum(widths[i] for i in members[:-1]))
-        gap_before = float(widths[breaks[j]])
-        gap_after = float(widths[stop])
+            members, inner = order[start:] + order[:stop + 1], widths[start:] + widths[:stop]
+        # left to right, as floats: sum() compensates its float additions from Python 3.12
+        width = reduce(add, inner, 0.0)
+        gap_before = widths[breaks[j]]
+        gap_after = widths[stop]
         groups.append(
             Group(
-                indices=[int(order[i]) for i in members],
+                indices=members,
                 width=width,
                 isolated=gap_before >= bound and gap_after >= bound,
                 strictly_isolated=gap_before > bound and gap_after > bound,

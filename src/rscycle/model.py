@@ -11,7 +11,7 @@ feedback profile with f(0) = 0.
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,8 +112,8 @@ class FeedbackSpec:
     theta: Optional[float] = None
     h: Optional[float] = None
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    # the last (n, read-only speed table) that simulate._speed_table built for this spec
-    _speed_memo: Optional[Tuple[int, np.ndarray]] = field(
+    # the last (n, read-only speed table, its list) that simulate._speed_law built for this spec
+    _speed_memo: Optional[Tuple[int, np.ndarray, List[float]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @classmethod

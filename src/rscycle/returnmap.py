@@ -15,11 +15,13 @@ closed form in terms of alpha = f(1/2).  Composition, fixed points, and
 the two-cluster outcome classification are built on an exact
 piecewise-affine representation.
 
-The numeric map is the exact engine's region-clock kernel, `simulate._Flow`,
-run until a cluster reaches 1, so the two cannot drift apart.  A section
-advance converts its inputs to Python floats once, builds and reads its
-cells as floats, and builds the returned positions as one array at the end:
-apart from that, no numpy work is done per replay.
+The numeric map is the exact engine's region-clock kernel, `simulate._Flow`:
+one call of its loop, `_Flow.run`, which ends after the first batch in which
+a cluster reaches 1, so the two cannot drift apart.  The hits are read from
+the run's log afterwards.  A section advance converts its inputs to Python
+floats once, builds and reads its cells as floats, and builds the returned
+positions as one array at the end: apart from that, no numpy work is done
+per replay.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .model import CertificateError, FeedbackSpec, RegionParams, ValidationError
-from .simulate import _KIND_OF_CODE, EventKind, _Flow
+from .simulate import _KIND_OF_CODE, _Flow
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
@@ -48,22 +50,23 @@ def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
     [(cluster index, EventKind)] in time order, a batch sorted by (time to
     its boundary, index).  Nothing wraps; the clusters reaching the section
     finish at exactly 1.
+
+    Raises CertificateError if no cluster reaches 1 within 3k + 10 stops
+    (a correct advance makes at most 2k + 1).
     """
     pos = list(map(float, positions))
     if max(pos) >= 1.0:
         return 0.0, np.array(pos), []
     flow = _Flow(pos, rp, fs)
-    hits: List[Tuple[int, EventKind]] = []
-    for _ in range(3 * len(pos) + 10):
-        batch = sorted(flow.pop(flow.next_dt()))
-        hits.extend((i, _KIND_OF_CODE[code]) for _, i, code in batch)
-        finished = [i for _, i, code in batch if code == 2]
-        if finished:
-            final = flow.phase_list()
-            for i in finished:
-                final[i] = 1.0
-            return flow.t, np.array(final), hits
-    raise CertificateError("section advance did not terminate; integration bug")
+    log, _ = flow.run(max_stops=3 * len(pos) + 10, to_section=True)
+    finished = [i for _, i, code in log[-1][2] if code == 2]
+    if not finished:
+        raise CertificateError("section advance did not terminate; integration bug")
+    hits = [(i, _KIND_OF_CODE[code]) for _, _, batch in log for _, i, code in sorted(batch)]
+    final = flow.phase_list()
+    for i in finished:
+        final[i] = 1.0
+    return flow.t, np.array(final), hits
 
 
 def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):

@@ -32,23 +32,28 @@ The exact engine and the section map `returnmap.advance_to_section` share
 one region-clock kernel, `_Flow`.  Cells never overtake and no region
 straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
-costs O(batch) work.  `_Flow` takes its cells as lists of Python floats; the
-section map reads them back as a list (`phase_list`), so a replay of a few
-clusters does no numpy work per call.
+costs O(batch) work.  One loop, `_Flow.run`, steps the flow: it holds the
+clocks, the speed, the three heads' due clocks and the queues in locals,
+stops before a batch past its `until` time, at the horizon, after a stop
+budget or, for the section map, after the first batch in which a cell
+reaches 1, and returns its stops as a log of (t, tau, batch).  `_Flow` takes
+its cells as lists of Python floats; the section map reads them back as a
+list (`phase_list`), so a replay of a few clusters does no numpy work per
+call.
 
-In "events" mode the exact engine samples from an event log, not from the
-flow: the loop logs each stop's clocks (t, tau) and its batch of (cell, code), and the
-sampled states are built after the loop.  A crossing's code fixes the
-cell's new entry phase, entry clock and region, as `_Flow.pop` sets them.
-`_build_event_states` fills one preallocated (K, n) array in blocks of
-`_CHUNK` stops: every cell's row is entry + (clock[region] - since) from the
-per-cell state at the block's first stop, and then only the columns of the
-cells that cross inside the block are rebuilt, each row from the cell's
-latest crossing at or before it.  A grid time takes the same arithmetic in
-one row, filled while the loop is at its stop from the flow's per-cell
-state, at the stop's clocks moved by the time past the stop at the stop's
-speed.  Every block is wrapped in place, so the build holds one (K, n)
-array and block-sized scratch.
+`simulate_exact` runs the loop once in "events" mode and once per grid time
+on a grid, and builds the event records from the log after it.  In "events"
+mode the sampled states are built from the log too.  A crossing's code
+fixes the cell's new entry phase, entry clock and region, as `_Flow.run`
+sets them.  `_build_event_states` fills one preallocated (K, n) array in
+blocks of `_CHUNK` stops: every cell's row is entry + (clock[region] -
+since) from the per-cell state at the block's first stop, and then only the
+columns of the cells that cross inside the block are rebuilt, each row from
+the cell's latest crossing at or before it.  A grid time takes the same
+arithmetic in one row, filled from the flow's per-cell state at the stop
+where the loop ended before it, at the stop's clocks moved by the time past
+the stop at the stop's speed.  Every block is wrapped in place, so the build
+holds one (K, n) array and block-sized scratch.
 """
 
 import math
@@ -108,12 +113,13 @@ class Trajectory:
         return Population(wrap01(self.states[-1]))
 
 
-def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
-    """The speed law for n cells: entry j is the speed 1 + f(j/n) in R
+def _speed_law(fs: FeedbackSpec, n: int):
+    """The speed law for n cells as (n, table, list): entry j of the table,
+    and of the same values as Python floats, is the speed 1 + f(j/n) in R
     while j cells are in S (cells outside R move at 1).
 
-    Memoized on the spec object: fs keeps the last (n, table) built for it,
-    so every replay of one shared spec (the section map's) reads one table.
+    Memoized on the spec object: fs keeps the last law built for it, so
+    every replay of one shared spec (the section map's) reads one table.
     Sharing is safe because the spec is frozen and the table is read-only.
     The memo lives and dies with the spec, so a run's work does not depend
     on earlier runs in the process.
@@ -122,9 +128,17 @@ def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
     if memo is None or memo[0] != n:
         table = 1.0 + fs(np.arange(n + 1) / n)
         table.flags.writeable = False
-        memo = (n, table)
+        memo = (n, table, table.tolist())
         object.__setattr__(fs, "_speed_memo", memo)  # fs is frozen; the memo is not part of its value
-    return memo[1]
+    return memo
+
+
+def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
+    """The read-only speed table of `_speed_law`."""
+    return _speed_law(fs, n)[1]
+
+
+_ORDER_ERROR = "cyclic order violated; integration bug"
 
 
 class _Flow:
@@ -134,65 +148,132 @@ class _Flow:
     advances by v dt with v = 1 + f(I).  A cell's phase is its entry phase
     plus its region's clock minus its entry clock, so a cell that has just
     crossed sits exactly on the boundary.  Codes: 0 is S and its end s, 1 is
-    the middle arc and r, 2 is R and 1.
+    the middle arc and r, 2 is R and 1.  due holds, per code, the region
+    clock at which the queue's head reaches the region's end (inf if the
+    queue is empty); event_count counts the crossings made so far.
     """
 
     def __init__(self, phases: List[float], rp: RegionParams, fs: FeedbackSpec):
-        self.t = self.tau = 0.0
-        region = [0 if p < rp.s else 1 if p < rp.r else 2 for p in phases]
+        n, s, r = len(phases), rp.s, rp.r
+        region = [0 if p < s else 1 if p < r else 2 for p in phases]
         # per-cell state in arrays that numpy reads without a copy (arrays())
-        self.entry, self.since = array("d", phases), array("d", bytes(8 * len(phases)))
+        self.entry, self.since = array("d", phases), array("d", bytes(8 * n))
         self.region = array("b", region)
-        self.queues = (deque(), deque(), deque())  # head first: nearest the region's end
-        for i in sorted(range(len(phases)), key=phases.__getitem__, reverse=True):
-            self.queues[region[i]].append(i)
-        self.ends, self.starts = (rp.s, rp.r, 1.0), (rp.s, rp.r, 0.0)  # region end, next start
-        self._v = _speed_table(fs, len(phases)).tolist()  # indexed by the count in S
-        self.v = self._v[len(self.queues[0])]
-        self.due = [self._due(code) for code in range(3)]
+        # head first, nearest the region's end: the regions are arcs, so R,
+        # the middle arc and S are consecutive runs of the descending order
+        order = sorted(range(n), key=phases.__getitem__, reverse=True)
+        in_r, above_s = region.count(2), n - region.count(0)
+        self.queues = q0, q1, q2 = (deque(order[above_s:]), deque(order[in_r:above_s]),
+                                    deque(order[:in_r]))
+        self.ends, self.starts = (s, r, 1.0), (s, r, 0.0)  # region end, next start
+        self.due = (s - phases[q0[0]] if q0 else math.inf, r - phases[q1[0]] if q1 else math.inf,
+                    1.0 - phases[q2[0]] if q2 else math.inf)
+        self._v = _speed_law(fs, n)[2]  # indexed by the count in S
+        self.v = self._v[len(q0)]
+        self.t = self.tau = 0.0
+        self.event_count, self.fs = 0, fs  # fs names the run in the runaway message
 
-    def _due(self, code: int) -> float:
-        """The region clock at which the head of queue code reaches the region's end."""
-        q = self.queues[code]
-        return self.since[q[0]] + (self.ends[code] - self.entry[q[0]]) if q else math.inf
+    def run(self, horizon=math.inf, until=math.inf, max_events=math.inf, max_stops=math.inf,
+            to_section=False):
+        """Step the flow from stop to stop; return (log, offset).
 
-    def next_dt(self) -> float:
-        """Time to the earliest crossing: the first of the three queue heads."""
-        due, t = self.due, self.t
-        self.head_tt = tts = (due[0] - t, due[1] - t, (due[2] - self.tau) / self.v)
-        dt = min(tts)
-        if dt <= 0.0:
-            raise SimulationError("non-positive time to next boundary; a cell sits past it")
-        return dt
+        A stop finds the earliest crossing among the three queue heads, dt
+        away, advances both clocks by dt and moves each cell crossing within
+        TIE_TOL of it to the next region; log holds each stop's (t, tau,
+        batch) after it, the batch a tuple of (time to cross, cell, code),
+        R's crossings first, then the middle arc's, then S's (a tuple, as
+        most batches hold one crossing and a tuple is the smaller).
 
-    def advance(self, dt: float) -> None:
-        self.t += dt
-        self.tau += self.v * dt
+        The run ends before a stop whose t is past until, offset None.  It
+        ends at the horizon: before a stop more than TIE_TOL past it, with
+        offset the time from t to the horizon, or after a stop within TIE_TOL
+        of it, with offset 0.0.  It also ends, offset None, after max_stops
+        stops or, if to_section, after the first stop in which a cell
+        reaches 1.  The clocks, speed and dues are kept in locals while it
+        runs and stored back when it ends, so a later run resumes the flow.
 
-    def pop(self, dt: float) -> list:
-        """Advance by dt, from next_dt, and move each cell crossing within TIE_TOL
-        of it to the next region; return the batch as (time to cross, cell, code)."""
-        batch, due, limit = [], self.due, dt + TIE_TOL
-        for code, tt in enumerate(self.head_tt):
-            while tt <= limit:
-                batch.append((tt, self.queues[code].popleft(), code))
-                due[code] = self._due(code)
-                tt = (due[2] - self.tau) / self.v if code == 2 else due[code] - self.t
-        self.advance(dt)
-        entry, since, s_changed = self.entry, self.since, False
-        for _, i, code in batch:
-            nxt = 0 if code == 2 else code + 1
-            q, start, clock = self.queues[nxt], self.starts[code], self.tau if nxt == 2 else self.t
-            if q and entry[q[-1]] + (clock - since[q[-1]]) < start:
-                raise SimulationError("cyclic order violated; integration bug")
-            entry[i], since[i], self.region[i] = start, clock, nxt
-            q.append(i)
-            if len(q) == 1:
-                due[nxt] = self._due(nxt)
-            s_changed |= code != 1  # S lost or gained a cell
-        if s_changed:
-            self.v = self._v[len(self.queues[0])]
-        return batch
+        Raises SimulationError if a time to cross is not positive, if a
+        crossing cell would land behind its new queue's tail, or if the
+        crossings made exceed max_events.
+        """
+        t, tau, v, (d0, d1, d2), events = self.t, self.tau, self.v, self.due, self.event_count
+        q0, q1, q2 = self.queues
+        entry, since, region, speeds = self.entry, self.since, self.region, self._v
+        (e0, e1, e2), (s0, s1, s2) = self.ends, self.starts
+        late, near, tol, inf = horizon + TIE_TOL, horizon - TIE_TOL, TIE_TOL, math.inf
+        log, offset, stops = [], None, 0
+        while True:
+            tt0, tt1, tt2 = d0 - t, d1 - t, (d2 - tau) / v
+            dt = tt1 if tt1 < tt0 else tt0
+            if tt2 < dt:
+                dt = tt2
+            if dt <= 0.0:
+                raise SimulationError("non-positive time to next boundary; a cell sits past it")
+            t_next = t + dt
+            if until < t_next:
+                break
+            if t_next > late:
+                offset = horizon - t
+                break
+            # pop every head within TIE_TOL of dt, R first; a cell moves into
+            # its next queue once that queue's own crossings are popped: the
+            # middle arc's into R at r on the new tau, S's into the middle
+            # arc at s on the new t, and R's last, into S at 0 on the new t
+            tau_next, limit, batch = tau + v * dt, dt + tol, ()
+            wrapped, left_s = tt2 <= limit, tt0 <= limit
+            while tt2 <= limit:
+                batch += ((tt2, q2.popleft(), 2),)
+                d2 = since[q2[0]] + (e2 - entry[q2[0]]) if q2 else inf
+                tt2 = (d2 - tau) / v
+            while tt1 <= limit:
+                i = q1.popleft()
+                batch += ((tt1, i, 1),)
+                d1 = since[q1[0]] + (e1 - entry[q1[0]]) if q1 else inf
+                tt1 = d1 - t
+                if not q2:
+                    d2 = tau_next + (e2 - s1)
+                elif entry[q2[-1]] + (tau_next - since[q2[-1]]) < s1:
+                    raise SimulationError(_ORDER_ERROR)
+                entry[i], since[i], region[i] = s1, tau_next, 2
+                q2.append(i)
+            while tt0 <= limit:
+                i = q0.popleft()
+                batch += ((tt0, i, 0),)
+                d0 = since[q0[0]] + (e0 - entry[q0[0]]) if q0 else inf
+                tt0 = d0 - t
+                if not q1:
+                    d1 = t_next + (e1 - s0)
+                elif entry[q1[-1]] + (t_next - since[q1[-1]]) < s0:
+                    raise SimulationError(_ORDER_ERROR)
+                entry[i], since[i], region[i] = s0, t_next, 1
+                q1.append(i)
+            if wrapped:
+                for _, i, code in batch:
+                    if code != 2:
+                        break
+                    if not q0:
+                        d0 = t_next + (e0 - s2)
+                    elif entry[q0[-1]] + (t_next - since[q0[-1]]) < s2:
+                        raise SimulationError(_ORDER_ERROR)
+                    entry[i], since[i], region[i] = s2, t_next, 0
+                    q0.append(i)
+            if left_s or wrapped:  # S lost or gained a cell
+                v = speeds[len(q0)]
+            t, tau = t_next, tau_next
+            log.append((t, tau, batch))
+            events += len(batch)
+            if events > max_events:
+                raise SimulationError(
+                    f"event count exceeded {max_events} (s={e0}, r={e1}, "
+                    f"feedback={self.fs.kind}, n={len(entry)}); aborting runaway run")
+            if t >= near:
+                offset = 0.0
+                break
+            stops += 1
+            if stops >= max_stops or (to_section and wrapped):
+                break
+        self.t, self.tau, self.v, self.due, self.event_count = t, tau, v, (d0, d1, d2), events
+        return log, offset
 
     def arrays(self):
         """The per-cell entry phases, entry clocks and regions as numpy views."""
@@ -211,7 +292,7 @@ class _Flow:
         return out
 
 
-_KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.pop
+_KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.run
 _CHUNK = 64  # stops per block of _build_event_states
 
 
@@ -247,7 +328,7 @@ def _build_event_states(clocks, start, log, starts) -> np.ndarray:
     have no batch.  start holds each cell's entry phase, entry clock and
     region at stop 0, as numpy arrays that the build advances in place.  A
     crossing of code c moves its cell to region (c + 1) % 3 with entry phase
-    starts[c], at that region's clock of its stop, as `_Flow.pop` does.
+    starts[c], at that region's clock of its stop, as `_Flow.run` does.
     """
     K, n = len(clocks), len(start[0])
     entry, since, region = start
@@ -292,6 +373,20 @@ def _build_event_states(clocks, start, log, starts) -> np.ndarray:
     return states
 
 
+def _event_records(log) -> List[EventRecord]:
+    """The events of a run's log, by stop and within a stop by cell.  The
+    log is released block by block as the records are built, so the two
+    never exist in full at once."""
+    events: List[EventRecord] = []
+    new = tuple.__new__  # EventRecord's own __new__, without its Python frame
+    for first in range(0, len(log), _CHUNK):
+        block = log[first:first + _CHUNK]
+        log[first:first + _CHUNK] = [None] * len(block)
+        events += [new(EventRecord, (t, _KIND_OF_CODE[code], i)) for t, _, batch in block
+                   for _, i, code in (sorted(batch, key=itemgetter(1)) if len(batch) > 1 else batch)]
+    return events
+
+
 def simulate_exact(
     pop: Population,
     rp: RegionParams,
@@ -311,10 +406,12 @@ def simulate_exact(
     last stop.  Its events keep their own times, and its post-batch state is
     sampled at duration and at every grid time left.
 
-    In "events" mode the loop logs each stop's clocks and batch, and
-    `_build_event_states` builds the states from that log after the loop.
-    On a grid the loop fills the rows of the grid times after each stop, from
-    the flow's per-cell state there; they are wrapped after the loop.
+    The kernel's loop, `_Flow.run`, logs each stop's clocks and batch; the
+    event records are built from that log after it.  In "events" mode one
+    run goes to the horizon and `_build_event_states` builds the states from
+    the log.  On a grid one run goes to each grid time before the horizon,
+    ending before the first batch past it, and that time's row is filled
+    from the flow's per-cell state there; the rows are wrapped at the end.
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
@@ -335,50 +432,32 @@ def simulate_exact(
     flow = _Flow(pop.phases.tolist(), rp, fs)
     if grid is None:
         start = [a.copy() for a in flow.arrays()]
-        times: List[float] = []  # t at each stop
-        taus: List[float] = []  # tau at each stop
-        log: List[list] = []  # the batch of each stop after the first
+        log, offset = flow.run(duration, max_events=max_events)
     else:
         states = np.empty((len(grid), pop.phases.size))
-    events: List[EventRecord] = []
-    pending = 0  # index of the first grid time not yet sampled
-
-    t = 0.0
-    while True:  # at least once, so t = 0 is sampled however short the run
-        dt = flow.next_dt()
-        if grid is None:
-            times.append(t)
-            taus.append(flow.tau)
-        elif pending < len(grid) and grid[pending] < min(t + dt, duration):
-            first = pending
-            while pending < len(grid) and grid[pending] < min(t + dt, duration):
-                pending += 1
-            _fill_moved(states[first:pending], flow, [g - t for g in grid[first:pending]])
-        if t + dt > duration + TIE_TOL:
-            offset = duration - t
-            break
-        batch = flow.pop(dt)
-        t = flow.t
-        if len(batch) > 1:
-            batch.sort(key=itemgetter(1))  # a batch is listed by cell
-        if grid is None:
-            log.append(batch)
-        for _, i, code in batch:
-            events.append(EventRecord(t, _KIND_OF_CODE[code], i))
-        if len(events) > max_events:
-            raise SimulationError(
-                f"event count exceeded {max_events} (s={rp.s}, r={rp.r}, "
-                f"feedback={fs.kind}, n={pop.phases.size}); aborting runaway run"
-            )
-        if t >= duration - TIE_TOL:
-            offset = 0.0
-            break
+        events, offset, pending = [], None, 0  # pending: the first grid time not yet sampled
+        for g in grid:
+            if g >= duration:
+                break
+            log, offset = flow.run(duration, until=g, max_events=max_events)
+            events += _event_records(log)
+            if offset is not None:
+                break
+            _fill_moved(states[pending:pending + 1], flow, [g - flow.t])
+            pending += 1
+        if offset is None:
+            log, offset = flow.run(duration, max_events=max_events)
+            events += _event_records(log)
     # the horizon state is the last stop's moved by offset; each time left takes it
     if grid is None:
-        ts = times + [t + offset]
-        clocks = np.column_stack((ts, ts, taus + [flow.tau + flow.v * offset]))
-        states = _build_event_states(clocks, start, log, flow.starts)
-        times.append(duration)
+        ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
+        if offset:  # else the last stop is on the horizon and is its sample
+            ts.append(flow.t + offset)
+            taus.append(flow.tau + flow.v * offset)
+        clocks = np.column_stack((ts, ts, taus))
+        states = _build_event_states(clocks, start, [batch for _, _, batch in log], flow.starts)
+        times = ts[:-1] + [duration]
+        events = _event_records(log)
     else:
         _fill_moved(states[pending:], flow, [offset] * (len(grid) - pending))
         scratch = np.empty((min(len(grid), _CHUNK), states.shape[1]))

@@ -11,8 +11,10 @@ from rscycle.returnmap import (
     classify_k2,
     compose,
     fixed_points,
+    advance_to_section,
     numeric_F,
 )
+from rscycle.simulate import _Flow
 
 RP1 = RegionParams(s=0.2, r=0.6)     # shallow signaling arc: first regime
 RP2 = RegionParams(s=0.5, r=0.7)     # deep signaling arc: second regime
@@ -233,6 +235,24 @@ def test_numeric_F_validates_ordering():
     # no point: k = 1 has no section map
     with pytest.raises(ValidationError):
         numeric_F([], RP1, saturating_feedback(2, 0.5))
+
+
+def test_section_advance_raises_when_its_stop_budget_runs_out(monkeypatch):
+    # a correct advance reaches 1 within 2k + 1 stops; a kernel that runs past
+    # the section spends the whole budget of 3k + 10 stops
+    runs = []
+    real_run = _Flow.run
+
+    def past_the_section(self, **kw):
+        runs.append(real_run(self, **{**kw, "to_section": False}))
+        return runs[-1]
+
+    monkeypatch.setattr(_Flow, "run", past_the_section)
+    start, fs = [0.0, 0.3, 0.6], saturating_feedback(3, 0.5)
+    with pytest.raises(CertificateError, match="section advance did not terminate"):
+        advance_to_section(start, RP1, fs)
+    [(log, _)] = runs
+    assert len(log) == 3 * 3 + 10
 
 
 def test_piecewise_rejects_discontinuous_spec():

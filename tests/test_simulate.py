@@ -41,8 +41,9 @@ def _speeds_of(flow):
 
 
 def _next_batch(flow):
-    dt = flow.next_dt()
-    return dt, [(i, _KIND_OF_CODE[code]) for _, i, code in flow.pop(dt)]
+    """One stop of a fresh flow: its time (the dt from t = 0) and its hits."""
+    [(dt, _, batch)], _ = flow.run(max_stops=1)
+    return dt, [(i, _KIND_OF_CODE[code]) for _, i, code in batch]
 
 
 def test_cell_speeds_frozen():
@@ -380,11 +381,29 @@ def test_phase_list_is_phases_bit_for_bit(data):
     flow = _Flow(phases, rp, fs)
     start, clocks, log, lists = _start(flow), [(0.0, 0.0, 0.0)], [], [flow.phase_list()]
     for _ in range(data.draw(st.integers(1, 8 * n))):
-        log.append(flow.pop(flow.next_dt()))
-        clocks.append((flow.t, flow.t, flow.tau))
+        [(t, tau, batch)], _ = flow.run(max_stops=1)
+        assert (t, tau) == (flow.t, flow.tau)
+        log.append(batch)
+        clocks.append((t, t, tau))
         lists.append(flow.phase_list())
     states = _build_event_states(np.array(clocks), start, log, flow.starts)
     assert [_hex(row) for row in states] == [_hex(x) for x in lists]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_queues_are_the_per_cell_fill(data):
+    # the queues cut from the descending order are those of appending each
+    # cell, in that order, to its region's queue, ties and boundaries included
+    n = data.draw(st.integers(1, 12))
+    phases, rp, fs = _draw_cells(data, n)
+    phases = [data.draw(st.sampled_from([p, rp.s, rp.r, 0.0])) for p in phases]
+    flow = _Flow(phases, rp, fs)
+    want = ([], [], [])
+    for i in sorted(range(n), key=phases.__getitem__, reverse=True):
+        want[0 if phases[i] < rp.s else 1 if phases[i] < rp.r else 2].append(i)
+    assert [list(q) for q in flow.queues] == list(want)
+    assert list(flow.region) == [code for i in range(n) for code in range(3) if i in want[code]]
 
 
 def test_phase_list_sets_a_rounded_up_one_to_zero():
@@ -505,6 +524,16 @@ def test_event_budget_guard():
     pop = Population(np.sort(np.random.default_rng(0).random(20)))
     with pytest.raises(SimulationError):
         simulate_exact(pop, RP, POS, 50.0, max_events=10)
+
+
+@pytest.mark.parametrize("sample", ["events", "endpoints", np.linspace(0.0, 3.0, 7)])
+def test_max_events_is_the_largest_count_allowed(sample):
+    # a grid runs the kernel once per time, so the count must carry over
+    pop = Population(np.array([0.05, 0.3, 0.5, 0.9]))
+    count = len(simulate_exact(pop, RP, POS, 3.0).events)
+    assert len(simulate_exact(pop, RP, POS, 3.0, sample=sample, max_events=count).events) == count
+    with pytest.raises(SimulationError, match=f"event count exceeded {count - 1} "):
+        simulate_exact(pop, RP, POS, 3.0, sample=sample, max_events=count - 1)
 
 
 def test_zero_duration_rejected():
@@ -646,6 +675,14 @@ def test_speed_table_is_a_read_only_memo():
         assert twin == fs and twin._speed_memo is None
         with pytest.raises(ValueError):
             _speed_table(twin, 10)[3] = 2.0
+
+
+def test_flows_of_one_spec_share_one_speed_list():
+    # the kernel reads the memoized list; no construction converts the table
+    fs = FeedbackSpec.linear(0.6)
+    speeds = _Flow([0.1, 0.7], RP, fs)._v
+    assert _Flow([0.3, 0.9], RP, fs)._v is speeds
+    assert speeds == _speed_table(fs, 2).tolist()
 
 
 def test_equal_specs_give_the_same_table():

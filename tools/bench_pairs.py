@@ -11,8 +11,9 @@ workload and seed, `rsbench/run.py` runs once on each side for the
 pair to pair, and the run's last JSON line is kept.  Per workload the file
 holds the pairs, the failed operations per side, and per end-to-end metric
 of BENCHMARK.json the medians, quartiles (linear interpolation, inclusive),
-change/parent ratio of the medians and `change_wins`, the pairs in which
-the change is better.  `trace1` holds every per-layer row of one
+change/parent ratio of the medians, `change_wins`, the pairs in which
+the change is better, and two verdicts: `claim_met` (a gain may be claimed)
+and `beyond_bound` (the change is worse than the metric's bound allows).  `trace1` holds every per-layer row of one
 `--trace 1 --seconds 0` run per side and workload at seed 0.
 """
 
@@ -75,7 +76,13 @@ def quartiles(values):
 
 
 def summarise(pairs, metrics):
-    """Per metric: medians, quartiles, change/parent ratio and wins."""
+    """Per metric: medians, quartiles, change/parent ratio, wins and the
+    two verdicts.  claim_met is the rule for claiming a gain: at least ten
+    pairs, the change better in at least nine tenths of them (ties count
+    for neither side), and its median better than the parent's by more
+    than the parent's quartile distance.  beyond_bound is True when the
+    change's median is worse than the parent's by more than the metric's
+    bound, a fraction of the parent's median."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -85,7 +92,12 @@ def summarise(pairs, metrics):
         for s, values in side.items():
             q1, med, q3 = quartiles(values)
             row.update({f"{s}_q1": q1, f"{s}_median": med, f"{s}_q3": q3})
-        row["change_over_parent"] = row["change_median"] / row["parent_median"]
+        parent, change = row["parent_median"], row["change_median"]
+        row["change_over_parent"] = change / parent
+        gain = parent - change if lower else change - parent
+        row["claim_met"] = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                            and gain > row["parent_q3"] - row["parent_q1"])
+        row["beyond_bound"] = -gain > metric["bound"] * parent
         summary[name] = dict(sorted(row.items()))
     return summary
 
@@ -108,7 +120,10 @@ def main(argv=None):
                 f"rsbench/run.py final JSON lines, parent commit vs the change, same seeds, "
                 f"--seconds {seconds:g}, alternating which side runs first; quartiles by "
                 "linear interpolation (inclusive); change_wins counts pairs where the change "
-                "is better on that metric; trace1 holds every per-layer row of --trace 1 "
+                "is better on that metric; claim_met: >= 10 pairs, wins >= 9/10 and the "
+                "median better by more than the parent's quartile distance; beyond_bound: "
+                "the median worse than the parent's by more than the BENCHMARK.json bound "
+                "(a fraction of the parent's median); trace1 holds every per-layer row of --trace 1 "
                 f"--seconds 0 runs at seed {TRACE_SEED}."),
             "machine": {"blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                         "nproc": str(os.cpu_count()),
