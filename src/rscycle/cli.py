@@ -460,7 +460,7 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
     # each numeric point is a certificate replay of the closed form
     fs = saturating_feedback(2, alpha)
-    numeric = np.array([numeric_F(np.array([x]), rp, fs)[0][0] for x in xs.tolist()])
+    numeric = np.array([numeric_F([x], rp, fs)[0][0] for x in xs.tolist()])
     _write_reals(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
                  xs, analytic, numeric, np.abs(analytic - numeric))
     return 0
@@ -493,15 +493,15 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
     region_rows = []
     g = int(cfg["region_grid"])
-    grid = (np.arange(g) + 0.5) / g
+    grid = ((np.arange(g) + 0.5) / g).tolist()
     for r in grid:
         for s in grid:
             if not (0.0 < s < r < 1.0):
                 continue
-            rp = RegionParams(s=float(s), r=float(r))
+            rp = RegionParams(s=s, r=r)
             k = max_isolated_clusters(rp) + 1
             case = classify_case(rp, k, 1.0 / k)
-            region_rows.append((float(r), float(s), k, case.value))
+            region_rows.append((r, s, k, case.value))
     _write_csv(out / "regions.csv", "r,s,k,case", "%.17g,%.17g,%d,%s", region_rows)
     return 0
 

@@ -27,10 +27,9 @@ thousands of times.  The validated profile is built once per (k, beta), in
 a bounded cache keyed on (k, beta) that each CLI command empties before it
 runs, and the shared spec keeps the last speed table built for it (see
 `simulate._speed_table`).  Sharing is safe because a FeedbackSpec is frozen
-and its table is read-only.  Every replay still runs.  A replay's start,
-expected image and closure residual are Python floats, and the section map
-builds and reads its cells as floats, so the only numpy work per replay is
-the one array of final positions it returns.
+and its table is read-only.  Every replay still runs, as the section map's
+private run `returnmap._section_run`: floats and (cluster, code) hits, checked
+against a table per case, so a replay does no numpy work.
 """
 
 import math
@@ -38,14 +37,14 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import sub
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .model import (CertificateError, FeedbackSpec, RegionParams, ValidationError,
                     max_isolated_clusters)
-from .returnmap import advance_to_section
-from .simulate import EventKind
+from .returnmap import _section_run
 
 _CLOSURE_TOL = 1e-9
 _DUAL_TOL = 1e-8
@@ -116,20 +115,15 @@ def cyclic_spacing(case: Case, rp: RegionParams, k: int, beta: float) -> float:
     return d
 
 
-def _expected_hits(case: Case, k: int) -> List[Tuple[int, EventKind]]:
-    """Boundary-hit sequence that certifies each case, leader = k-1.
-
-    Cases II and III include the crossings forced by the band geometry on
-    top of the defining milestones: in Case II cluster k-2 enters R after
-    cluster 0 leaves S; in Case III cluster 0 never leaves S before the
-    return completes.
-    """
-    S, R, END = EventKind.HIT_S_END, EventKind.HIT_R_START, EventKind.HIT_CYCLE_END
-    if case is Case.I:
-        return [(k - 1, R), (0, S), (k - 1, END)]
-    if case is Case.II:
-        return [(0, S), (k - 2, R), (k - 1, END)]
-    return [(1, S), (k - 1, R), (k - 1, END)]
+# The hits that certify each case as (cluster mod k, code: 0 leaves S, 1 enters
+# R, 2 reaches 1); the leader k-1 is -1.  Cases II and III add crossings the
+# band forces: in II cluster k-2 enters R after cluster 0 leaves S, in III
+# cluster 0 never leaves S before the return completes.
+_CERTIFYING_HITS = {
+    Case.I: ((-1, 1), (0, 0), (-1, 2)),
+    Case.II: ((0, 0), (-2, 1), (-1, 2)),
+    Case.III: ((1, 0), (-1, 1), (-1, 2)),
+}
 
 
 def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
@@ -138,15 +132,12 @@ def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
         d = cyclic_spacing(case, rp, k, beta)
     except ValidationError:
         return None
-    fs = saturating_feedback(k, beta)
     start = [i * d for i in range(k)]
-    t1, final, hits = advance_to_section(start, rp, fs)
-    expect = start[1:] + [1.0]
-    residual = max(abs(x - y) for x, y in zip(final.tolist(), expect))
-    residual = max(residual, abs(t1 - d))
+    t1, final, hits = _section_run(start, rp, saturating_feedback(k, beta))
+    residual = max(max(map(abs, map(sub, final, start[1:] + [1.0]))), abs(t1 - d))
     if residual >= _CLOSURE_TOL:
         return None
-    if hits != _expected_hits(case, k):
+    if hits != [(i % k, code) for i, code in _CERTIFYING_HITS[case]]:
         return None
     return d, residual
 

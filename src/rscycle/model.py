@@ -28,7 +28,9 @@ class CertificateError(RuntimeError):
 # the endpoints 0 and 1.
 _VALIDATION_GRID = 1000
 
-# Tolerance for deciding that two boundary-hit times coincide.
+# Decision tolerance: crossings within TIE_TOL of the earliest are one batch,
+# with I recomputed once after it, and a batch within TIE_TOL of the horizon
+# is the run's last stop.
 TIE_TOL = 1e-12
 
 
@@ -84,10 +86,10 @@ def max_isolated_clusters(rp: RegionParams) -> int:
 
     Groups interact when the gap between them is below |R| + |S|; fitting k
     gaps of at least that size around the circle requires
-    k <= 1/(|R|+|S|), so the count is the floor of that reciprocal.
+    k <= 1/(|R|+|S|), so the count is floor(1/(|R|+|S|) + 1e-9) on the floats.
     """
-    # tiny nudge so exact-integer reciprocals are not rounded down by fp
-    return math.floor(1.0 / rp.interaction_length + 1e-9)
+    # decision: a reciprocal within 1e-9 below an integer counts as that integer
+    return math.floor(1.0 / ((1.0 - rp.r) + rp.s) + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,16 @@ piecewise-affine representation.
 
 The numeric map is the exact engine's region-clock kernel, `simulate._Flow`:
 one call of its loop, `_Flow.run`, which ends after the first batch in which
-a cluster reaches 1, so the two cannot drift apart.  The hits are read from
-the run's log afterwards.  A section advance converts its inputs to Python
-floats once, builds and reads its cells as floats, and builds the returned
-positions as one array at the end: apart from that, no numpy work is done
-per replay.
+a cluster reaches 1, so the two cannot drift apart.  That run is written
+once, `_section_run`: floats in, floats and (cluster, code) hits out, no
+numpy and no EventKind.  `numeric_F` and the cyclic certificates call it
+directly; `advance_to_section` checks its positions (finite, ascending in
+[0, 1], else ValidationError, the check `numeric_F` makes too), calls it
+and converts the result to a float, an array and [(cluster, EventKind)].
 """
 
 from dataclasses import dataclass
+from operator import le
 from typing import List, Tuple
 
 import numpy as np
@@ -34,6 +36,7 @@ from .simulate import _KIND_OF_CODE, _Flow
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
+# decision: a multiplier within _NEUTRAL_TOL of modulus 1 grades its point neutral
 _NEUTRAL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-10
 
@@ -42,31 +45,47 @@ _FIXED_POINT_TOL = 1e-10
 # numeric section map
 
 
-def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
-    """Run the cluster flow until the leading cluster reaches 1.
+def _ascending(points, message: str) -> List[float]:
+    """points as Python floats; ValidationError(message) unless they are
+    nonempty and ascend in [0, 1] (any compare with NaN is false)."""
+    pos = list(map(float, points))
+    if not pos or not all(map(le, [0.0, *pos], [*pos, 1.0])):
+        raise ValidationError(message)
+    return pos
 
-    positions must ascend in [0, 1]; each cluster counts once in I.  Returns
-    (t1, final positions, events) where events is the boundary-hit list
-    [(cluster index, EventKind)] in time order, a batch sorted by (time to
-    its boundary, index).  Nothing wraps; the clusters reaching the section
-    finish at exactly 1.
 
-    Raises CertificateError if no cluster reaches 1 within 3k + 10 stops
-    (a correct advance makes at most 2k + 1).
-    """
-    pos = list(map(float, positions))
-    if max(pos) >= 1.0:
-        return 0.0, np.array(pos), []
+def _section_run(pos: List[float], rp: RegionParams, fs: FeedbackSpec):
+    """`advance_to_section` of floats pos, unchecked and unconverted: the
+    final positions are a list (pos itself if its leader is on the section)
+    and each hit is (cluster index, crossing code of `_Flow.run`)."""
+    if pos[-1] >= 1.0:
+        return 0.0, pos, []
     flow = _Flow(pos, rp, fs)
     log, _ = flow.run(max_stops=3 * len(pos) + 10, to_section=True)
     finished = [i for _, i, code in log[-1][2] if code == 2]
     if not finished:
         raise CertificateError("section advance did not terminate; integration bug")
-    hits = [(i, _KIND_OF_CODE[code]) for _, _, batch in log for _, i, code in sorted(batch)]
     final = flow.phase_list()
     for i in finished:
         final[i] = 1.0
-    return flow.t, np.array(final), hits
+    return flow.t, final, [(i, code) for _, _, batch in log for _, i, code in sorted(batch)]
+
+
+def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
+    """Run the cluster flow until the leading cluster reaches 1.
+
+    positions must be finite and ascend in [0, 1], else ValidationError;
+    each cluster counts once in I.  Returns (t1, final positions, events)
+    where events is the boundary-hit list [(cluster index, EventKind)] in
+    time order, a batch sorted by (time to its boundary, index).  Nothing
+    wraps; the clusters reaching the section finish at exactly 1.
+
+    Raises CertificateError if no cluster reaches 1 within 3k + 10 stops
+    (a correct advance makes at most 2k + 1).
+    """
+    pos = _ascending(positions, "positions must be finite and ascend in [0, 1]")
+    t1, final, hits = _section_run(pos, rp, fs)
+    return t1, np.array(final), [(i, _KIND_OF_CODE[code]) for i, code in hits]
 
 
 def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
@@ -77,12 +96,10 @@ def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
     implicit.  Returns (image point, t1).  A leader already on the section
     is a pure relabel: t1 = 0 and the image is (0, x_1, ..., x_{k-2}).
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    # NaN fails the range check; an empty p (k = 1) has no section map
-    if p.size == 0 or not np.all((p >= 0.0) & (p <= 1.0)) or np.any(np.diff(p) < 0.0):
-        raise ValidationError("simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
-    t1, final, _ = advance_to_section([0.0, *p.tolist()], rp, fs)
-    return final[:-1].copy(), t1
+    # an empty p (k = 1) has no section map
+    p = _ascending(p, "simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
+    t1, final, _ = _section_run([0.0, *p], rp, fs)
+    return np.array(final[:-1]), t1
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +220,8 @@ def _compose2(g: PiecewiseAffineMap, h: PiecewiseAffineMap) -> PiecewiseAffineMa
             if a + 1e-13 < x < b - 1e-13:
                 cuts.add(float(x))
     bps = np.array(sorted(cuts))
-    # merge nodes that collide within fp noise
+    # merge nodes that collide within fp noise; decision: nodes 1e-13 or less
+    # apart are one node, which sets the composition's segments
     keep = [0]
     for j in range(1, bps.size):
         if bps[j] - bps[keep[-1]] > 1e-13:
@@ -302,6 +320,8 @@ def fixed_points(m: PiecewiseAffineMap) -> FixedPointReport:
             merged.append((lo, hi))
 
     points: List[FixedPoint] = []
+    # decision: a root within 1e-10 of a neutral interval or of a kept point
+    # is part of it, which sets how many points are reported
     for x, p in sorted(raw):
         if any(lo - 1e-10 <= x <= hi + 1e-10 for lo, hi in merged):
             continue
@@ -348,6 +368,7 @@ def classify_k2(rp: RegionParams, alpha: float) -> str:
     sign = "positive" if alpha > 0.0 else "negative"
     if rep.neutral_intervals:
         return f"{sign}-neutral-interval"
+    # decision: a point within 1e-9 of 0 or 1 is a corner, not a balance point
     interior = [p for p in rep.points if 1e-9 < p.location < 1.0 - 1e-9]
     if len(interior) != 1:
         raise CertificateError(

@@ -57,7 +57,6 @@ holds one (K, n) array and block-sized scratch.
 """
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -156,9 +155,9 @@ class _Flow:
     def __init__(self, phases: List[float], rp: RegionParams, fs: FeedbackSpec):
         n, s, r = len(phases), rp.s, rp.r
         region = [0 if p < s else 1 if p < r else 2 for p in phases]
-        # per-cell state in arrays that numpy reads without a copy (arrays())
-        self.entry, self.since = array("d", phases), array("d", bytes(8 * n))
-        self.region = array("b", region)
+        # per-cell state in lists: run() reads and writes them per crossing,
+        # where a list beats an array; numpy reads them through arrays()
+        self.entry, self.since, self.region = list(phases), [0.0] * n, region
         # head first, nearest the region's end: the regions are arcs, so R,
         # the middle arc and S are consecutive runs of the descending order
         order = sorted(range(n), key=phases.__getitem__, reverse=True)
@@ -276,8 +275,8 @@ class _Flow:
         return log, offset
 
     def arrays(self):
-        """The per-cell entry phases, entry clocks and regions as numpy views."""
-        return np.frombuffer(self.entry), np.frombuffer(self.since), np.frombuffer(self.region, np.int8)
+        """Numpy copies of the per-cell entry phases, entry clocks and regions."""
+        return np.array(self.entry), np.array(self.since), np.frombuffer(bytearray(self.region), np.int8)
 
     def phase_list(self) -> List[float]:
         """Every phase at time t as Python floats, in [0, 1): entry + (clock -
@@ -312,12 +311,12 @@ def _wrap(out, scratch) -> None:
     out[out == 1.0] = 0.0
 
 
-def _fill_moved(out, flow, offsets) -> None:
-    """out[k] = the flow's phases moved by offsets[k] along its frozen
-    speeds, before the wrap: a block of rows from one stop."""
+def _fill_moved(out, flow, offsets, cells) -> None:
+    """out[k] = the phases of per-cell state cells (numpy arrays of the flow's
+    lists) moved by offsets[k] along the flow's frozen speeds, unwrapped."""
     t, tau, v = flow.t, flow.tau, flow.v
     clocks = np.array([(t + d, t + d, tau + v * d) for d in offsets]).reshape(-1, 3)
-    _fill(out, clocks, *flow.arrays())
+    _fill(out, clocks, *cells)
 
 
 def _build_event_states(clocks, start, log, starts) -> np.ndarray:
@@ -431,19 +430,25 @@ def simulate_exact(
 
     flow = _Flow(pop.phases.tolist(), rp, fs)
     if grid is None:
-        start = [a.copy() for a in flow.arrays()]
+        start = flow.arrays()
         log, offset = flow.run(duration, max_events=max_events)
     else:
         states = np.empty((len(grid), pop.phases.size))
         events, offset, pending = [], None, 0  # pending: the first grid time not yet sampled
+        cells = None  # the per-cell state in numpy, made at the first grid row
         for g in grid:
             if g >= duration:
                 break
             log, offset = flow.run(duration, until=g, max_events=max_events)
+            moved = {i for _, _, batch in log for _, i, _ in batch}
             events += _event_records(log)
             if offset is not None:
                 break
-            _fill_moved(states[pending:pending + 1], flow, [g - flow.t])
+            if cells is None:
+                cells = ent, sin, reg = flow.arrays()
+            for i in moved:  # only a crossing changes a cell's state
+                ent[i], sin[i], reg[i] = flow.entry[i], flow.since[i], flow.region[i]
+            _fill_moved(states[pending:pending + 1], flow, [g - flow.t], cells)
             pending += 1
         if offset is None:
             log, offset = flow.run(duration, max_events=max_events)
@@ -459,7 +464,7 @@ def simulate_exact(
         times = ts[:-1] + [duration]
         events = _event_records(log)
     else:
-        _fill_moved(states[pending:], flow, [offset] * (len(grid) - pending))
+        _fill_moved(states[pending:], flow, [offset] * (len(grid) - pending), flow.arrays())
         scratch = np.empty((min(len(grid), _CHUNK), states.shape[1]))
         for first in range(0, len(grid), _CHUNK):
             _wrap(states[first:first + _CHUNK], scratch)

@@ -3,7 +3,7 @@
 This is the sampler `simulate_exact` used before its event log: the loop
 drives the same kernel, `simulate._Flow`, one stop per `run`, keeps its own
 horizon and grid rules, and at each stop rebuilds every phase from the
-flow's per-cell arrays with numpy (`phases`), so each stop costs O(n); the
+flow's per-cell lists with numpy (`phases`), so each stop costs O(n); the
 rows are stacked after the loop.
 """
 
@@ -19,8 +19,8 @@ from rscycle.simulate import _KIND_OF_CODE, EventRecord, Trajectory, _Flow
 def phases(flow, offset=0.0):
     """Every phase at time t + offset along the frozen speeds, in [0, 1)."""
     clocks = np.array([flow.t + offset, flow.t + offset, flow.tau + flow.v * offset])
-    moved = clocks[np.frombuffer(flow.region, np.int8)] - np.frombuffer(flow.since)
-    return wrap01(np.frombuffer(flow.entry) + moved)
+    moved = clocks[np.array(flow.region)] - np.array(flow.since)
+    return wrap01(np.array(flow.entry) + moved)
 
 
 def _snapshot(flow):

@@ -24,6 +24,7 @@ from rscycle.model import (
     ValidationError,
     max_isolated_clusters,
 )
+from rscycle.returnmap import advance_to_section
 
 # Hand-checked spacing values:
 #   k=2, beta=0.5,  (r,s)=(0.6,0.2):  leader-in-R regime,
@@ -287,6 +288,52 @@ def test_a_disagreeing_row_is_named(monkeypatch):
     with pytest.raises(CertificateError, match=r"beta=0\.25, case II \(row 2\)"):
         cyclic._spectra(4, rows)
     assert calls == [(4, 3, 3), (4, 3, 3)]
+
+
+def _old_expected_hits(case, k):
+    """The certifying hit lists as EventKinds, as `_verify_case` once built them."""
+    kind = simulate.EventKind
+    S, R, END = kind.HIT_S_END, kind.HIT_R_START, kind.HIT_CYCLE_END
+    if case is Case.I:
+        return [(k - 1, R), (0, S), (k - 1, END)]
+    if case is Case.II:
+        return [(0, S), (k - 2, R), (k - 1, END)]
+    return [(1, S), (k - 1, R), (k - 1, END)]
+
+
+def _old_verify_case(case, rp, k, beta):
+    """`_verify_case` on the public advance, with EventKind lists and the
+    closure residual read through numpy."""
+    try:
+        d = cyclic_spacing(case, rp, k, beta)
+    except ValidationError:
+        return None
+    start = [i * d for i in range(k)]
+    t1, final, hits = advance_to_section(start, rp, saturating_feedback(k, beta))
+    expect = start[1:] + [1.0]
+    residual = max(abs(x - y) for x, y in zip(final.tolist(), expect))
+    residual = max(residual, abs(t1 - d))
+    if residual >= 1e-9:
+        return None
+    if hits != _old_expected_hits(case, k):
+        return None
+    return d, residual
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 12), a=st.floats(0.0, 0.98), b=st.floats(0.0, 1.0),
+       sign=st.sampled_from([-1.0, 1.0]), size=st.floats(0.02, 0.9))
+def test_verify_case_is_the_old_event_kind_check(k, a, b, sign, size):
+    # the (cluster, code) table and the list residual against the EventKind
+    # lists and numpy residual they replaced, in every case: same (d,
+    # residual) or None, inside the k = M+1 band and at its edges
+    width = 1.0 / k + a * (1.0 / (k - 1) - 1.0 / k)
+    s = min(max(b * width, 1e-3), width - 1e-3)
+    rp = RegionParams(s=s, r=1.0 - (width - s))
+    beta = sign * size
+    got = [cyclic._verify_case(case, rp, k, beta) for case in Case]
+    assert got == [_old_verify_case(case, rp, k, beta) for case in Case]
+    assert all(x is None or (type(x[0]) is type(x[1]) is float) for x in got)
 
 
 def test_spacing_validation():

@@ -1,4 +1,6 @@
+import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,19 @@ def test_max_isolated_clusters_is_the_int_of_the_numpy_floor():
         m = max_isolated_clusters(rp)
         assert type(m) is int
         assert m == int(np.floor(1.0 / rp.interaction_length + 1e-9))
+
+
+def test_capacity_at_sweep_value_six_is_the_nudged_floor():
+    # sweep value 6 of the cluster-count sweep: |S| + |R| = 1/6, split
+    # evenly.  On these float (s, r), 1/(|R| + |S|) in exact arithmetic is
+    # just below 6, so its exact floor is 5.  The docstring's rule,
+    # floor(1/(|R|+|S|) + 1e-9) on the floats, reads 6: the nudge decides M
+    width = 1.0 / 6
+    rp = RegionParams(s=width / 2.0, r=1.0 - width / 2.0)
+    exact = 1 / ((1 - Fraction(rp.r)) + Fraction(rp.s))
+    assert 6 - Fraction(1, 10**9) < exact < 6
+    assert math.floor(exact) == 5
+    assert max_isolated_clusters(rp) == 6
 
 
 def test_wrap01():

@@ -11,10 +11,11 @@ from rscycle.returnmap import (
     classify_k2,
     compose,
     fixed_points,
+    _section_run,
     advance_to_section,
     numeric_F,
 )
-from rscycle.simulate import _Flow
+from rscycle.simulate import _KIND_OF_CODE, _Flow
 
 RP1 = RegionParams(s=0.2, r=0.6)     # shallow signaling arc: first regime
 RP2 = RegionParams(s=0.5, r=0.7)     # deep signaling arc: second regime
@@ -235,6 +236,40 @@ def test_numeric_F_validates_ordering():
     # no point: k = 1 has no section map
     with pytest.raises(ValidationError):
         numeric_F([], RP1, saturating_feedback(2, 0.5))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("positions", [
+    [0.5, 0.2], [-0.1, 0.3], [0.0, NAN], [0.0, NAN, 0.5], [NAN, 0.3, 0.7],
+], ids=["descending", "negative", "nan-last", "nan-middle", "nan-first"])
+def test_advance_to_section_rejects_positions_off_the_simplex(positions):
+    # each of these once returned a result or raised CertificateError,
+    # SimulationError or IndexError, depending on where the bad value sat
+    fs = saturating_feedback(len(positions), 0.5)
+    with pytest.raises(ValidationError, match="finite and ascend in"):
+        advance_to_section(positions, RP1, fs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_private_replay_is_the_public_advance(data):
+    # the one section replay behind advance_to_section, read before and after
+    # the public conversion: t1 and positions bit for bit, codes as EventKinds
+    k = data.draw(st.integers(2, 12))
+    starts = sorted(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                       min_size=k, max_size=k)))
+    s = data.draw(st.floats(0.02, 0.45))
+    rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.02, 0.97)))
+    beta = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.01, 0.9))
+    fs = saturating_feedback(k, beta)
+    t1, final, hits = _section_run(list(starts), rp, fs)
+    t1_pub, final_pub, hits_pub = advance_to_section(starts, rp, fs)
+    assert type(t1) is type(t1_pub) is float and t1.hex() == t1_pub.hex()
+    assert all(type(x) is float for x in final)
+    assert np.array(final).tobytes() == final_pub.tobytes()
+    assert [(i, _KIND_OF_CODE[code]) for i, code in hits] == hits_pub
 
 
 def test_section_advance_raises_when_its_stop_budget_runs_out(monkeypatch):
