@@ -9,11 +9,12 @@ hash, and the seed, so repeated runs are byte-identical.
 
 This module alone writes files, so the artifact format lives here: each CSV
 has a header line and reals as %.17g (which round-trips a float64), and
-each JSON file has indent 2, sorted keys and a trailing newline.  Tables of
-reals only go through _write_reals, which builds the %.17g bytes in numpy
-(exact digits from Dekker's two-product with a power of ten), and so does
-the time column of events.csv; the other tables that mix reals, labels and
-counts go through _write_csv, one row at a time.
+each JSON file has indent 2, sorted keys and a trailing newline.  Every CSV
+goes through one column-wise writer, _write_table: its array columns of
+reals are formatted in numpy (exact digits from Dekker's two-product with a
+power of ten), and its columns with few distinct values (counts, labels,
+grid values) are read from tables of those values.  JSON files go through
+_write_json.
 
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
 certificate fails, 4 when a simulation aborts (runaway or impossible state).
@@ -103,7 +104,7 @@ def _feedback_from_config(cfg) -> FeedbackSpec:
     if not isinstance(cfg, dict):
         raise ValidationError(f"feedback must be an object, got {cfg!r}")
     kind = cfg.get("kind", "linear")
-    if kind not in _FEEDBACK_KEYS:
+    if not isinstance(kind, str) or kind not in _FEEDBACK_KEYS:  # a list is not hashable
         raise ValidationError(f"unknown feedback kind {kind!r}")
     keys = _FEEDBACK_KEYS[kind]
     unknown = sorted(set(cfg) - {"kind", *keys})
@@ -158,15 +159,7 @@ def _load_config(path, command: str, overrides: dict) -> dict:
     return cfg
 
 
-def _write_csv(path: Path, header: str, fmt: str, rows) -> None:
-    """One header line, then fmt % tuple(row) per row."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(fmt % tuple(row) + "\n")
-
-
-# The all-real writer formats a value in numpy when 1e-5 <= x < 1e15 (its
+# The table writer formats a real in numpy when 1e-5 <= x < 1e15 (its
 # decimal exponent E lies in [-5, 14]) or x is +0.0; every other value
 # (negative, -0.0, tiny, huge, non-finite) goes through "%.17g" one by one.
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each one exact
@@ -177,7 +170,10 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
 _ROW = 28
 _BYTE = np.arange(_ROW)
 _KEEP = (_BYTE >= 1) & (_BYTE <= _BYTE[:, None] + 1)  # row L: bytes 1 .. L + 1
-_CHUNK_VALUES = 1 << 14
+_CHUNK_VALUES = 1 << 14  # array values per chunk of a table
+# rows per chunk of a table with no array column: the join of a chunk holds
+# an 80-byte buffer per field while it runs, more than the bytes it makes
+_CHUNK_ROWS = 1 << 8
 
 
 @functools.cache
@@ -304,21 +300,67 @@ def _format_g17(x, sep) -> bytes:
     return buf[np.take(_KEEP, length, axis=0)].tobytes()
 
 
-def _write_reals(path: Path, header: str, *columns) -> None:
-    """A table of float64 columns (vectors, or 2-D blocks of columns), one
-    header line, then the bytes fmt % tuple(row) gives with fmt "%.17g,...";
-    formatted in numpy, a chunk of rows at a time."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
-    width = sum(c.shape[1] for c in columns)
-    rows = max(1, _CHUNK_VALUES // width)
-    sep = np.full((rows, width), ord(","), np.uint8)
-    sep[:, -1] = ord("\n")
+def _write_table(path: Path, header: str, *columns) -> None:
+    """One header line, then the bytes fmt % tuple(row) gives per row, with
+    "%.17g" for a real and "%s" for a count or a label, joined by ",".
+
+    A column is a numpy array of reals (a vector, or a 2-D block of
+    columns), or a sequence of values with few distinct ones: counts,
+    labels or reals.  Each run of adjacent array columns is formatted in
+    numpy by one _format_g17 call per chunk of rows; a sequence is read
+    from a table of its distinct values, each with the separators around
+    it.  A table of arrays only is written as the formatted bytes, with no
+    per-row or per-column work in Python.
+    """
+    runs = []  # a list of 2-D blocks per run of adjacent arrays, (column, table) per sequence
+    for j, column in enumerate(columns):
+        if not isinstance(column, np.ndarray):
+            distinct = set(column)
+            # 0.0 == -0.0, so a table cannot keep the sign of a zero: such a column is an array
+            if not any(isinstance(v, float) and v == 0.0 for v in distinct):
+                before = b"," if runs and isinstance(runs[-1], list) else b""
+                after = b"\n" if j == len(columns) - 1 else b","
+                table = {v: before + (b"%.17g" % v if isinstance(v, float) else str(v).encode())
+                         + after for v in distinct}
+                runs.append((column, table))
+                continue
+        column = np.asarray(column, dtype=float)
+        block = column[:, None] if column.ndim == 1 else column
+        if runs and isinstance(runs[-1], list):
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    width = sum(block.shape[1] for run in runs if isinstance(run, list) for block in run)
+    rows = max(1, _CHUNK_VALUES // width) if width else _CHUNK_ROWS
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), rows):
-            block = np.concatenate([c[start:start + rows] for c in columns], axis=1)
-            fh.write(_format_g17(block.ravel(), sep[:len(block)].ravel()))
+            fh.write(_table_rows(runs, slice(start, start + rows)))
+
+
+def _table_rows(runs, rows) -> bytes:
+    """The bytes of the rows in the slice rows of a table of _write_table."""
+    parts = []
+    for k, run in enumerate(runs):
+        if isinstance(run, tuple):
+            column, table = run
+            parts.append(map(table.__getitem__, column[rows]))
+            continue
+        block = np.concatenate([b[rows] for b in run], axis=1)
+        sep = np.full(block.shape, ord(","), np.uint8)
+        sep[:, -1] = ord("\n")  # the rows are split on it; after the last column it stays
+        text = _format_g17(block.ravel(), sep.ravel())
+        if len(runs) == 1:
+            return text
+        del block, sep  # freed before the join, to keep the peak memory low
+        parts.append(text.splitlines(keepends=k == len(runs) - 1))
+        del text
+    return b"".join(chain.from_iterable(zip(*parts)))
+
+
+def _columns(rows, width):
+    """The columns of a list of rows with width fields each, as tuples."""
+    return list(zip(*rows)) or [()] * width
 
 
 def _write_json(path: Path, obj) -> None:
@@ -339,25 +381,16 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
-_KIND_FIELD = {kind: f",{kind.value},".encode() for kind in EventKind}
+_KIND_VALUE = {kind: kind.value for kind in EventKind}
 
 
 def write_events_csv(traj, path) -> None:
     """Boundary crossings of an exact run: t,kind,cell, the bytes of
-    "%.17g,%s,%d" per event; the times are formatted in numpy, a chunk at
-    a time, and the kind and cell fields are read from tables."""
+    "%.17g,%s,%d" per event, through _write_table."""
     events = traj.events
-    cells = [b"%d\n" % i for i in range(max(map(itemgetter(2), events), default=-1) + 1)]
-    newline = np.full(_CHUNK_VALUES, ord("\n"), np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"t,kind,cell\n")
-        for start in range(0, len(events), _CHUNK_VALUES):
-            chunk = events[start:start + _CHUNK_VALUES]
-            times = np.fromiter(map(itemgetter(0), chunk), float, len(chunk))
-            lines = _format_g17(times, newline[:len(chunk)]).splitlines()
-            fh.write(b"".join(chain.from_iterable(zip(
-                lines, map(_KIND_FIELD.__getitem__, map(itemgetter(1), chunk)),
-                map(cells.__getitem__, map(itemgetter(2), chunk))))))
+    _write_table(path, "t,kind,cell", np.fromiter(map(itemgetter(0), events), float, len(events)),
+                 list(map(_KIND_VALUE.__getitem__, map(itemgetter(1), events))),
+                 list(map(itemgetter(2), events)))
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
@@ -390,7 +423,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     else:
         raise ValidationError(f"unknown engine {cfg['engine']!r}")
     cells = traj.states.shape[1]
-    _write_reals(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(cells)),
+    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(cells)),
                  traj.times, traj.states)
     return 0
 
@@ -426,6 +459,11 @@ def _sweep_block(args):
 def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     points = int(cfg["points"])
     values = np.linspace(cfg["lo"], cfg["hi"], points + 1)[1:].tolist()
+    # checked here, before any worker: value 0 would divide by zero in _sweep_block
+    bad = [value for value in values if value <= 1.0]
+    if bad:
+        raise ValidationError(f"sweep values must be > 1, as |S| + |R| = 1/value must be < 1; "
+                              f"lo={cfg['lo']!r}, hi={cfg['hi']!r} give {bad[0]!r}")
     # one block of contiguous points per worker; the rows do not depend on the split
     bounds = [points * i // threads for i in range(threads + 1)]
     jobs = [(lo, values[lo:hi], cfg, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
@@ -436,8 +474,8 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
             blocks = pool.map(_sweep_block, jobs)
     else:
         blocks = [_sweep_block(job) for job in jobs]
-    _write_csv(out / "sweep.csv", "sweep_value,M,N,verdict", "%.17g,%d,%d,%s",
-               (row for block in blocks for row in block))
+    _write_table(out / "sweep.csv", "sweep_value,M,N,verdict",
+                 *_columns([row for block in blocks for row in block], 4))
     return 0
 
 
@@ -450,7 +488,7 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
     analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call
-    _write_reals(out / "return_map.csv", "x,F(x),F2(x)", xs, analytic, F2(xs))
+    _write_table(out / "return_map.csv", "x,F(x),F2(x)", xs, analytic, F2(xs))
     report = fixed_points(F2)
     _write_json(out / "fixed_points.json", {
         "points": [{"location": p.location, "multiplier": p.multiplier, "class": p.kind}
@@ -461,7 +499,7 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     # each numeric point is a certificate replay of the closed form
     fs = saturating_feedback(2, alpha)
     numeric = np.array([numeric_F([x], rp, fs)[0][0] for x in xs.tolist()])
-    _write_reals(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
+    _write_table(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
                  xs, analytic, numeric, np.abs(analytic - numeric))
     return 0
 
@@ -488,10 +526,12 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
         reports = _spectra(k, [(beta, case) for beta, case, _ in rows])
         spectrum_rows += [(k, beta, case.value, d, rep.spectral_radius, rep.min_modulus)
                           for (beta, case, d), rep in zip(rows, reports)]
-    _write_csv(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
-               "%d,%.17g,%s,%.17g,%.17g,%.17g", spectrum_rows)
+    columns = _columns(spectrum_rows, 6)
+    _write_table(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
+                 *columns[:3], np.column_stack(columns[3:]))
 
-    region_rows = []
+    # built as columns: r and s take g values each, so each is read from a table
+    rs, ss, ks, cases = [], [], [], []
     g = int(cfg["region_grid"])
     grid = ((np.arange(g) + 0.5) / g).tolist()
     for r in grid:
@@ -500,9 +540,11 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
                 continue
             rp = RegionParams(s=s, r=r)
             k = max_isolated_clusters(rp) + 1
-            case = classify_case(rp, k, 1.0 / k)
-            region_rows.append((r, s, k, case.value))
-    _write_csv(out / "regions.csv", "r,s,k,case", "%.17g,%.17g,%d,%s", region_rows)
+            rs.append(r)
+            ss.append(s)
+            ks.append(k)
+            cases.append(classify_case(rp, k, 1.0 / k).value)
+    _write_table(out / "regions.csv", "r,s,k,case", rs, ss, ks, cases)
     return 0
 
 
@@ -512,7 +554,7 @@ def cmd_pde(cfg: dict, seed: int, out: Path, threads: int) -> int:
     profile = steady_profile(cfg["c"], rp, fs)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]), endpoint=False)
     u, b = profile.u(xs), profile.b(xs)
-    _write_reals(out / "profile.csv", "x,u,b,flux", xs, u, b, b * u)
+    _write_table(out / "profile.csv", "x,u,b,flux", xs, u, b, b * u)
     resid = flux_residual(profile)
     if resid > 1e-12:
         raise CertificateError(f"steady profile flux residual {resid:.3e}")

@@ -19,11 +19,12 @@ P = 1 caller; the cluster-count sweep of the CLI steps its points as blocks.
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
 as one batch and the signaling fraction is recomputed once afterwards.
-The exact engine samples by one rule: the state at a time is the last
-post-batch state moved along the frozen speeds, so a sample at a batch
-time is the post-batch state and every sampled phase lies in [0, 1).
-A batch within TIE_TOL of the horizon is the run's last stop, so the
-event log and the final state agree on every cell's laps.
+The exact engine samples in one of two modes: "events" takes t = 0, the
+state after every batch and the horizon, "endpoints" the horizon alone.
+The horizon row is the last post-batch state moved along the frozen
+speeds, and every sampled phase lies in [0, 1).  A batch within TIE_TOL
+of the horizon is the run's last stop, so the event log and the final
+state agree on every cell's laps.
 
 Both engines have one speed law, the table of `_speed_table`: while j of
 the n cells are in S, a cell in R moves at 1 + f(j/n).
@@ -34,26 +35,23 @@ straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
 costs O(batch) work.  One loop, `_Flow.run`, steps the flow: it holds the
 clocks, the speed, the three heads' due clocks and the queues in locals,
-stops before a batch past its `until` time, at the horizon, after a stop
-budget or, for the section map, after the first batch in which a cell
-reaches 1, and returns its stops as a log of (t, tau, batch).  `_Flow` takes
-its cells as lists of Python floats; the section map reads them back as a
-list (`phase_list`), so a replay of a few clusters does no numpy work per
-call.
+stops at the horizon, after a stop budget or, for the section map, after
+the first batch in which a cell reaches 1, and returns its stops as a log
+of (t, tau, batch).  `_Flow` takes its cells as lists of Python floats;
+the section map reads them back as a list (`phase_list`), so a replay of a
+few clusters does no numpy work per call.
 
-`simulate_exact` runs the loop once in "events" mode and once per grid time
-on a grid, and builds the event records from the log after it.  In "events"
-mode the sampled states are built from the log too.  A crossing's code
+`simulate_exact` runs the loop once, to the horizon, and builds the event
+records and the sampled states from the log after it.  A crossing's code
 fixes the cell's new entry phase, entry clock and region, as `_Flow.run`
 sets them.  `_build_event_states` fills one preallocated (K, n) array in
 blocks of `_CHUNK` stops: every cell's row is entry + (clock[region] -
 since) from the per-cell state at the block's first stop, and then only the
 columns of the cells that cross inside the block are rebuilt, each row from
-the cell's latest crossing at or before it.  A grid time takes the same
-arithmetic in one row, filled from the flow's per-cell state at the stop
-where the loop ended before it, at the stop's clocks moved by the time past
-the stop at the stop's speed.  Every block is wrapped in place, so the build
-holds one (K, n) array and block-sized scratch.
+the cell's latest crossing at or before it.  In "endpoints" mode the build
+has one row, the horizon's clocks, and no batch, and starts from the
+flow's per-cell state after the run.  Every block is wrapped in place, so
+the build holds one (K, n) array and block-sized scratch.
 """
 
 import math
@@ -62,7 +60,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -172,8 +170,7 @@ class _Flow:
         self.t = self.tau = 0.0
         self.event_count, self.fs = 0, fs  # fs names the run in the runaway message
 
-    def run(self, horizon=math.inf, until=math.inf, max_events=math.inf, max_stops=math.inf,
-            to_section=False):
+    def run(self, horizon=math.inf, max_events=math.inf, max_stops=math.inf, to_section=False):
         """Step the flow from stop to stop; return (log, offset).
 
         A stop finds the earliest crossing among the three queue heads, dt
@@ -183,12 +180,11 @@ class _Flow:
         R's crossings first, then the middle arc's, then S's (a tuple, as
         most batches hold one crossing and a tuple is the smaller).
 
-        The run ends before a stop whose t is past until, offset None.  It
-        ends at the horizon: before a stop more than TIE_TOL past it, with
-        offset the time from t to the horizon, or after a stop within TIE_TOL
-        of it, with offset 0.0.  It also ends, offset None, after max_stops
-        stops or, if to_section, after the first stop in which a cell
-        reaches 1.  The clocks, speed and dues are kept in locals while it
+        The run ends at the horizon: before a stop more than TIE_TOL past it,
+        with offset the time from t to the horizon, or after a stop within
+        TIE_TOL of it, with offset 0.0.  It also ends, offset None, after
+        max_stops stops or, if to_section, after the first stop in which a
+        cell reaches 1.  The clocks, speed and dues are kept in locals while it
         runs and stored back when it ends, so a later run resumes the flow.
 
         Raises SimulationError if a time to cross is not positive, if a
@@ -209,8 +205,6 @@ class _Flow:
             if dt <= 0.0:
                 raise SimulationError("non-positive time to next boundary; a cell sits past it")
             t_next = t + dt
-            if until < t_next:
-                break
             if t_next > late:
                 offset = horizon - t
                 break
@@ -311,14 +305,6 @@ def _wrap(out, scratch) -> None:
     out[out == 1.0] = 0.0
 
 
-def _fill_moved(out, flow, offsets, cells) -> None:
-    """out[k] = the phases of per-cell state cells (numpy arrays of the flow's
-    lists) moved by offsets[k] along the flow's frozen speeds, unwrapped."""
-    t, tau, v = flow.t, flow.tau, flow.v
-    clocks = np.array([(t + d, t + d, tau + v * d) for d in offsets]).reshape(-1, 3)
-    _fill(out, clocks, *cells)
-
-
 def _build_event_states(clocks, start, log, starts) -> np.ndarray:
     """The state at each row of clocks, from the start state and the batches.
 
@@ -391,85 +377,50 @@ def simulate_exact(
     rp: RegionParams,
     fs: FeedbackSpec,
     duration: float,
-    sample: Union[str, Sequence[float]] = "events",
+    sample: str = "events",
     max_events: int = 10_000_000,
 ) -> Trajectory:
     """Integrate the piecewise-constant flow exactly for the given duration.
 
-    sample may be "events" (t = 0, after every batch, and the horizon),
-    "endpoints" (the grid [duration]) or an ascending grid of times within
-    [0, duration].  A grid time takes the state of the last stop at or before
-    it, moved along the frozen speeds: at a batch time that is the post-batch
-    state, and every sampled phase lies in [0, 1).  The horizon is one more
-    boundary: a batch within TIE_TOL of duration, on either side, is the
-    last stop.  Its events keep their own times, and its post-batch state is
-    sampled at duration and at every grid time left.
+    sample is "events" (t = 0, after every batch, and the horizon) or
+    "endpoints" (the horizon alone).  The horizon is one more boundary: a
+    batch within TIE_TOL of duration, on either side, is the last stop.
+    Its events keep their own times, and its post-batch state is sampled
+    at duration; else the horizon row is the last stop's state moved along
+    the frozen speeds.
 
-    The kernel's loop, `_Flow.run`, logs each stop's clocks and batch; the
-    event records are built from that log after it.  In "events" mode one
-    run goes to the horizon and `_build_event_states` builds the states from
-    the log.  On a grid one run goes to each grid time before the horizon,
-    ending before the first batch past it, and that time's row is filled
-    from the flow's per-cell state there; the rows are wrapped at the end.
+    One run of the kernel's loop, `_Flow.run`, goes to the horizon and logs
+    each stop's clocks and batch; the event records and, with
+    `_build_event_states`, the sampled states are built from that log after
+    it.
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
     """
     if duration <= 0.0:
         raise ValidationError("duration must be > 0")
-    if isinstance(sample, str):
-        if sample not in ("events", "endpoints"):
-            raise ValidationError(f"unknown sample mode {sample!r}")
-        grid = None if sample == "events" else [duration]
-    else:
-        grid = np.asarray(sample, dtype=float)
-        ascending = grid.size > 0 and np.all(np.diff(grid) >= 0)
-        if not (ascending and grid[0] >= 0 and grid[-1] <= duration + TIE_TOL):
-            raise ValidationError("sample times must be nonempty and ascend within [0, duration]")
-        grid = grid.tolist()
+    # isinstance first: an array in a tuple raises an ambiguous-truth ValueError
+    if not (isinstance(sample, str) and sample in ("events", "endpoints")):
+        raise ValidationError(f'sample must be "events" or "endpoints", got {sample!r} '
+                              "(the list form of sample times was removed)")
 
     flow = _Flow(pop.phases.tolist(), rp, fs)
-    if grid is None:
-        start = flow.arrays()
-        log, offset = flow.run(duration, max_events=max_events)
-    else:
-        states = np.empty((len(grid), pop.phases.size))
-        events, offset, pending = [], None, 0  # pending: the first grid time not yet sampled
-        cells = None  # the per-cell state in numpy, made at the first grid row
-        for g in grid:
-            if g >= duration:
-                break
-            log, offset = flow.run(duration, until=g, max_events=max_events)
-            moved = {i for _, _, batch in log for _, i, _ in batch}
-            events += _event_records(log)
-            if offset is not None:
-                break
-            if cells is None:
-                cells = ent, sin, reg = flow.arrays()
-            for i in moved:  # only a crossing changes a cell's state
-                ent[i], sin[i], reg[i] = flow.entry[i], flow.since[i], flow.region[i]
-            _fill_moved(states[pending:pending + 1], flow, [g - flow.t], cells)
-            pending += 1
-        if offset is None:
-            log, offset = flow.run(duration, max_events=max_events)
-            events += _event_records(log)
-    # the horizon state is the last stop's moved by offset; each time left takes it
-    if grid is None:
-        ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
-        if offset:  # else the last stop is on the horizon and is its sample
-            ts.append(flow.t + offset)
-            taus.append(flow.tau + flow.v * offset)
-        clocks = np.column_stack((ts, ts, taus))
-        states = _build_event_states(clocks, start, [batch for _, _, batch in log], flow.starts)
-        times = ts[:-1] + [duration]
-        events = _event_records(log)
-    else:
-        _fill_moved(states[pending:], flow, [offset] * (len(grid) - pending), flow.arrays())
-        scratch = np.empty((min(len(grid), _CHUNK), states.shape[1]))
-        for first in range(0, len(grid), _CHUNK):
-            _wrap(states[first:first + _CHUNK], scratch)
-        times = grid
-    return Trajectory(times=np.array(times), states=states, events=events)
+    start = flow.arrays() if sample == "events" else None
+    log, offset = flow.run(duration, max_events=max_events)
+    # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
+    t, tau = flow.t + offset, flow.tau + flow.v * offset
+    if sample == "endpoints":
+        events = _event_records(log)  # first, so the log is released before the arrays are made
+        states = _build_event_states(np.array([(t, t, tau)]), flow.arrays(), [], flow.starts)
+        return Trajectory(times=np.array([duration]), states=states, events=events)
+    ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
+    if offset:  # else the last stop is on the horizon and is its sample
+        ts.append(t)
+        taus.append(tau)
+    states = _build_event_states(np.column_stack((ts, ts, taus)), start,
+                                 [batch for _, _, batch in log], flow.starts)
+    times = np.array(ts[:-1] + [duration])
+    return Trajectory(times=times, states=states, events=_event_records(log))
 
 
 def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: int,

@@ -2,9 +2,9 @@
 
 This is the sampler `simulate_exact` used before its event log: the loop
 drives the same kernel, `simulate._Flow`, one stop per `run`, keeps its own
-horizon and grid rules, and at each stop rebuilds every phase from the
-flow's per-cell lists with numpy (`phases`), so each stop costs O(n); the
-rows are stacked after the loop.
+horizon rules ("endpoints" samples the grid [duration]), and at each stop
+rebuilds every phase from the flow's per-cell lists with numpy (`phases`),
+so each stop costs O(n); the rows are stacked after the loop.
 """
 
 import copy
@@ -32,10 +32,7 @@ def _snapshot(flow):
 
 def simulate_exact(pop, rp, fs, duration, sample="events"):
     """`simulate_exact` with the per-stop sampler, for valid arguments."""
-    if isinstance(sample, str):
-        grid = None if sample == "events" else [duration]
-    else:
-        grid = np.asarray(sample, dtype=float).tolist()
+    grid = None if sample == "events" else [duration]
     flow = _Flow(pop.phases.tolist(), rp, fs)
     times, states, events = [], [], []
     pending = 0

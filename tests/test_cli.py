@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import sde_oracle
 import spectrum_oracle
 from rscycle import cli, cyclic
 from rscycle.cyclic import classify_case, cyclic_spacing, saturating_feedback
-from rscycle.model import CertificateError, RegionParams
+from rscycle.model import CertificateError, RegionParams, max_isolated_clusters
 from rscycle.returnmap import as_piecewise
 from rscycle.simulate import EventKind, EventRecord, SimulationError, Trajectory
 
@@ -177,6 +178,25 @@ def test_cyclic_spectrum_matches_the_per_row_oracle(tmp_path):
     assert (out / "spectrum.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_cyclic_regions_match_the_per_row_oracle(tmp_path):
+    # each cell of the region grid, classified on its own, formatted per row
+    g = 17
+    payload = {"k_min": 2, "k_max": 2, "beta_points": 2, "region_grid": g}
+    out = tmp_path / "cy"
+    assert run_cli(["cyclic", "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", str(out)]) == 0
+    lines = ["r,s,k,case"]
+    grid = ((np.arange(g) + 0.5) / g).tolist()
+    for r in grid:
+        for s in grid:
+            if 0.0 < s < r < 1.0:
+                rp = RegionParams(s=s, r=r)
+                k = max_isolated_clusters(rp) + 1
+                lines.append("%.17g,%.17g,%d,%s" % (r, s, k, classify_case(rp, k, 1.0 / k).value))
+    assert len(lines) > 100 and max(int(line.split(",")[2]) for line in lines[1:]) >= 10
+    assert (out / "regions.csv").read_text() == "\n".join(lines) + "\n"
+
+
 def test_pde_outputs(tmp_path):
     out = tmp_path / "pde"
     assert run_cli(["pde-steady", "--out", str(out)]) == 0
@@ -187,9 +207,31 @@ def test_pde_outputs(tmp_path):
     assert summary["flux_residual"] < 1e-13
 
 
-def test_validation_error_exit_code(tmp_path):
+def test_validation_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"s": 0.9, "r": 0.5})
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    # a feedback kind that is not a string is named, not looked up (a list is unhashable)
+    capsys.readouterr()
+    cfg = write_config(tmp_path, "kind.json", {"feedback": {"kind": ["linear"]}})
+    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown feedback kind") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.0)], ids=["value-zero", "value-one"])
+def test_sweep_value_not_above_one_exit_code(tmp_path, monkeypatch, capsys, threads, lo, hi):
+    # |S| + |R| = 1/value must be < 1: value 0 (lo -1, hi 1, 2 points) would
+    # divide by zero in a worker, and value 1 gives r = s; both are refused
+    # before any worker starts, and nothing is written
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, "c.json",
+                       {"n": 20, "points": 2, "cycles": 1.0, "lo": lo, "hi": hi})
+    out = tmp_path / "x"
+    assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: sweep values must be > 1") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -314,6 +356,20 @@ def test_only_cli_writes_files():
         if path.name != "cli.py":
             text = path.read_text()
             assert "open(" not in text and "savetxt(" not in text, path.name
+    # and within cli.py, only the table writer and the JSON writer open a file
+    # to write; a config is opened to read
+    source = Path(cli.__file__).read_text()
+    writers = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "open":
+                    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+                    if any(getattr(mode, "value", None) != "r" for mode in modes):
+                        writers.add(func.name)
+    assert writers == {"_write_table", "_write_json"}
+    for name in ("savetxt(", "tofile(", "write_text(", "write_bytes("):
+        assert name not in source, name
 
 
 def test_import_does_not_load_multiprocessing():
@@ -326,7 +382,7 @@ def test_import_does_not_load_multiprocessing():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-# The all-real CSV writer against the per-row "%.17g" formatting it replaced.
+# The table writer against the per-row "%" formatting it replaced.
 
 def reference_csv(header, table):
     fmt = ",".join(["%.17g"] * table.shape[1])
@@ -370,8 +426,61 @@ def real_tables(draw):
 @given(table=real_tables())
 def test_real_writer_matches_per_row_format(table_path, table):
     # the table goes in as a vector and a block
-    cli._write_reals(table_path, "a,b", table[:, 0], table[:, 1:])
+    cli._write_table(table_path, "a,b", table[:, 0], table[:, 1:])
     assert table_path.read_bytes() == reference_csv("a,b", table)
+
+
+# A mixed table: real vectors and 2-D blocks (exponents of _EXPONENTS, either
+# sign, with -0.0, subnormals and values >= 1e15 among them), sequences of a
+# few distinct reals (+-0.0 among them in half of the draws), counts of up to
+# seven digits of either sign, and labels; one table in five spans more than
+# _CHUNK_VALUES reals or _CHUNK_ROWS rows.
+_SPECIAL_REALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e15, 3.5e16,
+                           1.7976931348623157e308, -1e20, 1e-5, np.nextafter(1e-5, 0.0), -2.5])
+_LABELS = ["I", "II", "III", "none", "le_M", "ge_M_plus_1"]
+
+
+@st.composite
+def mixed_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(["vector", "block", "grid", "count", "label"]),
+                          min_size=1, max_size=6))
+    widths = [draw(st.integers(2, 3)) if kind == "block" else 1 for kind in kinds]
+    reals = sum(w for kind, w in zip(kinds, widths) if kind in ("vector", "block"))
+    rows = draw(st.sampled_from([0, 1, 2, 9, cli._CHUNK_VALUES // max(1, reals) + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, fmt = [], []
+    for kind, width in zip(kinds, widths):
+        if kind == "count":
+            counts = rng.integers(-10**7, 10**7, rows) // 10 ** rng.integers(0, 7, rows)
+            columns.append(counts.tolist())
+            fmt.append("%d")
+        elif kind == "label":
+            columns.append(rng.choice(_LABELS, rows).tolist())
+            fmt.append("%s")
+        elif kind == "grid":
+            pool = [*rng.choice(_SPECIAL_REALS[2:], 2), *rng.random(2)]  # [2:]: no zero
+            pool += [0.0, -0.0] if rng.random() < 0.5 else []
+            columns.append(rng.choice(np.array(pool), rows).tolist())
+            fmt.append("%.17g")
+        else:
+            x = (1.0 + rng.random((rows, width))) * 10.0 ** rng.choice(_EXPONENTS, (rows, width))
+            x *= rng.choice([-1.0, 1.0], (rows, width))
+            special = rng.random((rows, width)) < 0.1
+            x[special] = rng.choice(_SPECIAL_REALS, special.sum())
+            columns.append(x[:, 0] if kind == "vector" else x)
+            fmt += ["%.17g"] * width
+    return columns, ",".join(fmt)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=mixed_tables())
+def test_table_writer_matches_per_row_format(table_path, table):
+    columns, fmt = table
+    cli._write_table(table_path, "h", *columns)
+    cells = [(c[:, None] if c.ndim == 1 else c).tolist() if isinstance(c, np.ndarray)
+             else [[v] for v in c] for c in columns]
+    rows = ["".join(fmt % tuple(v for cell in row for v in cell) + "\n") for row in zip(*cells)]
+    assert table_path.read_bytes() == ("h\n" + "".join(rows)).encode()
 
 
 def half_way_ties(rng, count):

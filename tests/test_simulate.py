@@ -73,18 +73,14 @@ def test_next_event_batches_ties():
 
 
 # every sample mode records the post-batch state at a batch time
-SAMPLE_MODES = pytest.mark.parametrize("mode", ["events", "endpoints", "grid"])
-
-
-def _sample(mode, duration):
-    return [duration] if mode == "grid" else mode
+SAMPLE_MODES = pytest.mark.parametrize("mode", ["events", "endpoints"])
 
 
 @SAMPLE_MODES
 def test_single_cell_period_is_one_regardless_of_feedback(mode):
     # a lone cell never sees a signal while in R, so its period is exactly 1
     for fs in (ZERO, POS, FeedbackSpec.linear(-0.6)):
-        traj = simulate_exact(Population(np.array([0.0])), RP, fs, 1.0, sample=_sample(mode, 1.0))
+        traj = simulate_exact(Population(np.array([0.0])), RP, fs, 1.0, sample=mode)
         assert traj.states[-1][0] == 0.0
         kinds = [e.kind for e in traj.events]
         assert kinds == [
@@ -98,7 +94,7 @@ def test_single_cell_period_is_one_regardless_of_feedback(mode):
 
 @SAMPLE_MODES
 def test_wrap_lands_exactly_on_zero(mode):
-    traj = simulate_exact(Population(np.array([0.9])), RP, ZERO, 0.1, sample=_sample(mode, 0.1))
+    traj = simulate_exact(Population(np.array([0.9])), RP, ZERO, 0.1, sample=mode)
     assert traj.states[-1][0] == 0.0
 
 
@@ -117,10 +113,12 @@ def test_boosted_cell_slows_when_signal_stops():
 def test_piecewise_linear_between_events():
     pop = Population(np.array([0.0, 0.6]))
     ts = np.linspace(0.0, 0.1, 11)
-    traj = simulate_exact(pop, RP, POS, 0.1, sample=ts)
+    # t = 0 is the first row of an "events" run, each later time one "endpoints" run
+    states = np.array([simulate_exact(pop, RP, POS, 0.1).states[0]] + [
+        simulate_exact(pop, RP, POS, t, sample="endpoints").states[-1] for t in ts[1:]])
     # no boundary is reached before t = 0.1, so motion is affine
-    np.testing.assert_allclose(traj.states[:, 0], ts, atol=1e-14)
-    np.testing.assert_allclose(traj.states[:, 1], 0.6 + 1.3 * ts, atol=1e-14)
+    np.testing.assert_allclose(states[:, 0], ts, atol=1e-14)
+    np.testing.assert_allclose(states[:, 1], 0.6 + 1.3 * ts, atol=1e-14)
 
 
 def test_winding_number_preserved():
@@ -171,8 +169,8 @@ def test_section_map_matches_exact_engine():
 
 
 def test_sample_grid_matches_event_snapshots():
-    # a grid of the event times of an "events" run gives the same samples bit
-    # for bit: a grid time at a batch takes the post-batch state
+    # an "endpoints" run to each sample time of an "events" run gives that
+    # row bit for bit: a horizon at a batch takes the post-batch state
     rng = np.random.default_rng(13)
     for trial in range(300):
         k = rng.integers(2, 9)
@@ -184,14 +182,15 @@ def test_sample_grid_matches_event_snapshots():
         duration = rng.uniform(0.5, 3.0)
 
         ref = simulate_exact(pop, rp, fs, duration)
-        traj = simulate_exact(pop, rp, fs, duration, sample=ref.times)
-
-        np.testing.assert_array_equal(traj.times, ref.times)
-        np.testing.assert_array_equal(traj.states, ref.states)
-        assert np.all((traj.states >= 0.0) & (traj.states < 1.0))
-        # one ulp before each stop, a cell about to wrap can round to 1.0
-        early = simulate_exact(pop, rp, fs, duration, sample=np.nextafter(ref.times[1:], 0.0))
-        assert np.all((early.states >= 0.0) & (early.states < 1.0))
+        for t, state in zip(ref.times[1:].tolist(), ref.states[1:]):
+            traj = simulate_exact(pop, rp, fs, t, sample="endpoints")
+            assert traj.times.tolist() == [t]
+            assert traj.states[0].tobytes() == state.tobytes()
+            # a horizon one ulp before a stop is within TIE_TOL of it, so the run
+            # takes the stop: a cell that reaches 1 there is at 0, not at 1.0
+            early = simulate_exact(pop, rp, fs, np.nextafter(t, 0.0), sample="endpoints")
+            assert np.all((early.states >= 0.0) & (early.states < 1.0))
+        assert np.all((ref.states >= 0.0) & (ref.states < 1.0))
 
 
 def test_order_check_covers_wrap_pair(monkeypatch):
@@ -329,7 +328,7 @@ HORIZON_TIE = (Population(np.array([0, 0, 0, 0, 1e-5])),
 def test_batch_within_tie_tol_of_the_horizon_is_in_the_run(mode):
     # the batch is the last stop: the log has the cell's HitCycleEnd, and the
     # horizon state, at exactly the horizon, has it at 0
-    traj = simulate_exact(*HORIZON_TIE, sample=_sample(mode, HORIZON_TIE[-1]))
+    traj = simulate_exact(*HORIZON_TIE, sample=mode)
     assert traj.times[-1] == HORIZON_TIE[-1]
     assert [ev.kind for ev in traj.events if ev.cell == 4][-1] == EventKind.HIT_CYCLE_END
     assert traj.states[-1][4] == 0.0
@@ -347,9 +346,10 @@ def test_run_within_tie_tol_samples_start_and_horizon(duration):
     assert traj.states[0].tobytes() == start.tobytes()
     assert traj.states[1][0] == 0.2
     assert [(ev.cell, ev.kind) for ev in traj.events] == [(0, EventKind.HIT_S_END)]
-    grid = simulate_exact(Population(start), RP, POS, duration, sample=[0.0, duration])
-    assert grid.times.tobytes() == traj.times.tobytes()
-    assert grid.states.tobytes() == traj.states.tobytes()
+    end = simulate_exact(Population(start), RP, POS, duration, sample="endpoints")
+    assert end.times.tobytes() == traj.times[-1:].tobytes()
+    assert end.states.tobytes() == traj.states[-1:].tobytes()
+    assert end.events == traj.events
 
 
 def _draw_cells(data, n):
@@ -460,13 +460,8 @@ def test_built_states_match_the_per_stop_sampler(data):
     # the horizon is its last row
     assume(stops[K - 1] - stops[K - 2] > 1e-9)
     duration = (stops[K - 2] + stops[K - 1]) / 2.0
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    on_stops = rng.integers(0, K + 1)  # grid times on a stop, repeats allowed
-    grid = np.sort(np.concatenate((rng.uniform(0.0, duration, K - on_stops),
-                                   rng.choice(stops[:K - 1], on_stops))))
     assert len(_assert_same_run(pop, rp, fs, duration, "events").states) == K
     _assert_same_run(pop, rp, fs, duration, "endpoints")
-    assert len(_assert_same_run(pop, rp, fs, duration, grid).states) == K
 
 
 @pytest.mark.parametrize("gamma", [0.6, -0.6])
@@ -475,7 +470,6 @@ def test_built_states_match_the_per_stop_sampler_at_n_1000(gamma):
     args = (pop, RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(gamma), 0.4)
     assert len(_assert_same_run(*args, "events").states) > 10 * _CHUNK
     _assert_same_run(*args, "endpoints")
-    _assert_same_run(*args, np.linspace(0.0, 0.4, 3 * _CHUNK + 1))
 
 
 @pytest.mark.parametrize("phases", [[0.3], [0.1, 0.7]])
@@ -490,15 +484,13 @@ def test_cells_crossing_several_times_in_one_block(phases, fs):
     assert np.bincount(first_block, minlength=len(phases)).min() >= 2
 
 
-@pytest.mark.parametrize("mode", ["events", "grid"])
-def test_states_are_built_without_a_second_copy(mode):
+def test_states_are_built_without_a_second_copy():
     # the (K, n) states are the run's one large allocation: no list of rows
     # stacked after the loop, no whole-array temporary in the wrap
     pop = Population(np.random.default_rng(5).random(1000))
-    sample = "events" if mode == "events" else np.linspace(0.0, 0.4, 1500)
     tracemalloc.start()
     try:
-        traj = simulate_exact(pop, RP, POS, 0.4, sample=sample)
+        traj = simulate_exact(pop, RP, POS, 0.4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -526,9 +518,8 @@ def test_event_budget_guard():
         simulate_exact(pop, RP, POS, 50.0, max_events=10)
 
 
-@pytest.mark.parametrize("sample", ["events", "endpoints", np.linspace(0.0, 3.0, 7)])
+@pytest.mark.parametrize("sample", ["events", "endpoints"])
 def test_max_events_is_the_largest_count_allowed(sample):
-    # a grid runs the kernel once per time, so the count must carry over
     pop = Population(np.array([0.05, 0.3, 0.5, 0.9]))
     count = len(simulate_exact(pop, RP, POS, 3.0).events)
     assert len(simulate_exact(pop, RP, POS, 3.0, sample=sample, max_events=count).events) == count
@@ -542,11 +533,12 @@ def test_zero_duration_rejected():
 
 
 def test_sample_times_validation():
+    # the list form of sample times was removed; an array must not reach an
+    # `in` test, where it raises an ambiguous-truth ValueError
     pop = Population(np.array([0.1]))
-    with pytest.raises(ValidationError):
-        simulate_exact(pop, RP, ZERO, 1.0, sample=[0.5, 0.2])
-    with pytest.raises(ValidationError):
-        simulate_exact(pop, RP, ZERO, 1.0, sample=[0.5, 1.5])
+    for sample in ([0.5], np.array([0.2, 0.5]), None):
+        with pytest.raises(ValidationError, match="list form of sample times was removed"):
+            simulate_exact(pop, RP, ZERO, 1.0, sample=sample)
 
 
 def test_noise_spec_validation():
