@@ -35,12 +35,12 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import (CertificateError, _saturating_feedback, _spectra, classify_case,
-                     cyclic_spacing, saturating_feedback)
+from .cyclic import CertificateError, _spectra, classify_case, cyclic_spacing, saturating_feedback
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
-from .returnmap import analytic_F_k2, as_piecewise, compose, fixed_points, numeric_F
-from .simulate import EventKind, NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
+from .returnmap import _section_run, analytic_F_k2, as_piecewise, compose, fixed_points
+from .simulate import (EventKind, NoiseSpec, SimulationError, _em_block, _speed_table,
+                       simulate_exact, simulate_sde)
 
 _DEFAULTS = {
     "simulate": {
@@ -432,17 +432,16 @@ def _sweep_block(args):
     """Rows of the sweep points first, first + 1, ..., one per value, as one
     Euler-Maruyama block; point i draws its start and its noise from
     default_rng([seed, i])."""
-    first, values, cfg, seed = args
+    first, values, cfg, noise, seed = args
     n = int(cfg["n"])
     widths = [1.0 / value for value in values]  # |S| + |R| of each point
     geometry = [RegionParams(s=w / 2.0, r=1.0 - w / 2.0) for w in widths]
     rngs = [np.random.default_rng([seed, first + i]) for i in range(len(values))]
     start = np.array([rng.random(n) for rng in rngs])
-    steps = int(round(cfg["cycles"] / cfg["dt"]))
+    steps = int(round(cfg["cycles"] / noise.dt))
     _, states = _em_block(
         start, [rp.s for rp in geometry], [rp.r for rp in geometry],
-        FeedbackSpec.linear(cfg["gamma"]), NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
-        steps, rngs, steps,
+        FeedbackSpec.linear(cfg["gamma"]), noise, steps, rngs, steps,
     )
     rows = []
     for value, rp, phases in zip(values, geometry, states[-1]):
@@ -464,9 +463,11 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     if bad:
         raise ValidationError(f"sweep values must be > 1, as |S| + |R| = 1/value must be < 1; "
                               f"lo={cfg['lo']!r}, hi={cfg['hi']!r} give {bad[0]!r}")
+    # built here too, before any worker: dt = 0 would divide by zero in _sweep_block
+    noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
     # one block of contiguous points per worker; the rows do not depend on the split
     bounds = [points * i // threads for i in range(threads + 1)]
-    jobs = [(lo, values[lo:hi], cfg, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    jobs = [(lo, values[lo:hi], cfg, noise, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(jobs) > 1:
         import multiprocessing  # here only: with the socket modules it loads, ~10 ms of start-up
 
@@ -496,9 +497,10 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
         "neutral_intervals": [[lo, hi] for lo, hi in report.neutral_intervals],
     })
 
-    # each numeric point is a certificate replay of the closed form
-    fs = saturating_feedback(2, alpha)
-    numeric = np.array([numeric_F([x], rp, fs)[0][0] for x in xs.tolist()])
+    # each numeric point is a certificate replay of the closed form: F(x) is
+    # the trailing cluster's position after one section run from (0, x)
+    speeds = _speed_table(saturating_feedback(2, alpha), 2).tolist()
+    numeric = np.array([_section_run([0.0, x], rp, speeds)[1][0] for x in xs.tolist()])
     _write_table(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
                  xs, analytic, numeric, np.abs(analytic - numeric))
     return 0
@@ -617,8 +619,6 @@ def main(argv=None) -> int:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         threads = max(1, min(ns.threads, os.cpu_count() or 1))
-        # a command's work must not depend on the commands run before it in the process
-        _saturating_feedback.cache_clear()
         code = _COMMANDS[ns.command](cfg, ns.seed, out, threads)
         _write_metadata(out, ns.command, cfg, ns.seed)
         return code

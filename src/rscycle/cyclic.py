@@ -21,14 +21,13 @@ the two answers must agree.  An atlas computes both spectra of all its
 rows for one k as one stack (`_spectra`): one eigvals call per solve and
 one Horner loop per polynomial, bit for bit the answer of one row alone.
 
-A certificate replay needs the profile `saturating_feedback(k, beta)` and
-the engine's speed table for it, and an atlas replays the same (k, beta)
-thousands of times.  The validated profile is built once per (k, beta), in
-a bounded cache keyed on (k, beta) that each CLI command empties before it
-runs, and the shared spec keeps the last speed table built for it (see
-`simulate._speed_table`).  Sharing is safe because a FeedbackSpec is frozen
-and its table is read-only.  Every replay still runs, as the section map's
-private run `returnmap._section_run`: floats and (cluster, code) hits, checked
+Along a cyclic solution the signaling fraction only takes the values 0
+and 1/k, so a certificate replay builds no profile: it runs with the k + 1
+speeds [1, 1 + beta, ..., 1 + beta], indexed by the count in S, which are
+bit for bit the speed table of `saturating_feedback(k, beta)`.  The window
+that profile's validation enforces, 1 + beta >= FeedbackSpec.v_min, is
+checked by `classify_case`.  Every replay runs as the section map's private
+run `returnmap._section_run`: floats and (cluster, code) hits, checked
 against a table per case, so a replay does no numpy work.
 """
 
@@ -36,7 +35,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from operator import sub
 from typing import List, Sequence, Tuple
 
@@ -81,17 +79,12 @@ def saturating_feedback(k: int, beta: float) -> FeedbackSpec:
     Along a cyclic k-cluster solution the signaling fraction only takes the
     values 0 and 1/k, so any profile through (1/k, beta) gives the same
     dynamics; this one saturates so H3 holds even when a linear profile
-    through the same point would not.  Equal (k, beta) share one frozen spec.
+    through the same point would not.
 
     A subnormal beta gives f = 0: its ramp underflows to 0 near I = 0, which
     no profile may do, and 1 + beta is exactly 1, so the speeds are those of
     zero feedback either way.
     """
-    return _saturating_feedback(k, beta)
-
-
-@lru_cache(maxsize=128)
-def _saturating_feedback(k: int, beta: float) -> FeedbackSpec:
     if abs(beta) < np.finfo(float).tiny:
         return FeedbackSpec.linear(0.0)
     return FeedbackSpec.tabulated([(0.0, 0.0), (1.0 / k, beta), (1.0, beta)])
@@ -133,7 +126,7 @@ def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
     except ValidationError:
         return None
     start = [i * d for i in range(k)]
-    t1, final, hits = _section_run(start, rp, saturating_feedback(k, beta))
+    t1, final, hits = _section_run(start, rp, [1.0] + [1.0 + beta] * k)
     residual = max(max(map(abs, map(sub, final, start[1:] + [1.0]))), abs(t1 - d))
     if residual >= _CLOSURE_TOL:
         return None
@@ -157,6 +150,9 @@ def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
         raise ValidationError("need k >= 2")
     if not math.isfinite(beta) or abs(beta) >= 1.0:
         raise ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
+    if 1.0 + beta < FeedbackSpec.v_min:  # the window saturating_feedback(k, beta) enforces
+        raise ValidationError(f"speed 1 + beta = {1.0 + beta!r} is below the admissible "
+                              f"minimum {FeedbackSpec.v_min}")
     M = max_isolated_clusters(rp)
     if k != M + 1:
         warnings.warn(

@@ -10,8 +10,8 @@ feedback profile with f(0) = 0.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class FeedbackSpec:
     theta: Optional[float] = None
     h: Optional[float] = None
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    # the last (n, read-only speed table, its list) that simulate._speed_law built for this spec
-    _speed_memo: Optional[Tuple[int, np.ndarray, List[float]]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def linear(cls, gamma: float) -> "FeedbackSpec":
@@ -190,10 +187,6 @@ class FeedbackSpec:
                 f"[{self.v_min}, {self.v_max}]: range "
                 f"[{speeds.min():.6g}, {speeds.max():.6g}]"
             )
-
-    def __getstate__(self):
-        # a copy or a pickle starts without the memo: an unpickled table is writeable
-        return {**self.__dict__, "_speed_memo": None}
 
     def __call__(self, I):
         """Evaluate f at a signaling fraction in [0, 1]."""

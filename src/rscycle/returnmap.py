@@ -18,11 +18,12 @@ piecewise-affine representation.
 The numeric map is the exact engine's region-clock kernel, `simulate._Flow`:
 one call of its loop, `_Flow.run`, which ends after the first batch in which
 a cluster reaches 1, so the two cannot drift apart.  That run is written
-once, `_section_run`: floats in, floats and (cluster, code) hits out, no
-numpy and no EventKind.  `numeric_F` and the cyclic certificates call it
-directly; `advance_to_section` checks its positions (finite, ascending in
-[0, 1], else ValidationError, the check `numeric_F` makes too), calls it
-and converts the result to a float, an array and [(cluster, EventKind)].
+once, `_section_run`: floats and a speed list (indexed by the count in S)
+in, floats and (cluster, code) hits out, no numpy and no EventKind.
+`advance_to_section` and `numeric_F` check their positions (finite,
+ascending in [0, 1], else ValidationError), build the list from their
+profile and call it; callers that replay many points, the cyclic
+certificates and the CLI's return map, pass one list to every call.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .model import CertificateError, FeedbackSpec, RegionParams, ValidationError
-from .simulate import _KIND_OF_CODE, _Flow
+from .simulate import _KIND_OF_CODE, _Flow, _speed_table
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
@@ -54,13 +55,14 @@ def _ascending(points, message: str) -> List[float]:
     return pos
 
 
-def _section_run(pos: List[float], rp: RegionParams, fs: FeedbackSpec):
-    """`advance_to_section` of floats pos, unchecked and unconverted: the
-    final positions are a list (pos itself if its leader is on the section)
-    and each hit is (cluster index, crossing code of `_Flow.run`)."""
+def _section_run(pos: List[float], rp: RegionParams, speeds: List[float]):
+    """`advance_to_section` of floats pos, unchecked and unconverted, with
+    speeds[j] the speed in R while j clusters are in S: the final positions
+    are a list (pos itself if its leader is on the section) and each hit is
+    (cluster index, crossing code of `_Flow.run`)."""
     if pos[-1] >= 1.0:
         return 0.0, pos, []
-    flow = _Flow(pos, rp, fs)
+    flow = _Flow(pos, rp, speeds)
     log, _ = flow.run(max_stops=3 * len(pos) + 10, to_section=True)
     finished = [i for _, i, code in log[-1][2] if code == 2]
     if not finished:
@@ -84,7 +86,7 @@ def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
     (a correct advance makes at most 2k + 1).
     """
     pos = _ascending(positions, "positions must be finite and ascend in [0, 1]")
-    t1, final, hits = _section_run(pos, rp, fs)
+    t1, final, hits = _section_run(pos, rp, _speed_table(fs, len(pos)).tolist())
     return t1, np.array(final), [(i, _KIND_OF_CODE[code]) for i, code in hits]
 
 
@@ -98,7 +100,7 @@ def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
     """
     # an empty p (k = 1) has no section map
     p = _ascending(p, "simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
-    t1, final, _ = _section_run([0.0, *p], rp, fs)
+    t1, final, _ = _section_run([0.0, *p], rp, _speed_table(fs, len(p) + 1).tolist())
     return np.array(final[:-1]), t1
 
 

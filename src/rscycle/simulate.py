@@ -37,9 +37,12 @@ costs O(batch) work.  One loop, `_Flow.run`, steps the flow: it holds the
 clocks, the speed, the three heads' due clocks and the queues in locals,
 stops at the horizon, after a stop budget or, for the section map, after
 the first batch in which a cell reaches 1, and returns its stops as a log
-of (t, tau, batch).  `_Flow` takes its cells as lists of Python floats;
-the section map reads them back as a list (`phase_list`), so a replay of a
-few clusters does no numpy work per call.
+of (t, tau, batch).  `_Flow` takes its cells and its speed law as lists of
+Python floats, the speeds indexed by the count in S: `simulate_exact`
+builds the list from `_speed_table` once per run, and the section map's
+replay, `returnmap._section_run`, takes the list from its caller.  The
+section map reads the cells back as a list (`phase_list`), so a replay of
+a few clusters does no numpy work per call.
 
 `simulate_exact` runs the loop once, to the horizon, and builds the event
 records and the sampled states from the log after it.  A crossing's code
@@ -110,29 +113,10 @@ class Trajectory:
         return Population(wrap01(self.states[-1]))
 
 
-def _speed_law(fs: FeedbackSpec, n: int):
-    """The speed law for n cells as (n, table, list): entry j of the table,
-    and of the same values as Python floats, is the speed 1 + f(j/n) in R
-    while j cells are in S (cells outside R move at 1).
-
-    Memoized on the spec object: fs keeps the last law built for it, so
-    every replay of one shared spec (the section map's) reads one table.
-    Sharing is safe because the spec is frozen and the table is read-only.
-    The memo lives and dies with the spec, so a run's work does not depend
-    on earlier runs in the process.
-    """
-    memo = fs._speed_memo
-    if memo is None or memo[0] != n:
-        table = 1.0 + fs(np.arange(n + 1) / n)
-        table.flags.writeable = False
-        memo = (n, table, table.tolist())
-        object.__setattr__(fs, "_speed_memo", memo)  # fs is frozen; the memo is not part of its value
-    return memo
-
-
 def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
-    """The read-only speed table of `_speed_law`."""
-    return _speed_law(fs, n)[1]
+    """The speed law for n cells: entry j is the speed 1 + f(j/n) in R while
+    j cells are in S (cells outside R move at 1)."""
+    return 1.0 + fs(np.arange(n + 1) / n)
 
 
 _ORDER_ERROR = "cyclic order violated; integration bug"
@@ -147,10 +131,12 @@ class _Flow:
     crossed sits exactly on the boundary.  Codes: 0 is S and its end s, 1 is
     the middle arc and r, 2 is R and 1.  due holds, per code, the region
     clock at which the queue's head reaches the region's end (inf if the
-    queue is empty); event_count counts the crossings made so far.
+    queue is empty); event_count counts the crossings made so far.  speeds
+    is the speed law as a list, entry j the speed in R while j cells are in
+    S, as `_speed_table` gives it.
     """
 
-    def __init__(self, phases: List[float], rp: RegionParams, fs: FeedbackSpec):
+    def __init__(self, phases: List[float], rp: RegionParams, speeds: List[float]):
         n, s, r = len(phases), rp.s, rp.r
         region = [0 if p < s else 1 if p < r else 2 for p in phases]
         # per-cell state in lists: run() reads and writes them per crossing,
@@ -165,10 +151,9 @@ class _Flow:
         self.ends, self.starts = (s, r, 1.0), (s, r, 0.0)  # region end, next start
         self.due = (s - phases[q0[0]] if q0 else math.inf, r - phases[q1[0]] if q1 else math.inf,
                     1.0 - phases[q2[0]] if q2 else math.inf)
-        self._v = _speed_law(fs, n)[2]  # indexed by the count in S
-        self.v = self._v[len(q0)]
+        self.speeds, self.v = speeds, speeds[len(q0)]
         self.t = self.tau = 0.0
-        self.event_count, self.fs = 0, fs  # fs names the run in the runaway message
+        self.event_count = 0
 
     def run(self, horizon=math.inf, max_events=math.inf, max_stops=math.inf, to_section=False):
         """Step the flow from stop to stop; return (log, offset).
@@ -193,7 +178,7 @@ class _Flow:
         """
         t, tau, v, (d0, d1, d2), events = self.t, self.tau, self.v, self.due, self.event_count
         q0, q1, q2 = self.queues
-        entry, since, region, speeds = self.entry, self.since, self.region, self._v
+        entry, since, region, speeds = self.entry, self.since, self.region, self.speeds
         (e0, e1, e2), (s0, s1, s2) = self.ends, self.starts
         late, near, tol, inf = horizon + TIE_TOL, horizon - TIE_TOL, TIE_TOL, math.inf
         log, offset, stops = [], None, 0
@@ -257,8 +242,8 @@ class _Flow:
             events += len(batch)
             if events > max_events:
                 raise SimulationError(
-                    f"event count exceeded {max_events} (s={e0}, r={e1}, "
-                    f"feedback={self.fs.kind}, n={len(entry)}); aborting runaway run")
+                    f"event count exceeded {max_events} (s={e0}, r={e1}, n={len(entry)}); "
+                    "aborting runaway run")
             if t >= near:
                 offset = 0.0
                 break
@@ -404,7 +389,7 @@ def simulate_exact(
         raise ValidationError(f'sample must be "events" or "endpoints", got {sample!r} '
                               "(the list form of sample times was removed)")
 
-    flow = _Flow(pop.phases.tolist(), rp, fs)
+    flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
     start = flow.arrays() if sample == "events" else None
     log, offset = flow.run(duration, max_events=max_events)
     # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon

@@ -13,7 +13,7 @@ from operator import itemgetter
 import numpy as np
 
 from rscycle.model import TIE_TOL, wrap01
-from rscycle.simulate import _KIND_OF_CODE, EventRecord, Trajectory, _Flow
+from rscycle.simulate import _KIND_OF_CODE, EventRecord, Trajectory, _Flow, _speed_table
 
 
 def phases(flow, offset=0.0):
@@ -33,7 +33,7 @@ def _snapshot(flow):
 def simulate_exact(pop, rp, fs, duration, sample="events"):
     """`simulate_exact` with the per-stop sampler, for valid arguments."""
     grid = None if sample == "events" else [duration]
-    flow = _Flow(pop.phases.tolist(), rp, fs)
+    flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
     times, states, events = [], [], []
     pending = 0
     t = 0.0

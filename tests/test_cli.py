@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import sde_oracle
 import spectrum_oracle
-from rscycle import cli, cyclic
-from rscycle.cyclic import classify_case, cyclic_spacing, saturating_feedback
-from rscycle.model import CertificateError, RegionParams, max_isolated_clusters
+from rscycle import cli
+from rscycle.cyclic import classify_case, cyclic_spacing
+from rscycle.model import CertificateError, FeedbackSpec, RegionParams, max_isolated_clusters
 from rscycle.returnmap import as_piecewise
 from rscycle.simulate import EventKind, EventRecord, SimulationError, Trajectory
 
@@ -137,13 +137,36 @@ def test_retmap_outputs(tmp_path):
     assert worst < 1e-9
 
 
-def test_each_command_starts_with_an_empty_profile_cache(tmp_path):
-    # a command's work must not depend on the commands run before it
-    saturating_feedback(3, 0.3)
-    cfg = write_config(tmp_path, "c.json", {"grid": 5})
-    assert run_cli(["retmap", "--config", cfg, "--out", str(tmp_path)]) == 0
-    info = cyclic._saturating_feedback.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)  # retmap's own (2, alpha), built once
+def test_commands_write_the_same_bytes_alone_and_in_sequence(tmp_path):
+    # a command's work must not depend on the commands run before it: each
+    # alone in a fresh process, then both in this one, in either order
+    argv = {"retmap": ["retmap", "--config", write_config(tmp_path, "rm.json", {"grid": 40})],
+            "cyclic": ["cyclic", "--config", write_config(tmp_path, "cy.json", {
+                "k_min": 2, "k_max": 4, "beta_points": 7, "region_grid": 16})]}
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    alone = {}
+    for command, args in argv.items():
+        out = tmp_path / f"alone-{command}"
+        subprocess.run([sys.executable, "-m", "rscycle.cli", *args, "--out", str(out)], check=True)
+        alone[command] = files(out)
+    for order in (["retmap", "cyclic"], ["cyclic", "retmap"]):
+        for command in order:
+            out = tmp_path / f"{order[0]}-first-{command}"
+            assert run_cli([*argv[command], "--out", str(out)]) == 0
+            assert files(out) == alone[command]
+
+
+def test_cyclic_builds_no_feedback_profile(tmp_path, monkeypatch):
+    # every certificate replays on the speeds [1, 1 + beta, ...] of its
+    # (k, beta): the default atlas makes and validates no FeedbackSpec
+    made = []
+    real = FeedbackSpec.__post_init__
+    monkeypatch.setattr(FeedbackSpec, "__post_init__", lambda self: made.append(self) or real(self))
+    assert run_cli(["cyclic", "--out", str(tmp_path)]) == 0
+    assert made == []
 
 
 def test_cyclic_outputs(tmp_path):
@@ -234,6 +257,19 @@ def test_sweep_value_not_above_one_exit_code(tmp_path, monkeypatch, capsys, thre
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
+    # dt is checked before the horizon is divided by it and before any worker
+    # starts; it once raised ZeroDivisionError
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, "c.json", {"n": 20, "points": 2, "cycles": 1.0, "dt": 0})
+    out = tmp_path / "x"
+    assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: dt must lie in") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"does_not_exist": 1}),
     ("simulate", {"feedback": {"kind": "hill", "gamma": 0.5}}),
@@ -255,12 +291,15 @@ def test_sweep_value_not_above_one_exit_code(tmp_path, monkeypatch, capsys, thre
     ("sweep-fig4", {"n": 50, "points": 3, "cycles": 0.001}),
     ("simulate", {"engine": "sde", "n": 5, "cycles": 0.001}),
     ("simulate", {"initial": [0.1, 0.2], "n": 50, "cycles": 1}),
+    ("retmap", {"alpha": -0.97, "grid": 5}),
+    ("cyclic", {"beta_lo": -0.97, "region_grid": 4}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
         "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
         "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
-        "sde-horizon-below-one-step", "initial-length-not-n"])
+        "sde-horizon-below-one-step", "initial-length-not-n", "retmap-speed-below-window",
+        "cyclic-speed-below-window"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2

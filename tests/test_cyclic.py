@@ -65,10 +65,9 @@ def test_saturating_feedback_pins_value_at_one_over_k():
             assert fs(1.0) == pytest.approx(beta, abs=1e-15)
 
 
-def test_saturating_feedback_is_one_shared_spec_per_k_beta():
+def test_saturating_feedback_is_a_frozen_spec_per_k_beta():
     fs = saturating_feedback(3, 0.4)
     assert saturating_feedback(3, 0.4) == fs
-    assert saturating_feedback(3, 0.4) is fs
     assert saturating_feedback(4, 0.4) != fs
     assert saturating_feedback(3, -0.4) != fs
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -84,28 +83,31 @@ def test_saturating_feedback_subnormal_beta_is_zero_feedback(beta):
     assert simulate._speed_table(fs, 4).tobytes() == zero.tobytes()
 
 
-@pytest.mark.parametrize("k,beta", [(2, 0.45), (3, -0.3), (4, 0.25), (5, -0.15)])
-def test_cached_spec_and_table_change_no_result(k, beta):
-    # a small (r, s) grid inside the k = M+1 band, each point computed with
-    # a cold cache (fresh specs, so fresh speed tables), then again warm
-    points = []
-    for a in (0.2, 0.5, 0.8):
-        width = 1.0 / k + a * (1.0 / (k - 1) - 1.0 / k)
-        for b in (0.2, 0.5, 0.8):
-            s = 0.02 + b * (width - 0.03)
-            points.append(RegionParams(s=s, r=1.0 - (width - s)))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_replay_speeds_are_the_saturating_table(data):
+    # a certificate replays with [1, 1 + beta, ..., 1 + beta]: bit for bit the
+    # speed table of the profile it stands for, a subnormal beta included
+    k = data.draw(st.integers(2, 12))
+    tiny = np.finfo(float).tiny
+    beta = data.draw(st.one_of(
+        st.floats(-0.95, 1.0, exclude_max=True),
+        st.floats(-tiny, tiny, exclude_min=True, exclude_max=True),  # the subnormals and zeros
+        st.sampled_from([1.0 / k, -0.95])))
+    table = simulate._speed_table(saturating_feedback(k, beta), k).tolist()
+    assert [x.hex() for x in [1.0] + [1.0 + beta] * k] == [x.hex() for x in table]
 
-    def result(rp):
-        case = classify_case(rp, k, beta)
-        return case, cyclic_spacing(case, rp, k, beta), cyclic_solution(rp, k, beta)
 
-    cold = []
-    for rp in points:
-        cyclic._saturating_feedback.cache_clear()
-        cold.append(result(rp))
-    hits = cyclic._saturating_feedback.cache_info().hits
-    assert [result(rp) for rp in points] == cold
-    assert cyclic._saturating_feedback.cache_info().hits > hits
+@pytest.mark.parametrize("k,r,s", [(2, 0.6, 0.2), (3, 0.65, 0.1)])
+def test_beta_below_the_speed_window_is_rejected(k, r, s):
+    # 1 + beta must reach FeedbackSpec.v_min = 0.05, as for any profile
+    rp = RegionParams(s=s, r=r)
+    for beta in (-0.97, float(np.nextafter(-0.95, -1.0))):
+        with pytest.raises(ValidationError):
+            classify_case(rp, k, beta)
+        with pytest.raises(ValidationError):
+            cyclic_solution(rp, k, beta)
+    assert cyclic_solution(rp, k, -0.95).case is classify_case(rp, k, -0.95)
 
 
 def test_classification_boundaries_consistent():

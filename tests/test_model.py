@@ -16,7 +16,7 @@ from rscycle.model import (
     max_isolated_clusters,
     wrap01,
 )
-from rscycle.simulate import _Flow
+from rscycle.simulate import _Flow, _speed_table
 
 # Hand-computed interaction lengths and cluster capacities:
 #   (r, s) = (0.6, 0.2)  -> |R|+|S| = 0.6,  floor(1/0.6)  = 1
@@ -48,7 +48,7 @@ def test_region_params_rejects_bad_arcs(s, r):
 def _regions(phases, rp):
     """The region of each phase as the exact kernel splits them: 0 is S, 1 the
     middle arc, 2 is R."""
-    return list(_Flow(list(phases), rp, FeedbackSpec.none()).region)
+    return list(_Flow(list(phases), rp, [1.0] * (len(phases) + 1)).region)
 
 
 def test_region_of_boundary_conventions():
@@ -216,6 +216,11 @@ def test_population_validation_and_weights():
         Population(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
 
 
+def test_feedback_spec_is_its_profile_alone():
+    # a spec holds its profile's parameters and nothing a run builds from them
+    assert [f.name for f in fields(FeedbackSpec)] == ["kind", "gamma", "theta", "h", "table"]
+
+
 @pytest.mark.parametrize("phases", [[np.nan, 0.3], [0.1, np.inf]], ids=["nan-phase", "inf-phase"])
 def test_population_rejects_non_finite(phases):
     with pytest.raises(ValidationError):
@@ -226,4 +231,4 @@ def test_signaling_fraction_uniform():
     # two of four cells in S: I = 0.5, read from the count table
     fs = FeedbackSpec.linear(0.6)
     phases, rp = [0.05, 0.1, 0.3, 0.7], RegionParams(s=0.2, r=0.6)
-    assert _Flow(phases, rp, fs).v == pytest.approx(1.3)
+    assert _Flow(phases, rp, _speed_table(fs, len(phases)).tolist()).v == pytest.approx(1.3)

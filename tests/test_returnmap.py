@@ -15,7 +15,7 @@ from rscycle.returnmap import (
     advance_to_section,
     numeric_F,
 )
-from rscycle.simulate import _KIND_OF_CODE, _Flow
+from rscycle.simulate import _KIND_OF_CODE, _Flow, _speed_table
 
 RP1 = RegionParams(s=0.2, r=0.6)     # shallow signaling arc: first regime
 RP2 = RegionParams(s=0.5, r=0.7)     # deep signaling arc: second regime
@@ -264,7 +264,7 @@ def test_private_replay_is_the_public_advance(data):
     rp = RegionParams(s=s, r=data.draw(st.floats(s + 0.02, 0.97)))
     beta = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.01, 0.9))
     fs = saturating_feedback(k, beta)
-    t1, final, hits = _section_run(list(starts), rp, fs)
+    t1, final, hits = _section_run(list(starts), rp, _speed_table(fs, k).tolist())
     t1_pub, final_pub, hits_pub = advance_to_section(starts, rp, fs)
     assert type(t1) is type(t1_pub) is float and t1.hex() == t1_pub.hex()
     assert all(type(x) is float for x in final)

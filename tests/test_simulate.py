@@ -33,7 +33,7 @@ ZERO = FeedbackSpec.none()
 
 def _flow(phases):
     pop = Population(np.array(phases))
-    return _Flow(pop.phases.tolist(), RP, POS)
+    return _Flow(pop.phases.tolist(), RP, _speed_table(POS, len(pop)).tolist())
 
 
 def _speeds_of(flow):
@@ -378,7 +378,7 @@ def test_phase_list_is_phases_bit_for_bit(data):
     # at the start and after each batch of a run of several laps
     n = data.draw(st.integers(1, 12))
     phases, rp, fs = _draw_cells(data, n)
-    flow = _Flow(phases, rp, fs)
+    flow = _Flow(phases, rp, _speed_table(fs, n).tolist())
     start, clocks, log, lists = _start(flow), [(0.0, 0.0, 0.0)], [], [flow.phase_list()]
     for _ in range(data.draw(st.integers(1, 8 * n))):
         [(t, tau, batch)], _ = flow.run(max_stops=1)
@@ -398,7 +398,7 @@ def test_queues_are_the_per_cell_fill(data):
     n = data.draw(st.integers(1, 12))
     phases, rp, fs = _draw_cells(data, n)
     phases = [data.draw(st.sampled_from([p, rp.s, rp.r, 0.0])) for p in phases]
-    flow = _Flow(phases, rp, fs)
+    flow = _Flow(phases, rp, _speed_table(fs, n).tolist())
     want = ([], [], [])
     for i in sorted(range(n), key=phases.__getitem__, reverse=True):
         want[0 if phases[i] < rp.s else 1 if phases[i] < rp.r else 2].append(i)
@@ -408,7 +408,7 @@ def test_queues_are_the_per_cell_fill(data):
 
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
-    flow = _Flow([-1e-300, 0.5], RP, POS)
+    flow = _Flow([-1e-300, 0.5], RP, _speed_table(POS, 2).tolist())
     built = _build_event_states(np.zeros((1, 3)), _start(flow), [], flow.starts)[0]
     assert _hex(flow.phase_list()) == _hex(built) == _hex(sampler_oracle.phases(flow))
     assert _hex(built) == _hex([0.0, 0.5])
@@ -655,26 +655,13 @@ def test_sde_samples_match_reference(fs):
     assert traj.states.tobytes() == states.tobytes()
 
 
-def test_speed_table_is_a_read_only_memo():
+def test_speed_table_is_one_plus_f():
     fs = FeedbackSpec.linear(0.6)
     table = _speed_table(fs, 10)
-    with pytest.raises(ValueError):
-        table[3] = 2.0
-    assert _speed_table(fs, 10) is table
     assert table.tobytes() == (1.0 + fs(np.arange(11) / 10)).tobytes()
-    assert fs == POS and repr(fs) == repr(POS)  # the memo is not part of the spec's value
     for twin in (copy.deepcopy(fs), pickle.loads(pickle.dumps(fs))):
-        assert twin == fs and twin._speed_memo is None
-        with pytest.raises(ValueError):
-            _speed_table(twin, 10)[3] = 2.0
-
-
-def test_flows_of_one_spec_share_one_speed_list():
-    # the kernel reads the memoized list; no construction converts the table
-    fs = FeedbackSpec.linear(0.6)
-    speeds = _Flow([0.1, 0.7], RP, fs)._v
-    assert _Flow([0.3, 0.9], RP, fs)._v is speeds
-    assert speeds == _speed_table(fs, 2).tolist()
+        assert twin == fs and repr(twin) == repr(fs)
+        assert _speed_table(twin, 10).tobytes() == table.tobytes()
 
 
 def test_equal_specs_give_the_same_table():
