@@ -35,12 +35,11 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import CertificateError, _spectra, classify_case, cyclic_spacing, saturating_feedback
+from .cyclic import CertificateError, _cluster_speeds, _spectra, classify_case, cyclic_solution
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_run, analytic_F_k2, as_piecewise, compose, fixed_points
-from .simulate import (EventKind, NoiseSpec, SimulationError, _em_block, _speed_table,
-                       simulate_exact, simulate_sde)
+from .simulate import EventKind, NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
 
 _DEFAULTS = {
     "simulate": {
@@ -159,8 +158,8 @@ def _load_config(path, command: str, overrides: dict) -> dict:
     return cfg
 
 
-# The table writer formats a real in numpy when 1e-5 <= x < 1e15 (its
-# decimal exponent E lies in [-5, 14]) or x is +0.0; every other value
+# The table writer formats a real in numpy when 1e-4 <= x < 1e15 (its
+# decimal exponent E lies in [-4, 14]) or x is +0.0; every other value
 # (negative, -0.0, tiny, huge, non-finite) goes through "%.17g" one by one.
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each one exact
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
@@ -209,7 +208,7 @@ def _div_10k(x):
 
 
 def _decimal_digits(x):
-    """(D, E) for float64 x in [1e-5, 1e15): D, in [10**16, 10**17), holds
+    """(D, E) for float64 x in [1e-4, 1e15): D, in [10**16, 10**17), holds
     the 17 significant digits of x rounded half-even, and E is the decimal
     exponent, so that D * 10**(E - 16) is x rounded."""
     # E is fixed up from the exact product before rounding, so a value just
@@ -259,19 +258,19 @@ def _packed_digits(D):
 def _format_g17(x, sep) -> bytes:
     """The bytes of "%.17g" % v + chr(s) for each value v of the float64
     vector x and separator byte s of sep, joined."""
-    fast = (x >= 1e-5) & (x < 1e15)
+    fast = (x >= 1e-4) & (x < 1e15)
     D, E = _decimal_digits(np.where(fast, x, 1.0))
     packed, zeros = _packed_digits(D)
     del D  # freed before the layout, to keep the peak memory low
 
-    # %g layout: fixed for -4 <= E < 17, else d.ddde-XX; trailing zeros and
-    # a bare "." dropped.  Every row gets E = -1 ("0." + 17 digits in bytes
-    # 1-19), then the other exponents are patched group by group.
+    # %g layout: fixed, as -4 <= E < 17; trailing zeros and a bare "."
+    # dropped.  Every row gets E = -1 ("0." + 17 digits in bytes 1-19),
+    # then the other exponents are patched group by group.
     buf = packed.view(np.uint8)
     length = 19 - zeros
     other = np.flatnonzero(E != -1)
     # np.bincount, not np.unique: the first np.unique imports numpy.ma (~20 ms)
-    for e in (np.flatnonzero(np.bincount(E[other] + 5)) - 5).tolist():
+    for e in (np.flatnonzero(np.bincount(E[other] + 4)) - 4).tolist():
         i = other[E[other] == e]
         digits = buf[i, 3:20]
         if e >= 0:
@@ -279,16 +278,10 @@ def _format_g17(x, sep) -> bytes:
             buf[i, e + 2] = ord(".")
             buf[i, e + 3:19] = digits[:, e + 1:]
             length[i] = np.where(zeros[i] >= 16 - e, e + 1, 18 - zeros[i])
-        elif e >= -4:
+        else:
             buf[i, 3:2 - e] = ord("0")
             buf[i, 2 - e:19 - e] = digits
             length[i] -= e + 1
-        else:  # e == -5
-            buf[i, 1] = digits[:, 0]
-            buf[i, 3:19] = digits[:, 1:]
-            mantissa = np.where(zeros[i] == 16, 1, 18 - zeros[i])
-            buf[i[:, None], mantissa[:, None] + np.arange(1, 5)] = np.frombuffer(b"e-05", np.uint8)
-            length[i] = mantissa + 4
     zero = (x == 0.0) & ~np.signbit(x)
     buf[zero, 1] = ord("0")
     length[zero] = 1
@@ -465,6 +458,8 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
                               f"lo={cfg['lo']!r}, hi={cfg['hi']!r} give {bad[0]!r}")
     # built here too, before any worker: dt = 0 would divide by zero in _sweep_block
     noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
+    # and the histogram settings, checked on one cell: _sweep_block counts only after the sweep
+    count_clusters_histogram(Population(np.zeros(1)), int(cfg["bins"]), cfg["occupancy_threshold"])
     # one block of contiguous points per worker; the rows do not depend on the split
     bounds = [points * i // threads for i in range(threads + 1)]
     jobs = [(lo, values[lo:hi], cfg, noise, seed) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
@@ -486,6 +481,8 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     if alpha == 0.0:
         raise ValidationError("alpha = 0 gives the degenerate involution; nothing to map")
     F = as_piecewise(rp, alpha)
+    # the replay speeds, built here so that alpha is checked before any file is written
+    speeds = _cluster_speeds(2, alpha)
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
     analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call
@@ -499,7 +496,6 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
     # each numeric point is a certificate replay of the closed form: F(x) is
     # the trailing cluster's position after one section run from (0, x)
-    speeds = _speed_table(saturating_feedback(2, alpha), 2).tolist()
     numeric = np.array([_section_run([0.0, x], rp, speeds)[1][0] for x in xs.tolist()])
     _write_table(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
                  xs, analytic, numeric, np.abs(analytic - numeric))
@@ -519,15 +515,10 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
         # band-midpoint geometry with |R| = |S| so that k = M + 1
         w = 1.0 / (k - 0.5)
         rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
-        rows = []
-        for beta in betas.tolist():
-            if beta == 0.0:
-                continue
-            case = classify_case(rp, k, beta)
-            rows.append((beta, case, cyclic_spacing(case, rp, k, beta)))
-        reports = _spectra(k, [(beta, case) for beta, case, _ in rows])
-        spectrum_rows += [(k, beta, case.value, d, rep.spectral_radius, rep.min_modulus)
-                          for (beta, case, d), rep in zip(rows, reports)]
+        solutions = [cyclic_solution(rp, k, beta) for beta in betas.tolist() if beta != 0.0]
+        reports = _spectra(k, [(sol.beta, sol.case) for sol in solutions])
+        spectrum_rows += [(k, sol.beta, sol.case.value, sol.d, rep.spectral_radius,
+                           rep.min_modulus) for sol, rep in zip(solutions, reports)]
     columns = _columns(spectrum_rows, 6)
     _write_table(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
                  *columns[:3], np.column_stack(columns[3:]))
@@ -617,7 +608,10 @@ def main(argv=None) -> int:
             raise ValidationError(f"seed must be a non-negative integer, got {ns.seed}")
         cfg = _load_config(ns.config, ns.command, overrides)
         out = Path(ns.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {out}: {exc.strerror}")
         threads = max(1, min(ns.threads, os.cpu_count() or 1))
         code = _COMMANDS[ns.command](cfg, ns.seed, out, threads)
         _write_metadata(out, ns.command, cfg, ns.seed)

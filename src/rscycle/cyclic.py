@@ -22,13 +22,13 @@ rows for one k as one stack (`_spectra`): one eigvals call per solve and
 one Horner loop per polynomial, bit for bit the answer of one row alone.
 
 Along a cyclic solution the signaling fraction only takes the values 0
-and 1/k, so a certificate replay builds no profile: it runs with the k + 1
-speeds [1, 1 + beta, ..., 1 + beta], indexed by the count in S, which are
-bit for bit the speed table of `saturating_feedback(k, beta)`.  The window
-that profile's validation enforces, 1 + beta >= FeedbackSpec.v_min, is
-checked by `classify_case`.  Every replay runs as the section map's private
-run `returnmap._section_run`: floats and (cluster, code) hits, checked
-against a table per case, so a replay does no numpy work.
+and 1/k, so a certificate replay builds no profile: it runs with the speeds
+of `_cluster_speeds`, [1, 1 + beta, ..., 1 + beta] by the count in S, bit
+for bit the table of `saturating_feedback(k, beta)` and checked against
+that profile's speed window.  `_certify` holds every check and replay of
+`classify_case` and `cyclic_solution` and returns (case, d, residual) from
+the replay that verified the case.  Each replay is a `_section_run` of the
+section map: floats and (cluster, code) hits, so it does no numpy work.
 """
 
 import math
@@ -119,20 +119,70 @@ _CERTIFYING_HITS = {
 }
 
 
-def _verify_case(case: Case, rp: RegionParams, k: int, beta: float):
-    """Replay the candidate cyclic solution; return (d, residual) or None."""
+def _cluster_speeds(k: int, beta: float) -> List[float]:
+    """The speeds of a cyclic k-cluster solution by the count in S, the
+    table of `saturating_feedback(k, beta)`, if 1 + beta lies in the window
+    [FeedbackSpec.v_min, FeedbackSpec.v_max] that profile's validation enforces."""
+    if not FeedbackSpec.v_min <= 1.0 + beta <= FeedbackSpec.v_max:
+        raise ValidationError(f"speed 1 + beta = {1.0 + beta!r} lies outside the admissible "
+                              f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
+    return [1.0] + [1.0 + beta] * k
+
+
+def _verify_case(case: Case, rp: RegionParams, k: int, beta: float, speeds: List[float]):
+    """Replay the candidate on `_cluster_speeds(k, beta)`; return (d, residual) or None."""
     try:
         d = cyclic_spacing(case, rp, k, beta)
     except ValidationError:
         return None
     start = [i * d for i in range(k)]
-    t1, final, hits = _section_run(start, rp, [1.0] + [1.0 + beta] * k)
+    t1, final, hits = _section_run(start, rp, speeds)
     residual = max(max(map(abs, map(sub, final, start[1:] + [1.0]))), abs(t1 - d))
     if residual >= _CLOSURE_TOL:
         return None
     if hits != [(i % k, code) for i, code in _CERTIFYING_HITS[case]]:
         return None
     return d, residual
+
+
+def _certify(rp: RegionParams, k: int, beta: float) -> Tuple[Case, float, float]:
+    """(case, d, residual) from the replay that verified the case, as
+    `classify_case` describes; a tuple, so a grid of cells builds no object."""
+    if k < 2:
+        raise ValidationError("need k >= 2")
+    if not math.isfinite(beta) or abs(beta) >= 1.0:
+        raise ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
+    speeds = _cluster_speeds(k, beta)
+    M = max_isolated_clusters(rp)
+    if k != M + 1:
+        warnings.warn(f"k={k} is not M+1={M + 1} for these regions; case analysis may not apply",
+                      stacklevel=3)  # names the caller of classify_case or cyclic_solution
+    s_ok = rp.s < (1.0 + beta * rp.r) / (k * (1.0 + beta))
+    r_ok = rp.r > (k - 1) / k * (1.0 - rp.s * beta)
+
+    if s_ok and r_ok:
+        ordered = (Case.I, Case.II, Case.III)
+    elif not s_ok and r_ok:
+        ordered = (Case.III, Case.I, Case.II)
+    elif s_ok and not r_ok:
+        ordered = (Case.II, Case.I, Case.III)
+    else:
+        # inequalities cannot pick a side; let the certificates decide
+        good = [(case, got) for case in (Case.II, Case.III)
+                if (got := _verify_case(case, rp, k, beta, speeds))]
+        if len(good) == 1:
+            return (good[0][0], *good[0][1])
+        if len(good) == 2:
+            raise CertificateError(f"both Case II and Case III verify at r={rp.r}, s={rp.s}, "
+                                   f"k={k}, beta={beta}; degenerate parameter point")
+        raise CertificateError(f"no case verifies at r={rp.r}, s={rp.s}, k={k}, beta={beta}")
+
+    for case in ordered:
+        got = _verify_case(case, rp, k, beta, speeds)
+        if got is not None:
+            return (case, *got)
+    raise CertificateError(f"no case's event sequence verifies at r={rp.r}, s={rp.s}, k={k}, "
+                           f"beta={beta} (M={M}); spacing formulas do not close")
 
 
 def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
@@ -142,66 +192,17 @@ def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
         s < (1/k) (1 + beta r) / (1 + beta)      (trailing cluster clears S)
         r > ((k-1)/k) (1 - s beta)               (leader starts below R)
     both holding means Case I, a failing s-inequality means Case III, a
-    failing r-inequality means Case II.  The selected case is certified by
-    replaying its event sequence; on a fp-degenerate boundary the remaining
-    cases are tried, and ambiguity or exhaustion is an error.
+    failing r-inequality means Case II.  `_certify` certifies the selected
+    case by replaying its event sequence; on a fp-degenerate boundary the
+    remaining cases are tried, and ambiguity or exhaustion is an error.
     """
-    if k < 2:
-        raise ValidationError("need k >= 2")
-    if not math.isfinite(beta) or abs(beta) >= 1.0:
-        raise ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
-    if 1.0 + beta < FeedbackSpec.v_min:  # the window saturating_feedback(k, beta) enforces
-        raise ValidationError(f"speed 1 + beta = {1.0 + beta!r} is below the admissible "
-                              f"minimum {FeedbackSpec.v_min}")
-    M = max_isolated_clusters(rp)
-    if k != M + 1:
-        warnings.warn(
-            f"k={k} is not M+1={M + 1} for these regions; case analysis may not apply",
-            stacklevel=2,
-        )
-    s_ok = rp.s < (1.0 + beta * rp.r) / (k * (1.0 + beta))
-    r_ok = rp.r > (k - 1) / k * (1.0 - rp.s * beta)
-
-    if s_ok and r_ok:
-        ordered = [Case.I, Case.II, Case.III]
-    elif not s_ok and r_ok:
-        ordered = [Case.III, Case.I, Case.II]
-    elif s_ok and not r_ok:
-        ordered = [Case.II, Case.I, Case.III]
-    else:
-        # inequalities cannot pick a side; let the certificates decide
-        good = [c for c in (Case.II, Case.III) if _verify_case(c, rp, k, beta)]
-        if len(good) == 1:
-            return good[0]
-        if len(good) == 2:
-            raise CertificateError(
-                f"both Case II and Case III verify at r={rp.r}, s={rp.s}, "
-                f"k={k}, beta={beta}; degenerate parameter point"
-            )
-        raise CertificateError(
-            f"no case verifies at r={rp.r}, s={rp.s}, k={k}, beta={beta}"
-        )
-
-    primary = ordered[0]
-    if _verify_case(primary, rp, k, beta):
-        return primary
-    for fallback in ordered[1:]:
-        if _verify_case(fallback, rp, k, beta):
-            return fallback
-    raise CertificateError(
-        f"no case's event sequence verifies at r={rp.r}, s={rp.s}, k={k}, "
-        f"beta={beta} (M={M}); spacing formulas do not close"
-    )
+    return _certify(rp, k, beta)[0]
 
 
 def cyclic_solution(rp: RegionParams, k: int, beta: float) -> CyclicSolution:
-    """Classified, certified cyclic solution (case, spacing, residual)."""
-    case = classify_case(rp, k, beta)
-    got = _verify_case(case, rp, k, beta)
-    if got is None:
-        raise CertificateError("classification and verification disagree")
-    d, residual = got
-    return CyclicSolution(k=k, beta=beta, case=case, d=d, residual=residual)
+    """The case of `classify_case`, with the spacing d and closure residual
+    of the one replay that certified it."""
+    return CyclicSolution(k, beta, *_certify(rp, k, beta))
 
 
 def build_A(k: int, beta: float, case: Case) -> np.ndarray:

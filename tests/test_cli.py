@@ -270,6 +270,37 @@ def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("payload", [{"bins": 1}, {"occupancy_threshold": 0}],
+                         ids=["one-bin", "zero-threshold"])
+def test_sweep_histogram_settings_checked_before_the_sweep(tmp_path, monkeypatch, capsys,
+                                                           threads, payload):
+    # the histogram count once refused these only after every point had run
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_em_block", no_sweep)
+    cfg = write_config(tmp_path, "c.json", {**SMALL_SWEEP, **payload})
+    out = tmp_path / "x"
+    assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_out_naming_a_file_exit_code(tmp_path, capsys, below):
+    # mkdir raised FileExistsError or NotADirectoryError as a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert run_cli(["pde-steady", "--out", str(afile / below)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot create output directory")
+    assert err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"does_not_exist": 1}),
     ("simulate", {"feedback": {"kind": "hill", "gamma": 0.5}}),
@@ -292,6 +323,7 @@ def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
     ("simulate", {"engine": "sde", "n": 5, "cycles": 0.001}),
     ("simulate", {"initial": [0.1, 0.2], "n": 50, "cycles": 1}),
     ("retmap", {"alpha": -0.97, "grid": 5}),
+    ("retmap", {"alpha": 19.5, "grid": 5}),
     ("cyclic", {"beta_lo": -0.97, "region_grid": 4}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
@@ -299,12 +331,15 @@ def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
         "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
         "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
         "sde-horizon-below-one-step", "initial-length-not-n", "retmap-speed-below-window",
-        "cyclic-speed-below-window"])
+        "retmap-speed-above-window", "cyclic-speed-below-window"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
-    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
+    # nothing is written: retmap once wrote two files before it checked alpha
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, argv, named", [

@@ -86,16 +86,48 @@ def test_saturating_feedback_subnormal_beta_is_zero_feedback(beta):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_replay_speeds_are_the_saturating_table(data):
-    # a certificate replays with [1, 1 + beta, ..., 1 + beta]: bit for bit the
-    # speed table of the profile it stands for, a subnormal beta included
+    # a replay runs on the speeds of _cluster_speeds: bit for bit the speed
+    # table of the profile it stands for, a subnormal beta included, across
+    # the whole speed window (the return map replays k = 2 with alpha up to 19)
     k = data.draw(st.integers(2, 12))
     tiny = np.finfo(float).tiny
     beta = data.draw(st.one_of(
-        st.floats(-0.95, 1.0, exclude_max=True),
+        st.floats(-0.95, 19.0),
         st.floats(-tiny, tiny, exclude_min=True, exclude_max=True),  # the subnormals and zeros
-        st.sampled_from([1.0 / k, -0.95])))
+        st.sampled_from([1.0 / k, -0.95, 19.0])))
     table = simulate._speed_table(saturating_feedback(k, beta), k).tolist()
-    assert [x.hex() for x in [1.0] + [1.0 + beta] * k] == [x.hex() for x in table]
+    assert [x.hex() for x in cyclic._cluster_speeds(k, beta)] == [x.hex() for x in table]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+def test_cluster_speeds_window_is_the_saturating_window(k):
+    # _cluster_speeds rejects exactly the beta whose profile fails validation
+    for edge, outward in ((-0.95, -1.0), (19.0, 20.0)):
+        saturating_feedback(k, edge)
+        assert cyclic._cluster_speeds(k, edge)[1] == 1.0 + edge
+        outside = float(np.nextafter(edge, outward))
+        with pytest.raises(ValidationError):
+            saturating_feedback(k, outside)
+        with pytest.raises(ValidationError):
+            cyclic._cluster_speeds(k, outside)
+
+
+@pytest.mark.parametrize("k,beta,r,s,case,expected", SPACING_CASES)
+def test_solution_is_one_replay(monkeypatch, k, beta, r, s, case, expected):
+    # the replay that certifies the case also gives d and the residual
+    calls = []
+    real = cyclic._section_run
+    monkeypatch.setattr(cyclic, "_section_run", lambda *a: calls.append(a) or real(*a))
+    assert cyclic_solution(RegionParams(s=s, r=r), k, beta).case is case
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fn", [classify_case, cyclic_solution])
+def test_off_band_warning_names_the_caller(fn):
+    # k = 3 on regions with M + 1 = 2 still certifies, with a warning
+    with pytest.warns(UserWarning, match=r"k=3 is not M\+1=2") as record:
+        fn(RegionParams(s=0.2, r=0.6), 3, 0.2)
+    assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("k,r,s", [(2, 0.6, 0.2), (3, 0.65, 0.1)])
@@ -333,7 +365,8 @@ def test_verify_case_is_the_old_event_kind_check(k, a, b, sign, size):
     s = min(max(b * width, 1e-3), width - 1e-3)
     rp = RegionParams(s=s, r=1.0 - (width - s))
     beta = sign * size
-    got = [cyclic._verify_case(case, rp, k, beta) for case in Case]
+    speeds = cyclic._cluster_speeds(k, beta)
+    got = [cyclic._verify_case(case, rp, k, beta, speeds) for case in Case]
     assert got == [_old_verify_case(case, rp, k, beta) for case in Case]
     assert all(x is None or (type(x[0]) is type(x[1]) is float) for x in got)
 

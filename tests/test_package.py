@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import rscycle
@@ -17,3 +20,15 @@ def test_public_surface_is_all():
     for name in REMOVED:
         with pytest.raises(ImportError):
             exec(f"from rscycle import {name}", {})
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(rscycle.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    # the project runs no linter, so an import a refactor leaves behind is caught here
+    tree = ast.parse((Path(rscycle.__file__).parent / path).read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
