@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -39,7 +40,8 @@ from .cyclic import CertificateError, _cluster_speeds, _spectra, classify_case, 
 from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_run, analytic_F_k2, as_piecewise, compose, fixed_points
-from .simulate import EventKind, NoiseSpec, SimulationError, _em_block, simulate_exact, simulate_sde
+from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _em_block,
+                       _event_state_blocks, _exact_run, simulate_sde)
 
 _DEFAULTS = {
     "simulate": {
@@ -159,8 +161,8 @@ def _load_config(path, command: str, overrides: dict) -> dict:
 
 
 # The table writer formats a real in numpy when 1e-4 <= x < 1e15 (its
-# decimal exponent E lies in [-4, 14]) or x is +0.0; every other value
-# (negative, -0.0, tiny, huge, non-finite) goes through "%.17g" one by one.
+# decimal exponent E lies in [-4, 14]); every other value (zero, negative,
+# tiny, huge, non-finite) goes through "%.17g" one by one.
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each one exact
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
 # One value takes a row of 28 bytes: byte 0 is unused, so that the digits
@@ -223,11 +225,10 @@ def _decimal_digits(x):
             break
         E[bad] += high[bad].astype(np.int64) - low[bad]
         hi[bad], lo[bad] = _two_product(x[bad], _POW10[16 - E[bad]])
-    # hi >= 2**53 is an integer, so lo carries the whole fraction
-    whole = np.floor(lo)
-    frac = lo - whole
-    D = hi.astype(np.int64) + whole.astype(np.int64)
-    D += (frac > 0.5) | ((frac == 0.5) & (D % 2 == 1))
+    # hi >= 1e16 > 2**53 is an even integer (its ulp is 2 or more) and |lo|
+    # <= ulp(hi) / 2 <= 8, so lo carries the whole fraction, and rounding lo
+    # half to even rounds hi + lo half to even: hi + rint(lo) is even iff rint(lo) is
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     E[carry] += 1
@@ -282,13 +283,11 @@ def _format_g17(x, sep) -> bytes:
             buf[i, 3:2 - e] = ord("0")
             buf[i, 2 - e:19 - e] = digits
             length[i] -= e + 1
-    zero = (x == 0.0) & ~np.signbit(x)
-    buf[zero, 1] = ord("0")
-    length[zero] = 1
-    for j in np.flatnonzero(~(fast | zero)).tolist():
-        text = b"%.17g" % x[j]
-        buf[j, 1:len(text) + 1] = np.frombuffer(text, np.uint8)
-        length[j] = len(text)
+    # every other value, +0.0 too, as "%.17g" gives it, padded to 24 bytes
+    special = np.flatnonzero(~fast)
+    texts = [b"%.17g" % v for v in x[special].tolist()]
+    buf[special, 1:25] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+    length[special] = list(map(len, texts))
     buf.ravel()[np.arange(1, buf.size, _ROW) + length] = sep
     return buf[np.take(_KEEP, length, axis=0)].tobytes()
 
@@ -304,8 +303,28 @@ def _write_table(path: Path, header: str, *columns) -> None:
     from a table of its distinct values, each with the separators around
     it.  A table of arrays only is written as the formatted bytes, with no
     per-row or per-column work in Python.
+
+    The table may instead be one iterator of 2-D blocks of reals, its rows
+    in order: each block is written, in chunks, as it comes, so a producer
+    can reuse one buffer and the whole table is never held.
     """
-    runs = []  # a list of 2-D blocks per run of adjacent arrays, (column, table) per sequence
+    if len(columns) == 1 and isinstance(columns[0], Iterator):
+        tables = ([[block]] for block in columns[0])
+    else:
+        tables = [_runs(columns)]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for runs in tables:
+            width = sum(block.shape[1] for run in runs if isinstance(run, list) for block in run)
+            rows = max(1, _CHUNK_VALUES // width) if width else _CHUNK_ROWS
+            for start in range(0, len(runs[0][0]), rows):
+                fh.write(_table_rows(runs, slice(start, start + rows)))
+
+
+def _runs(columns):
+    """The columns of a table of _write_table as runs: a list of 2-D blocks
+    per run of adjacent arrays, (column, table) per sequence."""
+    runs = []
     for j, column in enumerate(columns):
         if not isinstance(column, np.ndarray):
             distinct = set(column)
@@ -323,12 +342,7 @@ def _write_table(path: Path, header: str, *columns) -> None:
             runs[-1].append(block)
         else:
             runs.append([block])
-    width = sum(block.shape[1] for run in runs if isinstance(run, list) for block in run)
-    rows = max(1, _CHUNK_VALUES // width) if width else _CHUNK_ROWS
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), rows):
-            fh.write(_table_rows(runs, slice(start, start + rows)))
+    return runs
 
 
 def _table_rows(runs, rows) -> bytes:
@@ -339,7 +353,7 @@ def _table_rows(runs, rows) -> bytes:
             column, table = run
             parts.append(map(table.__getitem__, column[rows]))
             continue
-        block = np.concatenate([b[rows] for b in run], axis=1)
+        block = run[0][rows] if len(run) == 1 else np.concatenate([b[rows] for b in run], axis=1)
         sep = np.full(block.shape, ord(","), np.uint8)
         sep[:, -1] = ord("\n")  # the rows are split on it; after the last column it stays
         text = _format_g17(block.ravel(), sep.ravel())
@@ -378,7 +392,8 @@ _KIND_VALUE = {kind: kind.value for kind in EventKind}
 
 
 def write_events_csv(traj, path) -> None:
-    """Boundary crossings of an exact run: t,kind,cell, the bytes of
+    """Boundary crossings of an exact run, read from traj.events (a
+    Trajectory, or the run cmd_simulate streams): t,kind,cell, the bytes of
     "%.17g,%s,%d" per event, through _write_table."""
     events = traj.events
     _write_table(path, "t,kind,cell", np.fromiter(map(itemgetter(0), events), float, len(events)),
@@ -406,19 +421,33 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     pop = Population(phases)
     duration = float(cfg["cycles"])
     if cfg["engine"] == "exact":
-        traj = simulate_exact(pop, rp, fs, duration)
-        write_events_csv(traj, out / "events.csv")
+        run = _exact_run(pop, rp, fs, duration)
+        write_events_csv(run, out / "events.csv")
+        columns = (_trajectory_blocks(run, n),)
     elif cfg["engine"] == "sde":
         traj = simulate_sde(
             pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
             duration, seed=rng, sample_every=int(cfg["sample_every"]),
         )
+        columns = (traj.times, traj.states)
     else:
         raise ValidationError(f"unknown engine {cfg['engine']!r}")
-    cells = traj.states.shape[1]
-    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(cells)),
-                 traj.times, traj.states)
+    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(n)), *columns)
     return 0
+
+
+def _trajectory_blocks(run, n):
+    """The [t | phases] rows of an exact run of n cells, block by block:
+    each block of states is built into one reused buffer and copied into
+    the phase columns of one reused table (a build straight into those
+    strided columns is the slower)."""
+    rows = min(len(run.times), _CHUNK)
+    table = np.empty((rows, n + 1))
+    for first, block in _event_state_blocks(*run.build, np.empty((rows, n))):
+        part = table[:len(block)]
+        part[:, 0] = run.times[first:first + len(block)]
+        part[:, 1:] = block
+        yield part
 
 
 def _sweep_block(args):
@@ -482,7 +511,7 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
         raise ValidationError("alpha = 0 gives the degenerate involution; nothing to map")
     F = as_piecewise(rp, alpha)
     # the replay speeds, built here so that alpha is checked before any file is written
-    speeds = _cluster_speeds(2, alpha)
+    speeds = _cluster_speeds(2, alpha, "alpha")
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
     analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call

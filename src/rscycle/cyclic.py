@@ -119,12 +119,13 @@ _CERTIFYING_HITS = {
 }
 
 
-def _cluster_speeds(k: int, beta: float) -> List[float]:
+def _cluster_speeds(k: int, beta: float, name: str = "beta") -> List[float]:
     """The speeds of a cyclic k-cluster solution by the count in S, the
     table of `saturating_feedback(k, beta)`, if 1 + beta lies in the window
-    [FeedbackSpec.v_min, FeedbackSpec.v_max] that profile's validation enforces."""
+    [FeedbackSpec.v_min, FeedbackSpec.v_max] that profile's validation
+    enforces; the error names beta as the caller's key, name."""
     if not FeedbackSpec.v_min <= 1.0 + beta <= FeedbackSpec.v_max:
-        raise ValidationError(f"speed 1 + beta = {1.0 + beta!r} lies outside the admissible "
+        raise ValidationError(f"speed 1 + {name} = {1.0 + beta!r} lies outside the admissible "
                               f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
     return [1.0] + [1.0 + beta] * k
 

@@ -45,16 +45,20 @@ section map reads the cells back as a list (`phase_list`), so a replay of
 a few clusters does no numpy work per call.
 
 `simulate_exact` runs the loop once, to the horizon, and builds the event
-records and the sampled states from the log after it.  A crossing's code
+records and the sampled states from the log after it; `_exact_run` is that
+run up to the records, with the states left to build.  A crossing's code
 fixes the cell's new entry phase, entry clock and region, as `_Flow.run`
-sets them.  `_build_event_states` fills one preallocated (K, n) array in
-blocks of `_CHUNK` stops: every cell's row is entry + (clock[region] -
-since) from the per-cell state at the block's first stop, and then only the
-columns of the cells that cross inside the block are rebuilt, each row from
-the cell's latest crossing at or before it.  In "endpoints" mode the build
-has one row, the horizon's clocks, and no batch, and starts from the
-flow's per-cell state after the run.  Every block is wrapped in place, so
-the build holds one (K, n) array and block-sized scratch.
+sets them.  `_event_state_blocks` builds the states in blocks of `_CHUNK`
+stops and yields each block as it is done: every cell's row is entry +
+(clock[region] - since) from the per-cell state at the block's first stop,
+and then only the columns of the cells that cross inside the block are
+rebuilt, each row from the cell's latest crossing at or before it.  In
+"endpoints" mode the build has one row, the horizon's clocks, and no batch,
+and starts from the flow's per-cell state after the run.  Every block is
+wrapped in place.  `simulate_exact` builds the blocks into one (K, n)
+array, which it returns; `rscycle simulate` builds them into one reused
+table of `_CHUNK` rows and writes each before the next is built, so it
+never holds the K x n states.
 """
 
 import math
@@ -290,8 +294,9 @@ def _wrap(out, scratch) -> None:
     out[out == 1.0] = 0.0
 
 
-def _build_event_states(clocks, start, log, starts) -> np.ndarray:
-    """The state at each row of clocks, from the start state and the batches.
+def _event_state_blocks(clocks, start, log, starts, out):
+    """Build the state at each row of clocks into out, _CHUNK rows at a
+    time, and yield each block as (first, view of out) once it is built.
 
     Row k of the (K, 3) array clocks is stop k's (t, t, tau), and log[k - 1]
     is the batch of stop k as (time to cross, cell, code); rows past the log
@@ -299,6 +304,10 @@ def _build_event_states(clocks, start, log, starts) -> np.ndarray:
     region at stop 0, as numpy arrays that the build advances in place.  A
     crossing of code c moves its cell to region (c + 1) % 3 with entry phase
     starts[c], at that region's clock of its stop, as `_Flow.run` does.
+
+    out is either (K, n), and block b fills its rows b * _CHUNK onward in
+    place, or a buffer of min(K, _CHUNK) rows that every block reuses from
+    its first row.
     """
     K, n = len(clocks), len(start[0])
     entry, since, region = start
@@ -310,11 +319,11 @@ def _build_event_states(clocks, start, log, starts) -> np.ndarray:
     new_entry = np.array(starts)[codes]
     new_since = clocks[stops, np.where(new_region == 2, 2, 0)]
     bounds = np.searchsorted(stops, np.arange(0, K + _CHUNK, _CHUNK)).tolist()
-    states = np.empty((K, n))
     scratch = np.empty((min(K, _CHUNK), n))
     column = np.empty(n, np.intp)
     for first in range(0, K, _CHUNK):
-        block, rows = states[first:first + _CHUNK], clocks[first:first + _CHUNK]
+        rows = clocks[first:first + _CHUNK]
+        block = out[first:first + _CHUNK] if len(out) == K else out[:len(rows)]
         _fill(block, rows, entry, since, region)
         lo, hi = bounds[first // _CHUNK], bounds[first // _CHUNK + 1]
         if lo < hi:
@@ -340,6 +349,14 @@ def _build_event_states(clocks, start, log, starts) -> np.ndarray:
             last = latest[-1]
             entry[changed], since[changed], region[changed] = ent[last], sin[last], reg[last]
         _wrap(block, scratch)
+        yield first, block
+
+
+def _build_event_states(clocks, start, log, starts) -> np.ndarray:
+    """The states of `_event_state_blocks`, built in place in one (K, n) array."""
+    states = np.empty((len(clocks), len(start[0])))
+    for _ in _event_state_blocks(clocks, start, log, starts, states):
+        pass
     return states
 
 
@@ -355,6 +372,50 @@ def _event_records(log) -> List[EventRecord]:
         events += [new(EventRecord, (t, _KIND_OF_CODE[code], i)) for t, _, batch in block
                    for _, i, code in (sorted(batch, key=itemgetter(1)) if len(batch) > 1 else batch)]
     return events
+
+
+class _Run(NamedTuple):
+    """One exact run before its states are built: the sample times, the
+    event records, and build, the arguments (clocks, start, log, starts) of
+    `_event_state_blocks` but its buffer."""
+
+    times: np.ndarray
+    events: List[EventRecord]
+    build: tuple
+
+
+def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: float,
+               sample: str = "events", max_events: int = 10_000_000) -> _Run:
+    """The run of `simulate_exact`, with its states left to build.
+
+    One run of the kernel's loop, `_Flow.run`, goes to the horizon and logs
+    each stop's clocks and batch.  The event records are built from the log
+    here, and the log is released as they are; the batches stay for the
+    state build.
+    """
+    if duration <= 0.0:
+        raise ValidationError("duration must be > 0")
+    # isinstance first: an array in a tuple raises an ambiguous-truth ValueError
+    if not (isinstance(sample, str) and sample in ("events", "endpoints")):
+        raise ValidationError(f'sample must be "events" or "endpoints", got {sample!r} '
+                              "(the list form of sample times was removed)")
+
+    flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
+    start = flow.arrays() if sample == "events" else None
+    log, offset = flow.run(duration, max_events=max_events)
+    # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
+    t, tau = flow.t + offset, flow.tau + flow.v * offset
+    if sample == "endpoints":
+        events = _event_records(log)  # first, so the log is released before the arrays are made
+        return _Run(np.array([duration]), events,
+                    (np.array([(t, t, tau)]), flow.arrays(), [], flow.starts))
+    ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
+    if offset:  # else the last stop is on the horizon and is its sample
+        ts.append(t)
+        taus.append(tau)
+    clocks, batches = np.column_stack((ts, ts, taus)), [batch for _, _, batch in log]
+    return _Run(np.array(ts[:-1] + [duration]), _event_records(log),
+                (clocks, start, batches, flow.starts))
 
 
 def simulate_exact(
@@ -375,37 +436,15 @@ def simulate_exact(
     the frozen speeds.
 
     One run of the kernel's loop, `_Flow.run`, goes to the horizon and logs
-    each stop's clocks and batch; the event records and, with
-    `_build_event_states`, the sampled states are built from that log after
+    each stop's clocks and batch; the event records and, block by block
+    into one (K, n) array, the sampled states are built from that log after
     it.
 
     Raises SimulationError if the event count exceeds max_events, which
     flags parameter sets whose event cadence explodes.
     """
-    if duration <= 0.0:
-        raise ValidationError("duration must be > 0")
-    # isinstance first: an array in a tuple raises an ambiguous-truth ValueError
-    if not (isinstance(sample, str) and sample in ("events", "endpoints")):
-        raise ValidationError(f'sample must be "events" or "endpoints", got {sample!r} '
-                              "(the list form of sample times was removed)")
-
-    flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
-    start = flow.arrays() if sample == "events" else None
-    log, offset = flow.run(duration, max_events=max_events)
-    # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
-    t, tau = flow.t + offset, flow.tau + flow.v * offset
-    if sample == "endpoints":
-        events = _event_records(log)  # first, so the log is released before the arrays are made
-        states = _build_event_states(np.array([(t, t, tau)]), flow.arrays(), [], flow.starts)
-        return Trajectory(times=np.array([duration]), states=states, events=events)
-    ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
-    if offset:  # else the last stop is on the horizon and is its sample
-        ts.append(t)
-        taus.append(tau)
-    states = _build_event_states(np.column_stack((ts, ts, taus)), start,
-                                 [batch for _, _, batch in log], flow.starts)
-    times = np.array(ts[:-1] + [duration])
-    return Trajectory(times=times, states=states, events=_event_records(log))
+    run = _exact_run(pop, rp, fs, duration, sample, max_events)
+    return Trajectory(times=run.times, states=_build_event_states(*run.build), events=run.events)
 
 
 def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: int,

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import sde_oracle
 import spectrum_oracle
 from rscycle import cli
 from rscycle.cyclic import classify_case, cyclic_spacing
-from rscycle.model import CertificateError, FeedbackSpec, RegionParams, max_isolated_clusters
+from rscycle.model import (CertificateError, FeedbackSpec, Population, RegionParams,
+                           max_isolated_clusters)
 from rscycle.returnmap import as_piecewise
-from rscycle.simulate import EventKind, EventRecord, SimulationError, Trajectory
+from rscycle.simulate import (_CHUNK, EventKind, EventRecord, SimulationError, Trajectory,
+                              simulate_exact)
 
 
 def run_cli(args):
@@ -32,24 +35,32 @@ def write_config(tmp_path, name, payload):
 SMALL_SWEEP = {"points": 3, "n": 40, "cycles": 3.0}
 
 
-def test_simulate_outputs_and_headers(tmp_path, monkeypatch):
-    runs = []
-    real = cli.simulate_exact
+def exact_reference(payload, seed=3):
+    """simulate_exact on the inputs `rscycle simulate --seed seed` builds
+    from the config payload: its region, its linear feedback, and its cells,
+    drawn as np.sort(default_rng(seed).random(n)) or the initial list."""
+    cfg = {**cli._DEFAULTS["simulate"], **payload}
+    initial = cfg["initial"]
+    if initial == "random":
+        phases = np.sort(np.random.default_rng(seed).random(cfg["n"]))
+    else:
+        phases = np.array(initial, dtype=float)
+    return simulate_exact(Population(phases), RegionParams(s=cfg["s"], r=cfg["r"]),
+                          FeedbackSpec.linear(cfg["feedback"]["gamma"]), float(cfg["cycles"]))
 
-    def recording(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
 
-    monkeypatch.setattr(cli, "simulate_exact", recording)
+def test_simulate_outputs_and_headers(tmp_path):
     out = tmp_path / "sim"
     cfg = write_config(tmp_path, "c.json", {"n": 5, "cycles": 1.0})
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    traj = exact_reference({"n": 5, "cycles": 1.0})
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t," + ",".join(f"phase_{i}" for i in range(5))
     # %.17g round-trips: the last row is the final state bit for bit
     last = np.array([float(v) for v in lines[-1].split(",")])
-    assert last[0] == runs[0].times[-1]
-    assert np.array_equal(last[1:], runs[0].states[-1])
+    assert len(lines) == len(traj.times) + 1
+    assert last[0] == traj.times[-1]
+    assert np.array_equal(last[1:], traj.states[-1])
     assert (out / "events.csv").read_text().splitlines()[0] == "t,kind,cell"
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["tool"] == "rscycle"
@@ -342,6 +353,21 @@ def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("retmap", {"alpha": 19.5, "grid": 5}, "alpha"),
+    ("retmap", {"alpha": -0.97, "grid": 5}, "alpha"),
+    ("cyclic", {"beta_lo": -0.97, "region_grid": 4}, "beta"),
+])
+def test_speed_window_error_names_the_config_key(tmp_path, command, payload, key, capsys):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"speed 1 + {key} = " in err
+    assert ("beta" in err) == (key == "beta")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text, argv, named", [
     (None, ["simulate"], "cannot read config"),
     ("{bad", ["simulate"], "not valid JSON"),
@@ -603,20 +629,76 @@ def test_real_formatter_sweep_matches_per_value_format():
 @pytest.mark.parametrize("engine", ["exact", "sde"])
 def test_trajectory_csv_matches_per_row_format(tmp_path, monkeypatch, engine):
     runs = []
-    name = f"simulate_{engine}"
-    real = getattr(cli, name)
+    real = cli.simulate_sde
 
     def recording(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(cli, name, recording)
-    cfg = write_config(tmp_path, "c.json", {"engine": engine, "n": 30, "cycles": 3.0})
+    monkeypatch.setattr(cli, "simulate_sde", recording)
+    payload = {"engine": engine, "n": 30, "cycles": 3.0}
+    cfg = write_config(tmp_path, "c.json", payload)
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
-    traj = runs[0]
+    traj = runs[0] if engine == "sde" else exact_reference(payload)
     header = "t," + ",".join(f"phase_{i}" for i in range(30))
     table = np.column_stack((traj.times, traj.states))
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(header, table)
+
+
+# The streamed trajectory.csv of the exact engine against the table writer
+# over simulate_exact's arrays.
+
+def assert_streamed_trajectory(tmp_path, payload):
+    """Run rscycle simulate on payload; check trajectory.csv byte for byte
+    and return its row count."""
+    out = tmp_path / "streamed"
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    traj = exact_reference(payload)
+    header = "t," + ",".join(f"phase_{i}" for i in range(traj.states.shape[1]))
+    cli._write_table(tmp_path / "reference.csv", header, traj.times, traj.states)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    return len(traj.times)
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 1, "cycles": 3.0},
+    {"n": 5, "cycles": 1e-14},
+    {"n": 3, "cycles": 2.0},
+    {"n": 3, "initial": [0.1, 0.1, 0.1], "cycles": 2.0},
+    {"n": 4, "initial": [0.7, 0.1, 0.4, 0.95], "cycles": 3.0},
+], ids=["one-cell", "two-rows", "below-one-block", "tie-start", "unsorted-initial"])
+def test_streamed_trajectory_matches_the_table_writer(tmp_path, payload):
+    rows = assert_streamed_trajectory(tmp_path, payload)
+    assert rows < _CHUNK
+    if payload["cycles"] == 1e-14:
+        assert rows == 2
+
+
+@pytest.mark.parametrize("stops, on_stop, rows", [
+    (2 * _CHUNK - 2, False, 2 * _CHUNK),  # a horizon between stops: 1 + stops + 1 rows
+    (2 * _CHUNK - 1, True, 2 * _CHUNK),  # a horizon on a batch (offset 0): 1 + stops rows
+    (100, True, 101),
+], ids=["two-blocks", "two-blocks-horizon-on-a-batch", "horizon-on-a-batch"])
+def test_streamed_trajectory_at_block_and_horizon_edges(tmp_path, stops, on_stop, rows):
+    times = np.unique([ev.time for ev in exact_reference({"n": 7, "cycles": 40.0}).events])
+    cycles = times[stops - 1] if on_stop else (times[stops - 1] + times[stops]) / 2.0
+    assert assert_streamed_trajectory(tmp_path, {"n": 7, "cycles": float(cycles)}) == rows
+
+
+def test_simulate_never_holds_the_states(tmp_path):
+    # the exact engine's rows stream into trajectory.csv block by block, so a
+    # default run peaks below the size of its (K, n) states
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--seed", "3", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K = (tmp_path / "trajectory.csv").read_bytes().count(b"\n") - 1
+    n = cli._DEFAULTS["simulate"]["n"]
+    assert K > 10 * _CHUNK
+    assert peak < K * n * 8
 
 
 # events.csv against the per-row "%.17g,%s,%d" formatting it replaced.
@@ -626,19 +708,12 @@ def reference_events_csv(events):
     return ("t,kind,cell\n" + rows).encode()
 
 
-def test_events_csv_matches_per_row_format(tmp_path, monkeypatch):
-    runs = []
-    real = cli.simulate_exact
-
-    def recording(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(cli, "simulate_exact", recording)
+def test_events_csv_matches_per_row_format(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"n": 30, "cycles": 3.0})
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
-    assert len(runs[0].events) > 100
-    assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(runs[0].events)
+    events = exact_reference({"n": 30, "cycles": 3.0}).events
+    assert len(events) > 100
+    assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(events)
 
 
 def _events_csv(path, events):
