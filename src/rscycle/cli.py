@@ -36,10 +36,12 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import CertificateError, _cluster_speeds, _spectra, classify_case, cyclic_solution
-from .model import FeedbackSpec, Population, RegionParams, ValidationError, max_isolated_clusters
+from .cyclic import (Case, CertificateError, _certify, _cluster_speeds, _spectra,
+                     classify_case)
+from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _max_isolated,
+                    max_isolated_clusters)
 from .pde import flux_residual, mass, steady_profile
-from .returnmap import _section_run, analytic_F_k2, as_piecewise, compose, fixed_points
+from .returnmap import _section_runs, analytic_F_k2, as_piecewise, compose, fixed_points
 from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _em_block,
                        _event_state_blocks, _exact_run, simulate_sde)
 
@@ -389,6 +391,22 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
 
 
 _KIND_VALUE = {kind: kind.value for kind in EventKind}
+_CASE_VALUE = {case: case.value for case in Case}  # Enum's .value is a slow property
+
+# decision: a run of the stochastic engine takes at most 10**7 steps, 1000
+# times the 10**4 of a --paper-scale sweep point (200 cycles at dt = 0.02).
+# A count past it is a typo or an overflow: cycles 1e308 gives an infinite
+# count, and dt 1e-300 a run that would never end.
+_MAX_STEPS = 10 ** 7
+
+
+def _check_steps(cycles: float, noise: NoiseSpec) -> None:
+    """Refuse a run of cycles / noise.dt steps that is not finite or is
+    above _MAX_STEPS; called before any step is taken or worker started."""
+    steps = cycles / noise.dt
+    if not steps <= _MAX_STEPS:  # also refuses inf and nan
+        raise ValidationError(f"cycles / dt = {steps:.6g} steps lies above the cap of "
+                              f"{_MAX_STEPS} steps per run")
 
 
 def write_events_csv(traj, path) -> None:
@@ -425,10 +443,10 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
         write_events_csv(run, out / "events.csv")
         columns = (_trajectory_blocks(run, n),)
     elif cfg["engine"] == "sde":
-        traj = simulate_sde(
-            pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
-            duration, seed=rng, sample_every=int(cfg["sample_every"]),
-        )
+        noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
+        _check_steps(duration, noise)
+        traj = simulate_sde(pop, rp, fs, noise, duration, seed=rng,
+                            sample_every=int(cfg["sample_every"]))
         columns = (traj.times, traj.states)
     else:
         raise ValidationError(f"unknown engine {cfg['engine']!r}")
@@ -487,6 +505,7 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
                               f"lo={cfg['lo']!r}, hi={cfg['hi']!r} give {bad[0]!r}")
     # built here too, before any worker: dt = 0 would divide by zero in _sweep_block
     noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
+    _check_steps(cfg["cycles"], noise)
     # and the histogram settings, checked on one cell: _sweep_block counts only after the sweep
     count_clusters_histogram(Population(np.zeros(1)), int(cfg["bins"]), cfg["occupancy_threshold"])
     # one block of contiguous points per worker; the rows do not depend on the split
@@ -509,9 +528,10 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     alpha = float(cfg["alpha"])
     if alpha == 0.0:
         raise ValidationError("alpha = 0 gives the degenerate involution; nothing to map")
+    # the replay speed in R while a cluster is in S, checked first: an alpha
+    # outside the speed window is refused before any map is built or file written
+    w = _cluster_speeds(2, alpha, "alpha")[1]
     F = as_piecewise(rp, alpha)
-    # the replay speeds, built here so that alpha is checked before any file is written
-    speeds = _cluster_speeds(2, alpha, "alpha")
     F2 = compose(F, 2)
     xs = np.linspace(0.0, 1.0, int(cfg["grid"]))
     analytic = analytic_F_k2(xs, rp, alpha)  # F(xs), in one call
@@ -524,8 +544,10 @@ def cmd_retmap(cfg: dict, seed: int, out: Path, threads: int) -> int:
     })
 
     # each numeric point is a certificate replay of the closed form: F(x) is
-    # the trailing cluster's position after one section run from (0, x)
-    numeric = np.array([_section_run([0.0, x], rp, speeds)[1][0] for x in xs.tolist()])
+    # the trailing cluster's position after the section run from (0, x), all
+    # points as the rows of one lockstep replay
+    starts = np.column_stack((np.zeros_like(xs), xs)).ravel()
+    numeric = _section_runs(starts, np.arange(0, starts.size + 1, 2), rp.s, rp.r, w).final[::2]
     _write_table(out / "agreement.csv", "x,F_analytic,F_numeric,abs_diff",
                  xs, analytic, numeric, np.abs(analytic - numeric))
     return 0
@@ -539,34 +561,32 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
         raise ValidationError(f"k_max must be >= k_min, got k_min={cfg['k_min']}, "
                               f"k_max={cfg['k_max']}")
     spectrum_rows = []
-    betas = np.linspace(cfg["beta_lo"], cfg["beta_hi"], int(cfg["beta_points"]))
+    betas = [beta for beta in np.linspace(cfg["beta_lo"], cfg["beta_hi"],
+                                          int(cfg["beta_points"])).tolist() if beta != 0.0]
     for k in range(int(cfg["k_min"]), int(cfg["k_max"]) + 1):
         # band-midpoint geometry with |R| = |S| so that k = M + 1
         w = 1.0 / (k - 0.5)
         rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
-        solutions = [cyclic_solution(rp, k, beta) for beta in betas.tolist() if beta != 0.0]
-        reports = _spectra(k, [(sol.beta, sol.case) for sol in solutions])
-        spectrum_rows += [(k, sol.beta, sol.case.value, sol.d, rep.spectral_radius,
-                           rep.min_modulus) for sol, rep in zip(solutions, reports)]
+        cases, d, _ = _certify(rp.s, rp.r, k, betas)  # k's rows in one call
+        reports = _spectra(k, list(zip(betas, cases)))
+        spectrum_rows += [(k, beta, _CASE_VALUE[case], dk, rep.spectral_radius, rep.min_modulus)
+                          for beta, case, dk, rep in zip(betas, cases, d.tolist(), reports)]
     columns = _columns(spectrum_rows, 6)
     _write_table(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
                  *columns[:3], np.column_stack(columns[3:]))
 
-    # built as columns: r and s take g values each, so each is read from a table
-    rs, ss, ks, cases = [], [], [], []
+    # the cells 0 < s < r < 1 of the grid, r outer, at k = M + 1, classified
+    # as one batch; r and s take g values each, so they are written as
+    # lists, each read from a table
     g = int(cfg["region_grid"])
-    grid = ((np.arange(g) + 0.5) / g).tolist()
-    for r in grid:
-        for s in grid:
-            if not (0.0 < s < r < 1.0):
-                continue
-            rp = RegionParams(s=s, r=r)
-            k = max_isolated_clusters(rp) + 1
-            rs.append(r)
-            ss.append(s)
-            ks.append(k)
-            cases.append(classify_case(rp, k, 1.0 / k).value)
-    _write_table(out / "regions.csv", "r,s,k,case", rs, ss, ks, cases)
+    grid = (np.arange(g) + 0.5) / g
+    r, s = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+    inside = (0.0 < s) & (s < r) & (r < 1.0)
+    r, s = r[inside], s[inside]
+    k = _max_isolated(s, r) + 1
+    cases = classify_case((s, r), k, 1.0 / k)
+    _write_table(out / "regions.csv", "r,s,k,case", r.tolist(), s.tolist(), k.tolist(),
+                 list(map(_CASE_VALUE.__getitem__, cases)))
     return 0
 
 

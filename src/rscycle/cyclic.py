@@ -22,27 +22,31 @@ rows for one k as one stack (`_spectra`): one eigvals call per solve and
 one Horner loop per polynomial, bit for bit the answer of one row alone.
 
 Along a cyclic solution the signaling fraction only takes the values 0
-and 1/k, so a certificate replay builds no profile: it runs with the speeds
-of `_cluster_speeds`, [1, 1 + beta, ..., 1 + beta] by the count in S, bit
-for bit the table of `saturating_feedback(k, beta)` and checked against
-that profile's speed window.  `_certify` holds every check and replay of
-`classify_case` and `cyclic_solution` and returns (case, d, residual) from
-the replay that verified the case.  Each replay is a `_section_run` of the
-section map: floats and (cluster, code) hits, so it does no numpy work.
+and 1/k, so a certificate replay builds no profile: it runs with the speed
+1 + beta in R while a cluster is in S and 1 otherwise, bit for bit the
+table of `saturating_feedback(k, beta)` and checked against that profile's
+speed window.  `_certify` is the one certifier: it takes rows of (s, r, k,
+beta), holds every check of `classify_case` and `cyclic_solution`, and
+returns each row's (case, d, residual) from the replay that verified its
+case.  It works through the rows in blocks of _BLOCK_ROWS; in a block, a
+round of tries replays the rows still open, each in its next case, as one
+`returnmap._section_runs` call, so a block costs three such calls at
+most (a one-row call replays through the scalar `_section_run`).
+`cyclic_solution` is a one-row call of it, and `classify_case` one row or,
+given a pair of region-bound arrays, a batch.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .model import (CertificateError, FeedbackSpec, RegionParams, ValidationError,
-                    max_isolated_clusters)
-from .returnmap import _section_run
+                    _max_isolated)
+from .returnmap import _run_error, _section_runs
 
 _CLOSURE_TOL = 1e-9
 _DUAL_TOL = 1e-8
@@ -96,16 +100,24 @@ def cyclic_spacing(case: Case, rp: RegionParams, k: int, beta: float) -> float:
         raise ValidationError("need k >= 2")
     if abs(beta) >= 1.0:
         raise ValidationError("|beta| must be below 1")
-    r, s = rp.r, rp.s
-    if case is Case.I:
-        d = (1.0 + beta * (r - s)) / (k + beta * (k - 1))
-    elif case is Case.II:
-        d = (1.0 - s * beta) / k
-    else:
-        d = (1.0 + r * beta) / (k * (1.0 + beta))
-    if not (0.0 < d < 1.0) or (k - 1) * d >= 1.0:
+    d = _spacing(case, rp.s, rp.r, k, beta)
+    if not _in_unit_interval(d, k):
         raise ValidationError(f"spacing d={d:.6g} leaves the unit interval for k={k}")
     return d
+
+
+def _spacing(case: Case, s, r, k, beta):
+    """The spacing formula of case, on floats or elementwise on arrays."""
+    if case is Case.I:
+        return (1.0 + beta * (r - s)) / (k + beta * (k - 1))
+    if case is Case.II:
+        return (1.0 - s * beta) / k
+    return (1.0 + r * beta) / (k * (1.0 + beta))
+
+
+def _in_unit_interval(d, k):
+    """Whether k clusters at spacing d fit in [0, 1), elementwise on arrays."""
+    return (0.0 < d) & (d < 1.0) & ((k - 1) * d < 1.0)
 
 
 # The hits that certify each case as (cluster mod k, code: 0 leaves S, 1 enters
@@ -119,74 +131,186 @@ _CERTIFYING_HITS = {
 }
 
 
+_CASES = tuple(Case)  # a case's code in _certify is its index here
+# The certifying hits as arrays by case code: the clusters (mod k) and the codes.
+_HIT_CELLS = np.array([[i for i, _ in _CERTIFYING_HITS[case]] for case in _CASES])
+_HIT_CODES = np.array([[code for _, code in _CERTIFYING_HITS[case]] for case in _CASES])
+# The case codes each row tries, in order, by 2 s_ok + r_ok of `classify_case`;
+# -1 ends a row.  With neither inequality (row 0) both II and III are
+# replayed, and exactly one must verify.
+_TRIES = np.array([[1, 2, -1], [2, 0, 1], [1, 0, 2], [0, 1, 2]])
+
+
+def _window_error(beta: float, name: str = "beta") -> ValidationError:
+    return ValidationError(f"speed 1 + {name} = {1.0 + beta!r} lies outside the admissible "
+                           f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
+
+
 def _cluster_speeds(k: int, beta: float, name: str = "beta") -> List[float]:
     """The speeds of a cyclic k-cluster solution by the count in S, the
     table of `saturating_feedback(k, beta)`, if 1 + beta lies in the window
     [FeedbackSpec.v_min, FeedbackSpec.v_max] that profile's validation
     enforces; the error names beta as the caller's key, name."""
     if not FeedbackSpec.v_min <= 1.0 + beta <= FeedbackSpec.v_max:
-        raise ValidationError(f"speed 1 + {name} = {1.0 + beta!r} lies outside the admissible "
-                              f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
+        raise _window_error(beta, name)
     return [1.0] + [1.0 + beta] * k
 
 
-def _verify_case(case: Case, rp: RegionParams, k: int, beta: float, speeds: List[float]):
-    """Replay the candidate on `_cluster_speeds(k, beta)`; return (d, residual) or None."""
-    try:
-        d = cyclic_spacing(case, rp, k, beta)
-    except ValidationError:
-        return None
-    start = [i * d for i in range(k)]
-    t1, final, hits = _section_run(start, rp, speeds)
-    residual = max(max(map(abs, map(sub, final, start[1:] + [1.0]))), abs(t1 - d))
-    if residual >= _CLOSURE_TOL:
-        return None
-    if hits != [(i % k, code) for i, code in _CERTIFYING_HITS[case]]:
-        return None
-    return d, residual
+def _verify_cases(codes, s, r, k, beta):
+    """Replay row i of (s, r, k, beta) in case _CASES[codes[i]]: returns
+    (verified, d, residual, errors) arrays, errors[i] the `_section_runs`
+    error code of the row's replay (0 if none).
+
+    A row verifies if its spacing d fits in the unit interval, its replay
+    from (0, d, ..., (k-1) d) ends within _CLOSURE_TOL of (d, ..., (k-1) d,
+    1) at t1 = d (residual, the largest of those distances), and its hits
+    are the case's certifying hits; a row whose d does not fit is not
+    replayed.  The rows share one `_section_runs` call.
+    """
+    d = np.zeros(len(codes))
+    for code, case in enumerate(_CASES):
+        at = codes == code
+        d[at] = _spacing(case, s[at], r[at], k[at], beta[at])
+    fits = _in_unit_interval(d, k).nonzero()[0]
+    verified, residual = np.zeros(len(codes), bool), np.zeros(len(codes))
+    errors = np.zeros(len(codes), np.int8)
+    if not fits.size:
+        return verified, d, residual, errors
+    kf, df = k[fits], d[fits]
+    offsets = np.concatenate(([0], np.cumsum(kf)))
+    j = np.arange(offsets[-1]) - np.repeat(offsets[:-1], kf)
+    spacing = np.repeat(df, kf)
+    runs = _section_runs(j * spacing, offsets, s[fits], r[fits], 1.0 + beta[fits],
+                         raise_first=False)
+    closed = (j + 1) * spacing  # the start shifted by one cluster, the leader at 1
+    closed[offsets[1:] - 1] = 1.0
+    gap = np.maximum.reduceat(np.abs(runs.final - closed), offsets[:-1])
+    res = np.maximum(gap, np.abs(runs.t1 - df))
+    hits = np.zeros(len(fits), bool)
+    three = (np.diff(runs.bounds) == 3).nonzero()[0]
+    at = runs.bounds[three, None] + np.arange(3)
+    case = codes[fits[three]]
+    hits[three] = ((runs.cells[at] == _HIT_CELLS[case] % kf[three, None])
+                   & (runs.codes[at] == _HIT_CODES[case])).all(axis=1)
+    ok = runs.errors == 0
+    verified[fits] = ok & ~(res >= _CLOSURE_TOL) & hits
+    residual[fits], errors[fits] = res, runs.errors
+    return verified, d, residual, errors
 
 
-def _certify(rp: RegionParams, k: int, beta: float) -> Tuple[Case, float, float]:
-    """(case, d, residual) from the replay that verified the case, as
-    `classify_case` describes; a tuple, so a grid of cells builds no object."""
-    if k < 2:
-        raise ValidationError("need k >= 2")
-    if not math.isfinite(beta) or abs(beta) >= 1.0:
-        raise ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
-    speeds = _cluster_speeds(k, beta)
-    M = max_isolated_clusters(rp)
-    if k != M + 1:
-        warnings.warn(f"k={k} is not M+1={M + 1} for these regions; case analysis may not apply",
+# decision: rows certified at a time.  One block of the whole default grid
+# (7140 rows) took ~12 ms but raised the command's peak RSS by ~7 MB; blocks
+# of 1024 rows take ~15 ms and ~1.4 MB (in process, 2-CPU host).
+_BLOCK_ROWS = 1024
+
+
+def _certify(s, r, k, beta):
+    """(cases, d, residual) of the rows of regions (s, r), k clusters and
+    feedback beta, each row certified as `classify_case` describes: cases
+    is a list of Case, d and residual are arrays, from the replay that
+    verified the row's case.
+
+    s, r, k and beta broadcast to one length.  Each row is checked as a
+    one-row call checks it: 0 < s < r < 1 (the check of `RegionParams`),
+    an integer k >= 2, a finite |beta| < 1 and 1 + beta in the speed
+    window.  The rows are certified in blocks of _BLOCK_ROWS by
+    `_certify_rows`.
+
+    A row that fails raises the error the row-by-row loop raises first: the
+    first failing row's first error, after a k != M+1 warning for each row
+    that passed validation up to it.
+    """
+    s, r, k, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float),
+                                        np.asarray(k, dtype=float),
+                                        np.atleast_1d(np.asarray(beta, dtype=float)))
+    bad_rp = ~((0.0 < s) & (s < r) & (r < 1.0))
+    bad_k = ~(k >= 2.0)
+    bad_int = ~np.isfinite(k) | (k != np.floor(k))
+    bad_beta = ~np.isfinite(beta) | (np.abs(beta) >= 1.0)
+    bad_w = ~((FeedbackSpec.v_min <= 1.0 + beta) & (1.0 + beta <= FeedbackSpec.v_max))
+    invalid = (bad_rp | bad_k | bad_int | bad_beta | bad_w).nonzero()[0]
+    errors = {}  # row: its first error
+    live = len(k)  # the rows before the first invalid one; the rest are never reached
+    if invalid.size:
+        live = i = int(invalid[0])
+        if bad_rp[i]:
+            errors[i] = ValidationError("region bounds must satisfy 0 < s < r < 1, got "
+                                        f"s={float(s[i])}, r={float(r[i])}")
+        elif bad_k[i]:
+            errors[i] = ValidationError("need k >= 2")
+        elif bad_int[i]:
+            errors[i] = ValidationError(f"need an integer k, got {float(k[i])!r}")
+        elif bad_beta[i]:
+            errors[i] = ValidationError(
+                f"beta must be finite with |beta| < 1, got {float(beta[i])!r}")
+        else:
+            errors[i] = _window_error(float(beta[i]))
+    s, r, k, beta = s[:live], r[:live], k[:live].astype(np.intp), beta[:live]
+    M = _max_isolated(s, r)
+    case, d, residual = np.full(live, -1), np.zeros(live), np.zeros(live)
+    for lo in range(0, live, _BLOCK_ROWS):
+        at = slice(lo, lo + _BLOCK_ROWS)
+        case[at], d[at], residual[at], failed = _certify_rows(s[at], r[at], k[at], beta[at], M[at])
+        errors.update((lo + i, error) for i, error in failed.items())
+        if failed:
+            break  # the rows after it are never reached
+
+    first_error = min(errors, default=live)
+    upto = min(first_error + 1, live)  # the first invalid row fails before its warning
+    for i in (k[:upto] != M[:upto] + 1).nonzero()[0]:
+        warnings.warn(f"k={int(k[i])} is not M+1={int(M[i]) + 1} for these regions; case "
+                      "analysis may not apply",
                       stacklevel=3)  # names the caller of classify_case or cyclic_solution
-    s_ok = rp.s < (1.0 + beta * rp.r) / (k * (1.0 + beta))
-    r_ok = rp.r > (k - 1) / k * (1.0 - rp.s * beta)
-
-    if s_ok and r_ok:
-        ordered = (Case.I, Case.II, Case.III)
-    elif not s_ok and r_ok:
-        ordered = (Case.III, Case.I, Case.II)
-    elif s_ok and not r_ok:
-        ordered = (Case.II, Case.I, Case.III)
-    else:
-        # inequalities cannot pick a side; let the certificates decide
-        good = [(case, got) for case in (Case.II, Case.III)
-                if (got := _verify_case(case, rp, k, beta, speeds))]
-        if len(good) == 1:
-            return (good[0][0], *good[0][1])
-        if len(good) == 2:
-            raise CertificateError(f"both Case II and Case III verify at r={rp.r}, s={rp.s}, "
-                                   f"k={k}, beta={beta}; degenerate parameter point")
-        raise CertificateError(f"no case verifies at r={rp.r}, s={rp.s}, k={k}, beta={beta}")
-
-    for case in ordered:
-        got = _verify_case(case, rp, k, beta, speeds)
-        if got is not None:
-            return (case, *got)
-    raise CertificateError(f"no case's event sequence verifies at r={rp.r}, s={rp.s}, k={k}, "
-                           f"beta={beta} (M={M}); spacing formulas do not close")
+    if errors:
+        raise errors[first_error]
+    return [_CASES[c] for c in case.tolist()], d, residual
 
 
-def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
+def _certify_rows(s, r, k, beta, M):
+    """The certification of valid rows: (case codes, d, residual, errors),
+    errors a dict of each failing row's first error.
+
+    Round j replays every row still open in its j-th case of _TRIES, all as
+    one `_verify_cases` call, so a block costs three `_section_runs` calls at
+    most.  A row stays open until a case verifies or its replay fails; a row
+    that meets neither inequality stays open for both II and III.
+    """
+    s_ok = s < (1.0 + beta * r) / (k * (1.0 + beta))
+    r_ok = r > (k - 1) / k * (1.0 - s * beta)
+    tries = _TRIES[2 * s_ok + r_ok]
+    neither = ~s_ok & ~r_ok
+
+    n, errors = len(k), {}
+    case, d, residual = np.full(n, -1), np.zeros(n), np.zeros(n)
+    good = np.zeros(n, np.intp)  # cases verified
+    failed = np.zeros(n, bool)
+    for j in range(3):
+        rows = ((tries[:, j] >= 0) & ~failed & (neither | (good == 0))).nonzero()[0]
+        if not rows.size:
+            continue
+        codes = tries[rows, j]
+        ok, dj, rj, run_errors = _verify_cases(codes, s[rows], r[rows], k[rows], beta[rows])
+        for i in (run_errors != 0).nonzero()[0]:
+            errors[int(rows[i])] = _run_error(run_errors[i])
+        failed[rows[run_errors != 0]] = True
+        first = ok & (good[rows] == 0)
+        at = rows[first]
+        case[at], d[at], residual[at] = codes[first], dj[first], rj[first]
+        good[rows[ok]] += 1
+    for i in ((good != 1) & ~failed).nonzero()[0]:
+        at = f"r={float(r[i])}, s={float(s[i])}, k={int(k[i])}, beta={float(beta[i])}"
+        if not neither[i]:
+            errors[int(i)] = CertificateError(f"no case's event sequence verifies at {at} "
+                                              f"(M={int(M[i])}); spacing formulas do not close")
+        elif good[i]:
+            errors[int(i)] = CertificateError(f"both Case II and Case III verify at {at}; "
+                                              "degenerate parameter point")
+        else:
+            errors[int(i)] = CertificateError(f"no case verifies at {at}")
+    return case, d, residual, errors
+
+
+def classify_case(rp: Union[RegionParams, Tuple], k, beta):
     """Which event pattern the cyclic k-cluster solution follows.
 
     Selection uses the two closed-form inequalities
@@ -196,14 +320,23 @@ def classify_case(rp: RegionParams, k: int, beta: float) -> Case:
     failing r-inequality means Case II.  `_certify` certifies the selected
     case by replaying its event sequence; on a fp-degenerate boundary the
     remaining cases are tried, and ambiguity or exhaustion is an error.
+
+    For one RegionParams this is a one-row call of `_certify` and returns a
+    Case.  rp may instead be a pair (s, r) of region bounds: s, r, k and
+    beta then broadcast to rows, which are certified as one batch, and the
+    result is a list of Case, one per row (a region grid, as `rscycle
+    cyclic` classifies it).
     """
-    return _certify(rp, k, beta)[0]
+    if isinstance(rp, RegionParams):
+        return _certify(rp.s, rp.r, k, beta)[0][0]
+    return _certify(*rp, k, beta)[0]
 
 
 def cyclic_solution(rp: RegionParams, k: int, beta: float) -> CyclicSolution:
     """The case of `classify_case`, with the spacing d and closure residual
     of the one replay that certified it."""
-    return CyclicSolution(k, beta, *_certify(rp, k, beta))
+    cases, d, residual = _certify(rp.s, rp.r, k, beta)
+    return CyclicSolution(k, beta, cases[0], float(d[0]), float(residual[0]))
 
 
 def build_A(k: int, beta: float, case: Case) -> np.ndarray:

@@ -9,7 +9,6 @@ the fraction of the n cells currently inside S and f is a monotone
 feedback profile with f(0) = 0.
 """
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Tuple
 
@@ -88,8 +87,13 @@ def max_isolated_clusters(rp: RegionParams) -> int:
     gaps of at least that size around the circle requires
     k <= 1/(|R|+|S|), so the count is floor(1/(|R|+|S|) + 1e-9) on the floats.
     """
+    return int(_max_isolated(rp.s, rp.r))
+
+
+def _max_isolated(s, r):
+    """`max_isolated_clusters` of the regions (s, r), elementwise on arrays."""
     # decision: a reciprocal within 1e-9 below an integer counts as that integer
-    return math.floor(1.0 / ((1.0 - rp.r) + rp.s) + 1e-9)
+    return np.floor(1.0 / ((1.0 - r) + s) + 1e-9).astype(np.intp)
 
 
 @dataclass(frozen=True)

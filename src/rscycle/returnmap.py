@@ -18,28 +18,40 @@ piecewise-affine representation.
 The numeric map is the exact engine's region-clock kernel, `simulate._Flow`:
 one call of its loop, `_Flow.run`, which ends after the first batch in which
 a cluster reaches 1, so the two cannot drift apart.  That run is written
-once, `_section_run`: floats and a speed list (indexed by the count in S)
-in, floats and (cluster, code) hits out, no numpy and no EventKind.
-`advance_to_section` and `numeric_F` check their positions (finite,
-ascending in [0, 1], else ValidationError), build the list from their
-profile and call it; callers that replay many points, the cyclic
-certificates and the CLI's return map, pass one list to every call.
+once for one point, `_section_run`: floats and a speed list (indexed by the
+count in S) in, floats and (cluster, code) hits out, no numpy and no
+EventKind.  `advance_to_section` and `numeric_F` check their positions
+(finite, ascending in [0, 1], else ValidationError), build the list from
+their profile and call it.
+
+Callers that replay many points, the cyclic certificates and the CLI's
+agreement column, replay them all at once with `_section_runs`: one
+lockstep numpy loop over rows of clusters laid out flat, each row with its
+own regions and its own speed 1 + beta in R while a cluster is in S.  A
+section advance wraps no cluster before its last stop, so from ascending
+positions S, the middle arc and R stay index ranges of a row and a queue
+head is the last index of its range.  Row by row the result is bit for bit
+that of `_section_run` on the same row, its checks and errors included; a
+batch of one row is replayed by `_section_run` itself.
 """
 
+import math
 from dataclasses import dataclass
 from operator import le
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .model import CertificateError, FeedbackSpec, RegionParams, ValidationError
-from .simulate import _KIND_OF_CODE, _Flow, _speed_table
+from .model import TIE_TOL, CertificateError, FeedbackSpec, RegionParams, ValidationError
+from .simulate import (_DT_ERROR, _KIND_OF_CODE, _ORDER_ERROR, SimulationError, _Flow,
+                       _speed_table)
 
 _CONTINUITY_TOL = 1e-12
 _MAX_SEGMENTS = 10_000
 # decision: a multiplier within _NEUTRAL_TOL of modulus 1 grades its point neutral
 _NEUTRAL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-10
+_NO_SECTION = "section advance did not terminate; integration bug"
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +78,212 @@ def _section_run(pos: List[float], rp: RegionParams, speeds: List[float]):
     log, _ = flow.run(max_stops=3 * len(pos) + 10, to_section=True)
     finished = [i for _, i, code in log[-1][2] if code == 2]
     if not finished:
-        raise CertificateError("section advance did not terminate; integration bug")
+        raise CertificateError(_NO_SECTION)
     final = flow.phase_list()
     for i in finished:
         final[i] = 1.0
     return flow.t, final, [(i, code) for _, _, batch in log for _, i, code in sorted(batch)]
+
+
+# the errors of _section_runs by code: 1 is dt <= 0, 2 a cluster behind its
+# new queue's tail, 3 a spent stop budget (0 is none)
+_RUN_ERRORS = (None, (SimulationError, _DT_ERROR), (SimulationError, _ORDER_ERROR),
+               (CertificateError, _NO_SECTION))
+_RUN_CODES = {message: code for code, (_, message) in enumerate(_RUN_ERRORS[1:], 1)}
+
+
+def _run_error(code: int) -> Exception:
+    kind, message = _RUN_ERRORS[code]
+    return kind(message)
+
+
+class _Runs(NamedTuple):
+    """The section runs of `_section_runs`, by row: t1 and the error code
+    (0 if none) of each row, final laid out as the positions, and the hits of
+    row i as cells[bounds[i]:bounds[i + 1]] with their crossing codes in
+    codes[bounds[i]:bounds[i + 1]], cells numbered within the row."""
+
+    t1: np.ndarray
+    final: np.ndarray
+    bounds: np.ndarray
+    cells: np.ndarray
+    codes: np.ndarray
+    errors: np.ndarray
+
+
+class _Arcs(NamedTuple):
+    """Region bounds as `_Flow` reads them, unchecked (`RegionParams`
+    refuses s >= r, which `_section_runs` replays into its dt > 0 check)."""
+
+    s: float
+    r: float
+
+
+def _one_run(pos, s, r, w, raise_first: bool) -> _Runs:
+    """`_section_runs` of the one row pos, by `_section_run`."""
+    try:
+        t1, final, hits = _section_run(pos.tolist(), _Arcs(s, r), [1.0] + [w] * len(pos))
+    except (SimulationError, CertificateError) as exc:
+        if raise_first:
+            raise
+        none = np.zeros(0, np.intp)
+        return _Runs(np.zeros(1), pos.copy(), np.zeros(2, np.intp), none, none,
+                     np.array([_RUN_CODES[str(exc)]], np.int8))
+    cells, codes = np.array(hits, np.intp).reshape(-1, 2).T
+    return _Runs(np.array([t1]), np.array(final), np.array([0, len(hits)]), cells, codes,
+                 np.zeros(1, np.int8))
+
+
+def _section_runs(pos, offsets, s, r, w, raise_first: bool = True) -> _Runs:
+    """`_section_run` of every row at once, in lockstep.
+
+    Row i is the clusters pos[offsets[i]:offsets[i + 1]] (nonempty, ascending
+    in [0, 1], unchecked) on regions s[i], r[i], with speeds [1, w[i], w[i],
+    ...] by the count in S; s, r and w may be scalars.  Each row is bit for
+    bit `_section_run(row, RegionParams(s[i], r[i]), [1.0] + [w[i]] * k)`.
+
+    Row i's S, middle arc and R are the index ranges [0, a), [a, b) and
+    [b, kR): a cluster enters its next queue at the tail, the range's first
+    index, and no cluster wraps to S before the row's last stop, so a range
+    only loses its last index (the head) and its next range gains it.  A
+    stop pops heads as `_Flow.run` does, against the clocks before the
+    stop: R, then the middle arc, then S, then the wraps; each pop round
+    takes one head from every row still popping, so a batch of ties costs
+    one round per cluster.  The checks are `_Flow.run`'s: dt > 0, the order
+    check of each queue a cluster enters, and the stop budget 3k + 10 of
+    `_section_run`.  Hits are sorted by (row, stop, time to cross, cell),
+    as `sorted(batch)` sorts a stop.  Within a run of exactly tied clusters
+    `_Flow` puts the lowest index at the head, and this kernel the highest;
+    tied clusters cross in one stop with the same times and clocks, so no
+    output depends on which pops first.
+
+    A row that fails a check stops there.  With raise_first, the error of
+    the first failing row is raised, the one a row-by-row loop raises;
+    otherwise errors holds each row's error code for `_run_error`, and the
+    outputs of a failing row are unspecified.
+
+    A batch of one row is replayed by `_section_run` itself: the lockstep
+    loop's fixed cost, ~50 small-array operations per stop, is ~30 times
+    that of a scalar replay of a few clusters.
+    """
+    pos = np.asarray(pos, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    n, size = len(offsets) - 1, len(pos)
+    k = np.diff(offsets)
+    s, r, w = (np.full(n, x, dtype=float) for x in (s, r, w))
+    if n == 1:
+        return _one_run(pos, float(s[0]), float(r[0]), float(w[0]), raise_first)
+    row_of = np.repeat(np.arange(n), k)
+    a = np.bincount(row_of[pos < s[row_of]], minlength=n)
+    b = np.maximum(a, np.bincount(row_of[pos < r[row_of]], minlength=n))
+    ends = [a, b, k.copy()]  # a, b and kR of each row after its last stop
+    # per-cell entry phase and entry clock; the pad cell after the last row
+    # is what an index past a range reads where the value is not used
+    entry, since = np.append(pos, 0.0), np.zeros(size + 1)
+    on_section = pos[offsets[1:] - 1] >= 1.0  # `_section_run` returns these at once
+    t1, tau1, errors = np.zeros(n), np.zeros(n), np.zeros(n, np.int8)
+
+    rows = (~on_section).nonzero()[0]
+    base, A, B, KR, S, R, W = offsets[rows], a[rows], b[rows], k[rows], s[rows], r[rows], w[rows]
+    t, tau, v = np.zeros(rows.size), np.zeros(rows.size), np.where(A > 0, W, 1.0)
+    inf = math.inf
+    d0 = np.where(A > 0, S - entry[base + A - 1], inf)
+    d1 = np.where(B > A, R - entry[base + B - 1], inf)
+    d2 = np.where(KR > B, 1.0 - entry[base + KR - 1], inf)
+    budget = 3 * KR + 10
+    log, stop = [], 0  # log: per pop round (rows, stop, times to cross, cells, code)
+    while rows.size:
+        tt0, tt1, tt2 = d0 - t, d1 - t, (d2 - tau) / v
+        dt = np.where(tt1 < tt0, tt1, tt0)
+        dt = np.where(tt2 < dt, tt2, dt)
+        bad = dt <= 0.0
+        if bad.any():
+            errors[rows[bad]] = 1
+            keep = ~bad
+            (rows, base, A, B, KR, S, R, W, t, tau, v, d0, d1, d2, budget, tt0, tt1, tt2,
+             dt) = (x[keep] for x in (rows, base, A, B, KR, S, R, W, t, tau, v, d0, d1, d2,
+                                      budget, tt0, tt1, tt2, dt))
+            if not rows.size:
+                break
+        t_next, tau_next, limit = t + dt, tau + v * dt, dt + TIE_TOL
+        wrapped, fail = tt2 <= limit, np.zeros(rows.size, bool)
+        sel = wrapped.nonzero()[0]
+        while sel.size:  # R's heads reach 1
+            KR[sel] -= 1
+            log.append((rows[sel], stop, tt2[sel], KR[sel], 2))
+            h = base[sel] + KR[sel] - 1
+            d2[sel] = np.where(KR[sel] > B[sel], since[h] + (1.0 - entry[h]), inf)
+            tt2[sel] = (d2[sel] - tau[sel]) / v[sel]
+            sel = sel[tt2[sel] <= limit[sel]]
+        sel = (tt1 <= limit).nonzero()[0]
+        while sel.size:  # the middle arc's heads enter R at r on the new tau
+            B[sel] -= 1
+            log.append((rows[sel], stop, tt1[sel], B[sel], 1))
+            h, now, at = base[sel] + B[sel], tau_next[sel], R[sel]
+            empty = KR[sel] == B[sel] + 1  # R held no cluster
+            fail[sel] |= ~empty & (entry[h + 1] + (now - since[h + 1]) < at)
+            d2[sel] = np.where(empty, now + (1.0 - at), d2[sel])
+            entry[h], since[h] = at, now
+            d1[sel] = np.where(B[sel] > A[sel], since[h - 1] + (at - entry[h - 1]), inf)
+            tt1[sel] = d1[sel] - t[sel]
+            sel = sel[tt1[sel] <= limit[sel]]
+        sel = (tt0 <= limit).nonzero()[0]
+        while sel.size:  # S's heads enter the middle arc at s on the new t
+            A[sel] -= 1
+            log.append((rows[sel], stop, tt0[sel], A[sel], 0))
+            h, now, at = base[sel] + A[sel], t_next[sel], S[sel]
+            empty = B[sel] == A[sel] + 1  # the middle arc held no cluster
+            fail[sel] |= ~empty & (entry[h + 1] + (now - since[h + 1]) < at)
+            d1[sel] = np.where(empty, now + (R[sel] - at), d1[sel])
+            entry[h], since[h] = at, now
+            d0[sel] = np.where(A[sel] > 0, since[h - 1] + (at - entry[h - 1]), inf)
+            tt0[sel] = d0[sel] - t[sel]
+            sel = sel[tt0[sel] <= limit[sel]]
+        # the wraps join S at 0 behind its tail, the row's first cluster; each
+        # later wrap sits on the one before it, which the check always passes
+        sel = (wrapped & (A > 0)).nonzero()[0]
+        fail[sel] |= entry[base[sel]] + (t_next[sel] - since[base[sel]]) < 0.0
+        v = np.where(A > 0, W, 1.0)
+        t, tau, stop = t_next, tau_next, stop + 1
+        out = wrapped | fail | (stop >= budget)
+        if out.any():
+            errors[rows[fail]] = 2
+            errors[rows[out & ~wrapped & ~fail]] = 3
+            done = wrapped & ~fail
+            i = rows[done]
+            t1[i], tau1[i] = t[done], tau[done]
+            for end, now in zip(ends, (A, B, KR)):
+                end[i] = now[done]
+            keep = ~out
+            (rows, base, A, B, KR, S, R, W, t, tau, v, d0, d1, d2, budget) = (
+                x[keep] for x in (rows, base, A, B, KR, S, R, W, t, tau, v, d0, d1, d2, budget))
+
+    # final positions as `_Flow.phase_list` reads them, finishers at 1.0
+    final = pos.copy()
+    mask = ((errors == 0) & ~on_section)[row_of]
+    j = np.arange(size) - offsets[row_of]
+    _, b, kr = (end[row_of] for end in ends)
+    x = entry[:size] + (np.where(j < b, t1[row_of], tau1[row_of]) - since[:size])
+    x -= np.floor(x)
+    x[x == 1.0] = 0.0
+    x[j >= kr] = 1.0
+    final[mask] = x[mask]
+
+    if log:
+        hit_rows, stops, times, cells, codes = zip(*log)
+        lengths = list(map(len, hit_rows))
+        hit_rows, times, cells = map(np.concatenate, (hit_rows, times, cells))
+        stops, codes = np.repeat(stops, lengths), np.repeat(codes, lengths)
+        kept = (errors[hit_rows] == 0).nonzero()[0]
+        order = kept[np.lexsort((cells[kept], times[kept], stops[kept], hit_rows[kept]))]
+        hit_rows, cells, codes = hit_rows[order], cells[order], codes[order]
+    else:
+        hit_rows = cells = codes = np.zeros(0, np.intp)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(hit_rows, minlength=n))))
+    failed = errors.nonzero()[0]
+    if raise_first and failed.size:
+        raise _run_error(errors[failed[0]])
+    return _Runs(t1, final, bounds, cells, codes, errors)
 
 
 def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):

@@ -29,8 +29,9 @@ state agree on every cell's laps.
 Both engines have one speed law, the table of `_speed_table`: while j of
 the n cells are in S, a cell in R moves at 1 + f(j/n).
 
-The exact engine and the section map `returnmap.advance_to_section` share
-one region-clock kernel, `_Flow`.  Cells never overtake and no region
+The exact engine and the one-point section map (`returnmap._section_run`,
+behind `advance_to_section` and `numeric_F`) share one region-clock kernel,
+`_Flow`.  Cells never overtake and no region
 straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
 costs O(batch) work.  One loop, `_Flow.run`, steps the flow: it holds the
@@ -39,10 +40,13 @@ stops at the horizon, after a stop budget or, for the section map, after
 the first batch in which a cell reaches 1, and returns its stops as a log
 of (t, tau, batch).  `_Flow` takes its cells and its speed law as lists of
 Python floats, the speeds indexed by the count in S: `simulate_exact`
-builds the list from `_speed_table` once per run, and the section map's
-replay, `returnmap._section_run`, takes the list from its caller.  The
-section map reads the cells back as a list (`phase_list`), so a replay of
-a few clusters does no numpy work per call.
+builds the list from `_speed_table` once per run, and `_section_run` takes
+the list from its caller.  It reads the cells back as a list
+(`phase_list`), so a replay of a few clusters does no numpy work per call.
+Replays of many points (the cyclic certificates, the return map's
+agreement column) go through `returnmap._section_runs` instead: the same
+stops in one lockstep numpy loop over all points, bit for bit `_section_run`
+row by row.
 
 `simulate_exact` runs the loop once, to the horizon, and builds the event
 records and the sampled states from the log after it; `_exact_run` is that
@@ -124,6 +128,7 @@ def _speed_table(fs: FeedbackSpec, n: int) -> np.ndarray:
 
 
 _ORDER_ERROR = "cyclic order violated; integration bug"
+_DT_ERROR = "non-positive time to next boundary; a cell sits past it"
 
 
 class _Flow:
@@ -192,7 +197,7 @@ class _Flow:
             if tt2 < dt:
                 dt = tt2
             if dt <= 0.0:
-                raise SimulationError("non-positive time to next boundary; a cell sits past it")
+                raise SimulationError(_DT_ERROR)
             t_next = t + dt
             if t_next > late:
                 offset = horizon - t

@@ -357,6 +357,8 @@ def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     ("retmap", {"alpha": 19.5, "grid": 5}, "alpha"),
     ("retmap", {"alpha": -0.97, "grid": 5}, "alpha"),
     ("cyclic", {"beta_lo": -0.97, "region_grid": 4}, "beta"),
+    # as_piecewise once refused it first, as a discontinuous map (exit 3)
+    ("retmap", {"alpha": 1e308, "grid": 5}, "alpha"),
 ])
 def test_speed_window_error_names_the_config_key(tmp_path, command, payload, key, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -366,6 +368,30 @@ def test_speed_window_error_names_the_config_key(tmp_path, command, payload, key
     assert f"speed 1 + {key} = " in err
     assert ("beta" in err) == (key == "beta")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("sweep-fig4", {"n": 20, "points": 2, "cycles": 1e308}),
+    ("simulate", {"engine": "sde", "n": 5, "cycles": 1e308}),
+    ("sweep-fig4", {"n": 20, "points": 2, "dt": 1e-300}),
+], ids=["sweep-cycles-overflow", "sde-cycles-overflow", "sweep-dt-never-ends"])
+def test_step_count_above_the_cap_exits_2(tmp_path, command, payload, capsys):
+    # the first two ended in an OverflowError traceback, the third asked for
+    # ~1e302 steps and never ended
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cycles / dt = ") and err.count("\n") == 1
+    assert "above the cap of 10000000 steps per run" in err
+    assert list(out.iterdir()) == []
+
+
+def test_step_cap_admits_its_own_count():
+    noise = cli.NoiseSpec(sigma=0.0, dt=0.02)
+    cli._check_steps(0.02 * 10 ** 7, noise)  # exactly the cap
+    with pytest.raises(cli.ValidationError):
+        cli._check_steps(float(np.nextafter(0.02 * 10 ** 7, np.inf)), noise)
 
 
 @pytest.mark.parametrize("text, argv, named", [

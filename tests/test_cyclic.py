@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from rscycle.model import (
     ValidationError,
     max_isolated_clusters,
 )
-from rscycle.returnmap import advance_to_section
+from rscycle.returnmap import _section_runs, advance_to_section
 
 # Hand-checked spacing values:
 #   k=2, beta=0.5,  (r,s)=(0.6,0.2):  leader-in-R regime,
@@ -114,12 +116,18 @@ def test_cluster_speeds_window_is_the_saturating_window(k):
 
 @pytest.mark.parametrize("k,beta,r,s,case,expected", SPACING_CASES)
 def test_solution_is_one_replay(monkeypatch, k, beta, r, s, case, expected):
-    # the replay that certifies the case also gives d and the residual
-    calls = []
-    real = cyclic._section_run
-    monkeypatch.setattr(cyclic, "_section_run", lambda *a: calls.append(a) or real(*a))
+    # the replay that certifies the case also gives d and the residual: one
+    # batch of one row
+    rows = []
+    real = cyclic._section_runs
+
+    def counted(pos, offsets, *args, **kwargs):
+        rows.append(len(offsets) - 1)
+        return real(pos, offsets, *args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "_section_runs", counted)
     assert cyclic_solution(RegionParams(s=s, r=r), k, beta).case is case
-    assert len(calls) == 1
+    assert rows == [1]
 
 
 @pytest.mark.parametrize("fn", [classify_case, cyclic_solution])
@@ -325,7 +333,7 @@ def test_a_disagreeing_row_is_named(monkeypatch):
 
 
 def _old_expected_hits(case, k):
-    """The certifying hit lists as EventKinds, as `_verify_case` once built them."""
+    """The certifying hit lists as EventKinds, as the per-case check once built them."""
     kind = simulate.EventKind
     S, R, END = kind.HIT_S_END, kind.HIT_R_START, kind.HIT_CYCLE_END
     if case is Case.I:
@@ -336,8 +344,8 @@ def _old_expected_hits(case, k):
 
 
 def _old_verify_case(case, rp, k, beta):
-    """`_verify_case` on the public advance, with EventKind lists and the
-    closure residual read through numpy."""
+    """The per-case check as it once was: on the public advance, with
+    EventKind lists and the closure residual read through numpy."""
     try:
         d = cyclic_spacing(case, rp, k, beta)
     except ValidationError:
@@ -358,17 +366,19 @@ def _old_verify_case(case, rp, k, beta):
 @given(k=st.integers(2, 12), a=st.floats(0.0, 0.98), b=st.floats(0.0, 1.0),
        sign=st.sampled_from([-1.0, 1.0]), size=st.floats(0.02, 0.9))
 def test_verify_case_is_the_old_event_kind_check(k, a, b, sign, size):
-    # the (cluster, code) table and the list residual against the EventKind
-    # lists and numpy residual they replaced, in every case: same (d,
-    # residual) or None, inside the k = M+1 band and at its edges
+    # the batched per-case check, the three cases as three rows of one
+    # replay, against the per-case EventKind check it replaced: same (d,
+    # residual) bits or None, inside the k = M+1 band and at its edges
     width = 1.0 / k + a * (1.0 / (k - 1) - 1.0 / k)
     s = min(max(b * width, 1e-3), width - 1e-3)
     rp = RegionParams(s=s, r=1.0 - (width - s))
     beta = sign * size
-    speeds = cyclic._cluster_speeds(k, beta)
-    got = [cyclic._verify_case(case, rp, k, beta, speeds) for case in Case]
-    assert got == [_old_verify_case(case, rp, k, beta) for case in Case]
-    assert all(x is None or (type(x[0]) is type(x[1]) is float) for x in got)
+    verified, d, residual, errors = cyclic._verify_cases(
+        np.arange(3), np.full(3, rp.s), np.full(3, rp.r), np.full(3, k), np.full(3, beta))
+    assert not errors.any()
+    got = [(d[i].hex(), residual[i].hex()) if verified[i] else None for i in range(3)]
+    want = [_old_verify_case(case, rp, k, beta) for case in Case]
+    assert got == [x and (x[0].hex(), x[1].hex()) for x in want]
 
 
 def test_spacing_validation():
@@ -400,3 +410,135 @@ def test_classify_matches_brute_force_inequalities():
             assert case is Case.II, (k, beta, rp)
         elif not s_ok and r_ok:
             assert case is Case.III, (k, beta, rp)
+
+
+# Rows that take the certifier's rare branches, found by a search off the
+# k = M+1 band (the default atlas takes none of them), as (s, r, k, beta).
+# FALLBACK tries III, which fails, then I, which verifies; NEITHER meets
+# neither inequality, and of II and III only III verifies; no case verifies
+# NO_CASE (II, I, III) or NEITHER_NO_CASE (II, III).
+FALLBACK = (0.39994253475967784, 0.5890953701439295, 2, 0.9493582042841204)
+NEITHER = (0.3678840269067504, 0.9630721151537374, 4, -0.8273051146616561)
+NO_CASE = (0.2306450698216744, 0.5061275979233255, 6, -0.9)
+NEITHER_NO_CASE = (0.849077688581484, 0.9463734536395703, 8, -0.9)
+IN_BAND = [(0.2, 0.6, 2, 0.5), (0.1, 0.65, 3, -0.2), (0.4, 0.91, 3, 0.3), (0.06, 0.73, 4, 0.3)]
+
+
+def _row_by_row(rows):
+    """cyclic_solution of each row, or the error it raised, and the warnings
+    the loop gives until its first error."""
+    got = []
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        for s, r, k, beta in rows:
+            try:
+                got.append(cyclic_solution(RegionParams(s=s, r=r), k, beta))
+            except (ValidationError, CertificateError) as exc:
+                got.append(exc)
+                break
+    return got, [str(w.message) for w in record]
+
+
+def _batch(rows):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            got = cyclic._certify(*map(list, zip(*rows)))
+        except (ValidationError, CertificateError) as exc:
+            got = exc
+    return got, [str(w.message) for w in record]
+
+
+@pytest.mark.filterwarnings("ignore:k=")
+def test_rare_branches_are_taken():
+    # the first choice of FALLBACK (failing s-inequality) is III; NEITHER and
+    # NEITHER_NO_CASE meet neither inequality
+    for (s, r, k, beta), want in ((FALLBACK, (False, True)), (NEITHER, (False, False)),
+                                  (NO_CASE, (True, False)), (NEITHER_NO_CASE, (False, False))):
+        assert (s < (1.0 + beta * r) / (k * (1.0 + beta)),
+                r > (k - 1) / k * (1.0 - s * beta)) == want
+    assert classify_case(RegionParams(s=FALLBACK[0], r=FALLBACK[1]), *FALLBACK[2:]) is Case.I
+    assert classify_case(RegionParams(s=NEITHER[0], r=NEITHER[1]), *NEITHER[2:]) is Case.III
+
+
+@pytest.mark.parametrize("block", [1024, 3, 1])
+def test_mixed_batch_is_the_row_by_row_result(monkeypatch, block):
+    # rows of several k with a fallback and a neither-branch row: each row's
+    # (case, d, residual) bits are its one-row result, and the batch warns
+    # for the off-band rows as the loop does, in blocks of any size
+    monkeypatch.setattr(cyclic, "_BLOCK_ROWS", block)
+    rows = [IN_BAND[0], FALLBACK, IN_BAND[1], NEITHER, IN_BAND[2], IN_BAND[3], FALLBACK]
+    want, want_warnings = _row_by_row(rows)
+    (cases, d, residual), got_warnings = _batch(rows)
+    assert got_warnings == want_warnings and len(want_warnings) == 1  # NEITHER's k = M+2
+    assert cases == [sol.case for sol in want]
+    assert [x.hex() for x in d.tolist()] == [sol.d.hex() for sol in want]
+    assert [x.hex() for x in residual.tolist()] == [sol.residual.hex() for sol in want]
+
+
+@pytest.mark.parametrize("rows", [
+    [IN_BAND[0], FALLBACK, NO_CASE, NEITHER, NEITHER_NO_CASE],
+    [IN_BAND[1], NEITHER_NO_CASE, IN_BAND[2], NO_CASE],
+    [NEITHER, (0.2, 0.6, 2, float("nan")), NO_CASE],
+    [NO_CASE, (0.2, 0.6, 1, 0.5)],
+    [IN_BAND[3], (0.2, 0.6, 2, -0.97), FALLBACK],
+    [FALLBACK, (0.2, 0.6, 1, 0.5), (0.2, 0.6, 2, float("inf"))],
+    [NEITHER, (0.2, 0.6, 2.5, 0.5), NO_CASE],
+    [IN_BAND[1], (0.6, 0.2, 1, 0.5), (0.2, 0.6, 1, 0.5)],
+], ids=["no-case-first", "neither-no-case-first", "nan-beta", "no-case-then-k1",
+        "below-window", "k1-then-inf", "fractional-k", "bad-regions-then-k1"])
+@pytest.mark.parametrize("block", [1024, 2, 1])
+def test_mixed_batch_raises_the_first_row_error(monkeypatch, rows, block):
+    # the batch raises the error, and gives the warnings, of a loop that
+    # stops at its first failing row, in blocks of any size
+    monkeypatch.setattr(cyclic, "_BLOCK_ROWS", block)
+    want, want_warnings = _row_by_row(rows)
+    assert isinstance(want[-1], Exception)
+    got, got_warnings = _batch(rows)
+    assert type(got) is type(want[-1]) and str(got) == str(want[-1])
+    assert got_warnings == want_warnings
+
+
+def test_grid_batch_warns_the_caller_once_per_off_band_row():
+    # a batch call names its own caller, as the one-row calls do
+    with pytest.warns(UserWarning, match=re.escape("k=3 is not M+1=2")) as record:
+        cyclic._certify([0.2, 0.2], [0.6, 0.6], [3, 2], [0.2, 0.2])
+    assert len(record) == 1
+
+
+def test_grid_classification_is_one_batch(monkeypatch):
+    # classify_case on a pair of region-bound arrays: one row per cell, each
+    # the one-row case, from one `_section_runs` call per round of tries
+    s, r = np.array([0.2, 0.1, FALLBACK[0]]), np.array([0.6, 0.65, FALLBACK[1]])
+    k, beta = np.array([2, 3, 2]), np.array([0.5, -0.2, FALLBACK[3]])
+    calls = []
+
+    def counted(pos, offsets, *args, **kwargs):
+        calls.append(len(offsets) - 1)
+        return _section_runs(pos, offsets, *args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "_section_runs", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = classify_case((s, r), k, beta)
+        calls_batch = list(calls)
+        assert cases == [classify_case(RegionParams(s=a, r=b), c, e)
+                         for a, b, c, e in zip(s.tolist(), r.tolist(), k.tolist(), beta.tolist())]
+    assert cases == [Case.I, Case.II, Case.I]
+    assert calls_batch == [3, 1]  # FALLBACK's III fails, its I verifies
+
+
+@pytest.mark.parametrize("rp,k,message", [
+    ((0.6, 0.2), 2, "region bounds must satisfy 0 < s < r < 1, got s=0.6, r=0.2"),
+    ((0.2, 0.6), 2.5, "need an integer k, got 2.5"),
+    ((0.2, 0.6), float("inf"), "need an integer k, got inf"),
+    ((0.2, 0.6), 1.5, "need k >= 2"),
+])
+def test_batch_checks_regions_and_integer_k(rp, k, message):
+    # the checks of a one-row call with a RegionParams, made row by row; a
+    # fractional k is refused, not truncated
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        classify_case(([0.2, rp[0]], [0.6, rp[1]]), [2, k], 0.5)
+    if rp[0] < rp[1]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            cyclic_solution(RegionParams(*rp), k, 0.5)

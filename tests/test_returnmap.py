@@ -1,9 +1,12 @@
+import re
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rscycle.cyclic import saturating_feedback
+from rscycle.cyclic import _cluster_speeds, saturating_feedback
 from rscycle.model import CertificateError, RegionParams, ValidationError
 from rscycle.returnmap import (
     analytic_F_k2,
@@ -11,11 +14,13 @@ from rscycle.returnmap import (
     classify_k2,
     compose,
     fixed_points,
+    _run_error,
     _section_run,
+    _section_runs,
     advance_to_section,
     numeric_F,
 )
-from rscycle.simulate import _KIND_OF_CODE, _Flow, _speed_table
+from rscycle.simulate import _KIND_OF_CODE, SimulationError, _Flow, _speed_table
 
 RP1 = RegionParams(s=0.2, r=0.6)     # shallow signaling arc: first regime
 RP2 = RegionParams(s=0.5, r=0.7)     # deep signaling arc: second regime
@@ -270,6 +275,90 @@ def test_private_replay_is_the_public_advance(data):
     assert all(type(x) is float for x in final)
     assert np.array(final).tobytes() == final_pub.tobytes()
     assert [(i, _KIND_OF_CODE[code]) for i, code in hits] == hits_pub
+
+
+@st.composite
+def _section_rows(draw):
+    """(positions, s, r, beta) of one row: k in [2, 12] ascending positions
+    with ties and near-ties, clusters on or just below s or r and leaders on
+    the section, regions and a speed 1 + beta across the window [0.05, 20].
+    One row in 20 swaps s and r, regions outside the contract that drive
+    the replay into its dt > 0 check."""
+    k = draw(st.integers(2, 12))
+    s = draw(st.floats(0.02, 0.9))
+    r = draw(st.floats(s, 0.98, exclude_min=True))
+    if draw(st.integers(0, 19)) == 0:
+        s, r = r, s
+    beta = draw(st.one_of(st.floats(-0.95, 19.0), st.sampled_from([-0.95, 0.0, 19.0])))
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k))
+    # a nudge below TIE_TOL makes near-ties, batched with their neighbour
+    nudge = draw(st.sampled_from([3e-13, 9e-13, 3e-12]))
+    pool = [0.0, s, r, s - nudge, r - nudge, *free, *(min(p + nudge, 1.0) for p in free)]
+    pos = sorted(pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=k,
+                                                max_size=k)))
+    if draw(st.integers(0, 7)) == 0:
+        pos[-1] = 1.0
+    return pos, s, r, beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_section_rows(), min_size=1, max_size=16))
+def test_lockstep_runs_are_the_scalar_replay_row_by_row(rows):
+    # every row of one batch of mixed k: t1, final positions and hits bit for
+    # bit, or the same error; the batch raises the first failing row's
+    want = []
+    for pos, s, r, beta in rows:
+        try:
+            want.append(_section_run(list(pos), types.SimpleNamespace(s=s, r=r),
+                                     _cluster_speeds(len(pos), beta)))
+        except (SimulationError, CertificateError) as exc:
+            want.append(exc)
+    offsets = np.cumsum([0] + [len(pos) for pos, *_ in rows])
+    args = (np.concatenate([pos for pos, *_ in rows]), offsets, *(
+        [row[i] for row in rows] for i in (1, 2)), [1.0 + row[3] for row in rows])
+    errors = [x for x in want if isinstance(x, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0]), match=f"^{re.escape(str(errors[0]))}$"):
+            _section_runs(*args)
+    runs = _section_runs(*args, raise_first=False)
+    for i, expected in enumerate(want):
+        if isinstance(expected, Exception):
+            got = _run_error(runs.errors[i])
+            assert type(got) is type(expected) and str(got) == str(expected)
+            continue
+        t1, final, hits = expected
+        assert runs.errors[i] == 0
+        assert runs.t1[i].hex() == t1.hex()
+        assert [x.hex() for x in runs.final[offsets[i]:offsets[i + 1]].tolist()] == [
+            x.hex() for x in final]
+        lo, hi = runs.bounds[i], runs.bounds[i + 1]
+        assert list(zip(runs.cells[lo:hi].tolist(), runs.codes[lo:hi].tolist())) == hits
+
+
+def test_lockstep_runs_take_scalar_regions_and_speeds():
+    # one row on the section, one advancing; s, r and w broadcast
+    runs = _section_runs([0.0, 1.0, 0.0, 0.48], [0, 2, 4], 0.2, 0.6, 1.5)
+    assert runs.t1.tolist() == [0.0, _section_run([0.0, 0.48], RP1, [1.0, 1.5, 1.5])[0]]
+    assert runs.final[:2].tolist() == [0.0, 1.0] and runs.bounds[:2].tolist() == [0, 0]
+    assert not runs.errors.any()
+
+
+def test_one_row_batch_is_the_scalar_replay():
+    # a batch of one row is replayed by `_section_run` and packed as the
+    # lockstep loop packs it; a failing row is that replay's error, raised
+    # or as its code
+    t1, final, hits = _section_run([0.0, 0.48], RP1, [1.0, 1.5, 1.5])
+    runs = _section_runs([0.0, 0.48], [0, 2], 0.2, 0.6, 1.5)
+    assert runs.t1.tolist() == [t1] and runs.final.tolist() == final
+    assert runs.bounds.tolist() == [0, len(hits)] and not runs.errors.any()
+    assert list(zip(runs.cells.tolist(), runs.codes.tolist())) == hits
+    # s above r: the first stop has dt <= 0, in one row as in two
+    with pytest.raises(SimulationError, match="^non-positive time"):
+        _section_runs([0.0, 0.48], [0, 2], 0.6, 0.2, 1.5)
+    for offsets in ([0, 2], [0, 2, 4]):
+        runs = _section_runs([0.0, 0.48] * (len(offsets) - 1), offsets, 0.6, 0.2, 1.5,
+                             raise_first=False)
+        assert runs.errors.tolist() == [1] * (len(offsets) - 1)
 
 
 def test_section_advance_raises_when_its_stop_budget_runs_out(monkeypatch):
