@@ -36,8 +36,7 @@ import numpy as np
 
 from . import __version__
 from .clusters import count_clusters_histogram
-from .cyclic import (Case, CertificateError, _certify, _cluster_speeds, _spectra,
-                     classify_case)
+from .cyclic import CertificateError, _certify, _cluster_speeds, _spectrum_roots, classify_case
 from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _max_isolated,
                     max_isolated_clusters)
 from .pde import flux_residual, mass, steady_profile
@@ -391,7 +390,6 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
 
 
 _KIND_VALUE = {kind: kind.value for kind in EventKind}
-_CASE_VALUE = {case: case.value for case in Case}  # Enum's .value is a slow property
 
 # decision: a run of the stochastic engine takes at most 10**7 steps, 1000
 # times the 10**4 of a --paper-scale sweep point (200 cycles at dt = 0.02).
@@ -468,14 +466,19 @@ def _trajectory_blocks(run, n):
         yield part
 
 
+def _sweep_regions(value: float) -> RegionParams:
+    """The regions of sweep value v: |S| = |R| = 1 / (2 v)."""
+    w = 1.0 / value  # |S| + |R|
+    return RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
+
+
 def _sweep_block(args):
     """Rows of the sweep points first, first + 1, ..., one per value, as one
     Euler-Maruyama block; point i draws its start and its noise from
     default_rng([seed, i])."""
     first, values, cfg, noise, seed = args
     n = int(cfg["n"])
-    widths = [1.0 / value for value in values]  # |S| + |R| of each point
-    geometry = [RegionParams(s=w / 2.0, r=1.0 - w / 2.0) for w in widths]
+    geometry = list(map(_sweep_regions, values))
     rngs = [np.random.default_rng([seed, first + i]) for i in range(len(values))]
     start = np.array([rng.random(n) for rng in rngs])
     steps = int(round(cfg["cycles"] / noise.dt))
@@ -503,6 +506,8 @@ def cmd_sweep_fig4(cfg: dict, seed: int, out: Path, threads: int) -> int:
     if bad:
         raise ValidationError(f"sweep values must be > 1, as |S| + |R| = 1/value must be < 1; "
                               f"lo={cfg['lo']!r}, hi={cfg['hi']!r} give {bad[0]!r}")
+    for value in values:  # and each point's regions, arcs included
+        _sweep_regions(value)
     # built here too, before any worker: dt = 0 would divide by zero in _sweep_block
     noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
     _check_steps(cfg["cycles"], noise)
@@ -560,20 +565,22 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
     if cfg["k_max"] < cfg["k_min"]:
         raise ValidationError(f"k_max must be >= k_min, got k_min={cfg['k_min']}, "
                               f"k_max={cfg['k_max']}")
-    spectrum_rows = []
-    betas = [beta for beta in np.linspace(cfg["beta_lo"], cfg["beta_hi"],
-                                          int(cfg["beta_points"])).tolist() if beta != 0.0]
-    for k in range(int(cfg["k_min"]), int(cfg["k_max"]) + 1):
-        # band-midpoint geometry with |R| = |S| so that k = M + 1
-        w = 1.0 / (k - 0.5)
-        rp = RegionParams(s=w / 2.0, r=1.0 - w / 2.0)
-        cases, d, _ = _certify(rp.s, rp.r, k, betas)  # k's rows in one call
-        reports = _spectra(k, list(zip(betas, cases)))
-        spectrum_rows += [(k, beta, _CASE_VALUE[case], dk, rep.spectral_radius, rep.min_modulus)
-                          for beta, case, dk, rep in zip(betas, cases, d.tolist(), reports)]
-    columns = _columns(spectrum_rows, 6)
+    betas = np.array([beta for beta in np.linspace(cfg["beta_lo"], cfg["beta_hi"],
+                                                   int(cfg["beta_points"])).tolist() if beta != 0.0])
+    ks, nb = np.arange(int(cfg["k_min"]), int(cfg["k_max"]) + 1), len(betas)
+    # the rows in (k, beta) order, certified in one call, each k at its
+    # band-midpoint geometry with |R| = |S| so that k = M + 1
+    w = np.repeat(1.0 / (ks - 0.5), nb)
+    k, beta = np.repeat(ks, nb), np.tile(betas, len(ks))
+    cases, d, _ = _certify(w / 2.0, 1.0 - w / 2.0, k, beta)
+    radius, low = np.zeros(len(k)), np.zeros(len(k))
+    for i, kk in enumerate(ks.tolist()):
+        rows = slice(i * nb, (i + 1) * nb)
+        mods = np.abs(_spectrum_roots(kk, betas, cases[rows])[0])
+        radius[rows], low[rows] = mods.max(axis=1), mods.min(axis=1)
     _write_table(out / "spectrum.csv", "k,beta,case,d,spectral_radius,min_modulus",
-                 *columns[:3], np.column_stack(columns[3:]))
+                 k.tolist(), beta.tolist(), [case._value_ for case in cases],
+                 np.column_stack((d, radius, low)))
 
     # the cells 0 < s < r < 1 of the grid, r outer, at k = M + 1, classified
     # as one batch; r and s take g values each, so they are written as
@@ -586,7 +593,7 @@ def cmd_cyclic(cfg: dict, seed: int, out: Path, threads: int) -> int:
     k = _max_isolated(s, r) + 1
     cases = classify_case((s, r), k, 1.0 / k)
     _write_table(out / "regions.csv", "r,s,k,case", r.tolist(), s.tolist(), k.tolist(),
-                 list(map(_CASE_VALUE.__getitem__, cases)))
+                 [case._value_ for case in cases])  # Enum's .value is a slow property
     return 0
 
 
@@ -618,6 +625,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON config file")

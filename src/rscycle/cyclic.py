@@ -18,8 +18,9 @@ matrix with ones on the subdiagonal and a constant last column, -(1+beta)
 in Case I and -1 otherwise; its spectrum is computed twice (polynomial
 companion roots with Newton polish, and a dense eigendecomposition) and
 the two answers must agree.  An atlas computes both spectra of all its
-rows for one k as one stack (`_spectra`): one eigvals call per solve and
-one Horner loop per polynomial, bit for bit the answer of one row alone.
+rows for one k as one stack (`_spectrum_roots`): one eigvals call per solve
+and one Horner loop per polynomial, bit for bit the answer of one row
+alone; `_spectra` builds the reports of `spectrum` from it.
 
 Along a cyclic solution the signaling fraction only takes the values 0
 and 1/k, so a certificate replay builds no profile: it runs with the speed
@@ -44,8 +45,8 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import (CertificateError, FeedbackSpec, RegionParams, ValidationError,
-                    _max_isolated)
+from .model import (MIN_ARC, CertificateError, FeedbackSpec, RegionParams, ValidationError,
+                    _max_isolated, _region_error)
 from .returnmap import _run_error, _section_runs
 
 _CLOSURE_TOL = 1e-9
@@ -211,10 +212,10 @@ def _certify(s, r, k, beta):
     verified the row's case.
 
     s, r, k and beta broadcast to one length.  Each row is checked as a
-    one-row call checks it: 0 < s < r < 1 (the check of `RegionParams`),
-    an integer k >= 2, a finite |beta| < 1 and 1 + beta in the speed
-    window.  The rows are certified in blocks of _BLOCK_ROWS by
-    `_certify_rows`.
+    one-row call checks it: 0 < s < r < 1 with every arc longer than
+    MIN_ARC (the check of `RegionParams`), an integer k >= 2, a finite
+    |beta| < 1 and 1 + beta in the speed window.  The rows are certified in
+    blocks of _BLOCK_ROWS by `_certify_rows`.
 
     A row that fails raises the error the row-by-row loop raises first: the
     first failing row's first error, after a k != M+1 warning for each row
@@ -223,7 +224,8 @@ def _certify(s, r, k, beta):
     s, r, k, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float),
                                         np.asarray(k, dtype=float),
                                         np.atleast_1d(np.asarray(beta, dtype=float)))
-    bad_rp = ~((0.0 < s) & (s < r) & (r < 1.0))
+    # every arc longer than MIN_ARC > 0 also gives 0 < s < r < 1
+    bad_rp = ~((s > MIN_ARC) & (r - s > MIN_ARC) & (1.0 - r > MIN_ARC))
     bad_k = ~(k >= 2.0)
     bad_int = ~np.isfinite(k) | (k != np.floor(k))
     bad_beta = ~np.isfinite(beta) | (np.abs(beta) >= 1.0)
@@ -234,8 +236,7 @@ def _certify(s, r, k, beta):
     if invalid.size:
         live = i = int(invalid[0])
         if bad_rp[i]:
-            errors[i] = ValidationError("region bounds must satisfy 0 < s < r < 1, got "
-                                        f"s={float(s[i])}, r={float(r[i])}")
+            errors[i] = _region_error(float(s[i]), float(r[i]))
         elif bad_k[i]:
             errors[i] = ValidationError("need k >= 2")
         elif bad_int[i]:
@@ -390,26 +391,13 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]:
-    """`spectrum` of every (beta, case) row of one k, as stacks.
-
-    Row i's characteristic polynomial lam^(k-1) + c (lam^(k-2) + ... + 1),
-    c = 1 + beta in Case I and 1 otherwise, is solved as `np.roots` solves
-    it, by the eigenvalues of its companion matrix, and polished by three
-    Newton steps; then the matrices `build_A` gives are solved, and each
-    root is paired greedily with the nearest unpaired eigenvalue.  All rows
-    share one eigvals call per solve and one Horner loop per polynomial,
-    with row i's coefficients in row i.  numpy's elementwise loops give the
-    same bits at any position of a contiguous array, so each report is bit
-    for bit what a one-row call returns (a property test checks this
-    against the per-row reference).
-
-    eigvals returns a real stack only if every row is real, so each row
-    keeps the dtype of a one-row call only if the rows agree.  They do: for
-    k = 2 every row is real, and for k >= 3 every row has a complex pair.
-    At k = 3 the discriminant c (c - 4) is negative for 0 < c < 2; for
-    k >= 4, times (lam - 1) the polynomial is lam^k + b lam^(k-1) - (1 + b),
-    which has at most three real roots (Descartes' rule of signs), 1 among
-    them.
+    """`spectrum` of every (beta, case) row of one k: the rows are checked
+    as `spectrum` checks them, solved as one stack by `_spectrum_roots`,
+    and each is given its report, with the root-requirement residual of
+    every root.  The report of row i is bit for bit what a one-row call
+    returns (a property test checks this against the per-row reference).
+    `rscycle cyclic` builds no report: it takes the spectral radius and the
+    smallest modulus of each row straight from `_spectrum_roots`.
     """
     if k < 2:
         raise ValidationError("need k >= 2")
@@ -421,9 +409,50 @@ def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]
             raise ValidationError(f"spectrum row {i}: Case I needs 0 < |beta| < 1")
     if not rows:
         return []
+    roots, gap = _spectrum_roots(k, np.array([float(beta) for beta, _ in rows]),
+                                 [case for _, case in rows])
     b = [float(beta) if case is Case.I else 0.0 for beta, case in rows]
-    c = 1.0 + np.array(b)
-    n, m = len(rows), k - 1
+    mods = np.abs(roots)
+    radius, low = mods.max(axis=1).tolist(), mods.min(axis=1).tolist()
+    return [
+        SpectrumReport(
+            eigenvalues=roots[i],
+            spectral_radius=radius[i],
+            min_modulus=low[i],
+            residuals=np.array([verify_root_requirement(z, k, b[i]) for z in roots[i].tolist()]),
+            dual_gap=float(gap[i]),
+        )
+        for i in range(len(rows))
+    ]
+
+
+def _spectrum_roots(k: int, beta: np.ndarray, cases: Sequence[Case]):
+    """(roots, gap) of the valid rows (beta[i], cases[i]) of one k, as
+    stacks: roots[i] holds row i's characteristic roots in the order of
+    their angle, gap[i] its dual gap.
+
+    Row i's characteristic polynomial lam^(k-1) + c (lam^(k-2) + ... + 1),
+    c = 1 + beta in Case I and 1 otherwise, is solved as `np.roots` solves
+    it, by the eigenvalues of its companion matrix, and polished by three
+    Newton steps; then the matrices `build_A` gives are solved, and each
+    root is paired greedily with the nearest unpaired eigenvalue.  All rows
+    share one eigvals call per solve and one Horner loop per polynomial,
+    with row i's coefficients in row i.  numpy's elementwise loops give the
+    same bits at any position of a contiguous array, so each row is bit for
+    bit what a one-row call returns.  A row whose gap exceeds _DUAL_TOL
+    raises CertificateError, the first such row named.
+
+    eigvals returns a real stack only if every row is real, so each row
+    keeps the dtype of a one-row call only if the rows agree.  They do: for
+    k = 2 every row is real, and for k >= 3 every row has a complex pair.
+    At k = 3 the discriminant c (c - 4) is negative for 0 < c < 2; for
+    k >= 4, times (lam - 1) the polynomial is lam^k + b lam^(k-1) - (1 + b),
+    which has at most three real roots (Descartes' rule of signs), 1 among
+    them.
+    """
+    n, m = len(cases), k - 1
+    case_i = np.fromiter((case is Case.I for case in cases), bool, n)
+    c = 1.0 + np.where(case_i, beta, 0.0)
     subdiagonal = np.broadcast_to(np.eye(m, k=-1), (n, m, m))
 
     companion = subdiagonal.copy()
@@ -456,23 +485,10 @@ def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]
     bad = np.flatnonzero(gap > _DUAL_TOL)
     if bad.size:
         i = int(bad[0])
-        beta, case = rows[i]
         raise CertificateError(
             f"companion roots and eigendecomposition disagree by {gap[i]:.3e} "
-            f"for k={k}, beta={beta}, case {case.value} (row {i})"
+            f"for k={k}, beta={float(beta[i])}, case {cases[i].value} (row {i})"
         )
 
     order = np.argsort(np.angle(roots), axis=1, kind="stable")
-    roots = np.take_along_axis(roots, order, axis=1)
-    mods = np.abs(roots)
-    radius, low = mods.max(axis=1).tolist(), mods.min(axis=1).tolist()
-    return [
-        SpectrumReport(
-            eigenvalues=roots[i],
-            spectral_radius=radius[i],
-            min_modulus=low[i],
-            residuals=np.array([verify_root_requirement(z, k, b[i]) for z in roots[i].tolist()]),
-            dual_gap=float(gap[i]),
-        )
-        for i in range(n)
-    ]
+    return np.take_along_axis(roots, order, axis=1), gap

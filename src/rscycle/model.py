@@ -32,6 +32,28 @@ _VALIDATION_GRID = 1000
 # is the run's last stop.
 TIE_TOL = 1e-12
 
+# decision: each arc s, r - s and 1 - r must be longer than MIN_ARC = 1000
+# TIE_TOL.  A cell crosses an arc of length L in at least L / 20 (20 is the
+# top of the speed window), so a crossing of such an arc takes over 50
+# TIE_TOL: a tie batch never holds a cell's entry into an arc and its exit,
+# and a batch's snap (at most 20 TIE_TOL of phase) stays under 2% of the
+# arc.  The exact kernel's due times are a clock plus an arc, which resolve
+# an arc of 1e-9 for every clock below ~9e6; at s = 1e-300, or 1 - r one
+# ulp, the due equals its clock and the run aborted with a non-positive
+# time to the next boundary.
+MIN_ARC = 1000 * TIE_TOL
+
+
+def _region_error(s, r) -> Optional[ValidationError]:
+    """The error `RegionParams(s, r)` raises, or None: 0 < s < r < 1, then
+    arcs s, r - s and 1 - r each longer than MIN_ARC."""
+    if not (0.0 < s < r < 1.0):
+        return ValidationError(f"region bounds must satisfy 0 < s < r < 1, got s={s}, r={r}")
+    if not min(s, r - s, 1.0 - r) > MIN_ARC:
+        return ValidationError(f"region arcs s, r - s and 1 - r must each be longer than "
+                               f"{MIN_ARC:g}, got s={s}, r={r}")
+    return None
+
 
 def wrap01(x):
     """Map x onto [0, 1). Works on scalars and arrays.
@@ -54,17 +76,17 @@ class RegionParams:
     """Arc geometry of the two coupling regions.
 
     s is the upper end of the signaling region S = [0, s); r is the lower
-    end of the responsive region R = [r, 1).
+    end of the responsive region R = [r, 1); 0 < s < r < 1, and each of
+    the three arcs is longer than MIN_ARC.
     """
 
     s: float
     r: float
 
     def __post_init__(self):
-        if not (0.0 < self.s < self.r < 1.0):
-            raise ValidationError(
-                f"region bounds must satisfy 0 < s < r < 1, got s={self.s}, r={self.r}"
-            )
+        error = _region_error(self.s, self.r)
+        if error is not None:
+            raise error
 
     @property
     def len_S(self) -> float:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import sde_oracle
 import spectrum_oracle
-from rscycle import cli
+from rscycle import cli, cyclic
 from rscycle.cyclic import classify_case, cyclic_spacing
 from rscycle.model import (CertificateError, FeedbackSpec, Population, RegionParams,
                            max_isolated_clusters)
@@ -180,6 +181,33 @@ def test_cyclic_builds_no_feedback_profile(tmp_path, monkeypatch):
     assert made == []
 
 
+def test_default_cyclic_emits_no_warning(tmp_path):
+    # every spectrum row sits at its k's band midpoint, where k = M + 1, so
+    # the one certification of every k warns no more than per-k calls did
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert run_cli(["cyclic", "--out", str(tmp_path)]) == 0
+    assert [str(w.message) for w in record] == []
+
+
+def test_cyclic_certifies_every_spectrum_row_in_one_call(tmp_path, monkeypatch):
+    # the rows in (k, beta) order, one _certify call for all k, and no
+    # spectrum report (whose root residuals the CLI never writes) is built
+    calls = []
+    real = cli._certify
+    monkeypatch.setattr(cli, "_certify", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(cyclic, "SpectrumReport", None)
+    payload = {"k_min": 2, "k_max": 5, "beta_points": 4, "region_grid": 4}
+    assert run_cli(["cyclic", "--config", write_config(tmp_path, "c.json", payload),
+                    "--out", str(tmp_path / "cy")]) == 0
+    betas = np.linspace(-0.5, 0.5, 4).tolist()
+    [(s, r, k, beta)] = calls
+    assert k.tolist() == [kk for kk in range(2, 6) for _ in betas]
+    assert beta.tolist() == betas * 4
+    half = [1.0 / (kk - 0.5) / 2.0 for kk in k.tolist()]  # |S| = |R| at the band midpoint
+    assert s.tolist() == half and r.tolist() == [1.0 - h for h in half]
+
+
 def test_cyclic_outputs(tmp_path):
     out = tmp_path / "cy"
     cfg = write_config(tmp_path, "c.json",
@@ -282,11 +310,13 @@ def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("payload", [{"bins": 1}, {"occupancy_threshold": 0}],
-                         ids=["one-bin", "zero-threshold"])
+@pytest.mark.parametrize("payload", [{"bins": 1}, {"occupancy_threshold": 0},
+                                     {"lo": 1.0, "hi": 1.0 + 3e-10}],
+                         ids=["one-bin", "zero-threshold", "middle-arc-too-short"])
 def test_sweep_histogram_settings_checked_before_the_sweep(tmp_path, monkeypatch, capsys,
                                                            threads, payload):
-    # the histogram count once refused these only after every point had run
+    # the histogram count once refused these only after every point had run;
+    # the first value, 1 + 1e-10, leaves a middle arc r - s of ~1e-10, below MIN_ARC
     def no_sweep(*args):
         raise AssertionError("the sweep ran")
 
@@ -336,13 +366,18 @@ def test_out_naming_a_file_exit_code(tmp_path, capsys, below):
     ("retmap", {"alpha": -0.97, "grid": 5}),
     ("retmap", {"alpha": 19.5, "grid": 5}),
     ("cyclic", {"beta_lo": -0.97, "region_grid": 4}),
+    # arcs too short for the exact kernel's clocks once aborted the run (exit 4)
+    ("simulate", {"s": 1e-300}),
+    ("simulate", {"r": 0.9999999999999999}),
+    ("retmap", {"r": 0.9999999999999999}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
         "table-entry-not-number", "unknown-initial", "nan-cycles", "nan-sigma",
         "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
         "sde-horizon-below-one-step", "initial-length-not-n", "retmap-speed-below-window",
-        "retmap-speed-above-window", "cyclic-speed-below-window"])
+        "retmap-speed-above-window", "cyclic-speed-below-window", "simulate-s-arc-too-short",
+        "simulate-r-arc-too-short", "retmap-r-arc-too-short"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "x"

@@ -533,6 +533,10 @@ def test_grid_classification_is_one_batch(monkeypatch):
     ((0.2, 0.6), 2.5, "need an integer k, got 2.5"),
     ((0.2, 0.6), float("inf"), "need an integer k, got inf"),
     ((0.2, 0.6), 1.5, "need k >= 2"),
+    ((1e-300, 0.6), 2, "region arcs s, r - s and 1 - r must each be longer than 1e-09, "
+                       "got s=1e-300, r=0.6"),
+    ((0.2, 0.9999999999999999), 2, "region arcs s, r - s and 1 - r must each be longer "
+                                   "than 1e-09, got s=0.2, r=0.9999999999999999"),
 ])
 def test_batch_checks_regions_and_integer_k(rp, k, message):
     # the checks of a one-row call with a RegionParams, made row by row; a

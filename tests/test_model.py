@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rscycle.model import (
+    MIN_ARC,
     FeedbackSpec,
     Population,
     RegionParams,
@@ -43,6 +44,21 @@ def test_region_params_accessors():
 def test_region_params_rejects_bad_arcs(s, r):
     with pytest.raises(ValidationError):
         RegionParams(s=s, r=r)
+
+
+@pytest.mark.parametrize("s,r", [(1e-300, 0.5), (0.2, 0.9999999999999999), (0.3, 0.3 + 1e-10),
+                                 (MIN_ARC, 0.5), (0.2, 1.0 - MIN_ARC)])
+def test_region_params_rejects_arcs_too_short_for_the_clocks(s, r):
+    # each arc must be longer than MIN_ARC: one at the edge is refused too
+    with pytest.raises(ValidationError, match="^region arcs s, r - s and 1 - r must each be "
+                                              "longer than 1e-09, got "):
+        RegionParams(s=s, r=r)
+
+
+def test_region_params_admits_an_arc_just_above_the_minimum():
+    above = float(np.nextafter(MIN_ARC, 1.0))
+    RegionParams(s=above, r=0.5)
+    RegionParams(s=0.25, r=0.25 + 2 * above)
 
 
 def _regions(phases, rp):
