@@ -158,6 +158,7 @@ def _load_config(path, command: str, overrides: dict) -> dict:
                 raise ValidationError(f"config key {key!r} must be an integer >= 1, got {value!r}")
             cfg[key] = value
     cfg.update(overrides)
+    _check_sizes(command, cfg)
     return cfg
 
 
@@ -391,6 +392,32 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
 
 _KIND_VALUE = {kind: kind.value for kind in EventKind}
 
+# decision: a run holds at most 10**5 cells, 20 times the 5000 of
+# --paper-scale.  One state row is then 0.8 MB and a block of _CHUNK exact
+# states 51 MB; n 10**9 asked for 8 GB before the first step.
+_MAX_CELLS = 10 ** 5
+# decision: a sweep block holds at most 10**7 phases (points * n), 20 times
+# the 5 * 10**5 of --paper-scale.  Each Euler-Maruyama step makes about
+# eight (points, n) float arrays, ~0.6 GB at the cap.
+_MAX_BLOCK = 10 ** 7
+# decision: simulate's stochastic engine keeps at most 2**26 sampled
+# values, (steps / sample_every + 1) * n: 512 MiB of float64, twice that
+# while the samples are stacked.  A --paper-scale trajectory (n 5000, 200
+# cycles at dt 0.02, every step) keeps 5.0 * 10**7; n 200 at the 10**7-step
+# cap, every step, would keep 2 * 10**9 (16 GB).
+_MAX_VALUES = 2 ** 26
+
+
+def _check_sizes(command: str, cfg: dict) -> None:
+    """Refuse a population or a sweep block above its cap, before any
+    command allocates or writes."""
+    if command in ("simulate", "sweep-fig4") and cfg["n"] > _MAX_CELLS:
+        raise ValidationError(f"n = {cfg['n']} cells lies above the cap of {_MAX_CELLS}")
+    if command == "sweep-fig4" and cfg["points"] * cfg["n"] > _MAX_BLOCK:
+        raise ValidationError(f"points * n = {cfg['points'] * cfg['n']} phases lies above "
+                              f"the cap of {_MAX_BLOCK} per sweep")
+
+
 # decision: a run of the stochastic engine takes at most 10**7 steps, 1000
 # times the 10**4 of a --paper-scale sweep point (200 cycles at dt = 0.02).
 # A count past it is a typo or an overflow: cycles 1e308 gives an infinite
@@ -405,6 +432,16 @@ def _check_steps(cycles: float, noise: NoiseSpec) -> None:
     if not steps <= _MAX_STEPS:  # also refuses inf and nan
         raise ValidationError(f"cycles / dt = {steps:.6g} steps lies above the cap of "
                               f"{_MAX_STEPS} steps per run")
+
+
+def _check_samples(steps: int, sample_every: int, n: int) -> None:
+    """Refuse a stochastic run of n cells whose sampled states, the start,
+    every sample_every-th of its steps and the last, hold more than
+    _MAX_VALUES values; called before any step is taken."""
+    values = (-(-steps // sample_every) + 1) * n
+    if values > _MAX_VALUES:
+        raise ValidationError(f"(steps / sample_every + 1) * n = {values} sampled values lies "
+                              f"above the cap of {_MAX_VALUES}")
 
 
 def write_events_csv(traj, path) -> None:
@@ -443,6 +480,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     elif cfg["engine"] == "sde":
         noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"])
         _check_steps(duration, noise)
+        _check_samples(round(duration / noise.dt), int(cfg["sample_every"]), n)
         traj = simulate_sde(pop, rp, fs, noise, duration, seed=rng,
                             sample_every=int(cfg["sample_every"]))
         columns = (traj.times, traj.states)

@@ -151,8 +151,12 @@ def _section_runs(pos, offsets, s, r, w, raise_first: bool = True) -> _Runs:
     takes one head from every row still popping, so a batch of ties costs
     one round per cluster.  The checks are `_Flow.run`'s: dt > 0, the order
     check of each queue a cluster enters, and the stop budget 3k + 10 of
-    `_section_run`.  Hits are sorted by (row, stop, time to cross, cell),
-    as `sorted(batch)` sorts a stop.  Within a run of exactly tied clusters
+    `_section_run`.  The hits come out by (row, stop, time to cross, cell),
+    as `sorted(batch)` sorts a stop, with no sort over every hit: the log
+    holds them stop by stop with rows ascending in each pop round, so one
+    stable sort on the row puts each row's hits in stop order, and only the
+    hits of a stop that batches two or more are re-sorted, by (time to
+    cross, cell).  Within a run of exactly tied clusters
     `_Flow` puts the lowest index at the head, and this kernel the highest;
     tied clusters cross in one stop with the same times and clocks, so no
     output depends on which pops first.
@@ -275,8 +279,18 @@ def _section_runs(pos, offsets, s, r, w, raise_first: bool = True) -> _Runs:
         hit_rows, times, cells = map(np.concatenate, (hit_rows, times, cells))
         stops, codes = np.repeat(stops, lengths), np.repeat(codes, lengths)
         kept = (errors[hit_rows] == 0).nonzero()[0]
-        order = kept[np.lexsort((cells[kept], times[kept], stops[kept], hit_rows[kept]))]
-        hit_rows, cells, codes = hit_rows[order], cells[order], codes[order]
+        order = kept[np.argsort(hit_rows[kept], kind="stable")]
+        hit_rows, stops = hit_rows[order], stops[order]
+        # tied[j]: hit j is in the stop of hit j - 1, of the same row; the
+        # hits of such a stop are re-sorted in their places by (time to
+        # cross, cell), as sorted(batch) orders them
+        tied = np.append(False, (hit_rows[1:] == hit_rows[:-1]) & (stops[1:] == stops[:-1]))
+        if tied.any():
+            batched = tied | np.append(tied[1:], False)
+            hits = order[batched]
+            order[batched] = hits[np.lexsort((cells[hits], times[hits], stops[batched],
+                                              hit_rows[batched]))]
+        cells, codes = cells[order], codes[order]
     else:
         hit_rows = cells = codes = np.zeros(0, np.intp)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(hit_rows, minlength=n))))

@@ -429,6 +429,87 @@ def test_step_cap_admits_its_own_count():
         cli._check_steps(float(np.nextafter(0.02 * 10 ** 7, np.inf)), noise)
 
 
+def _sized(tmp_path, command, payload, overrides=None):
+    """The config `_load_config` makes of payload, or its one-line refusal."""
+    try:
+        return cli._load_config(write_config(tmp_path, "c.json", payload), command,
+                                overrides or {})
+    except cli.ValidationError as exc:
+        assert "\n" not in str(exc)
+        return str(exc)
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("simulate", {"n": 10 ** 9}, "n = 1000000000 cells lies above the cap of 100000"),
+    ("simulate", {"n": 10 ** 5 + 1, "initial": "uniform"}, "cap of 100000"),
+    ("sweep-fig4", {"n": 10 ** 9}, "n = 1000000000 cells"),
+    ("sweep-fig4", {"n": 10 ** 5, "points": 101}, "points * n = 10100000 phases"),
+    ("sweep-fig4", {"n": 1, "points": 10 ** 9}, "cap of 10000000 per sweep"),
+], ids=["simulate-n-1e9", "simulate-n-above-cap", "sweep-n-1e9", "sweep-block-above-cap",
+        "sweep-points-1e9"])
+def test_population_above_its_cap_is_refused_by_the_validator(tmp_path, command, payload, named):
+    # refused in _load_config, before any command allocates: n 10**9 asked
+    # for 8 GB in its first line and was killed by the host with nothing printed
+    assert named in _sized(tmp_path, command, payload)
+
+
+def test_population_caps_admit_their_own_sizes(tmp_path):
+    for command in cli._DEFAULTS:
+        assert isinstance(cli._load_config(None, command, {}), dict)
+    assert _sized(tmp_path, "simulate", {"n": 10 ** 5})["n"] == 10 ** 5
+    assert _sized(tmp_path, "sweep-fig4", {"n": 10 ** 5, "points": 100})["points"] == 100
+    paper = {"n": 5000, "points": 100, "cycles": 200.0}  # the --paper-scale overrides
+    assert _sized(tmp_path, "sweep-fig4", {}, paper)["n"] == 5000
+
+
+def test_sampled_values_cap():
+    # (steps / sample_every + 1) * n: the start, each sample and the last step
+    cli._check_samples(10 ** 4, 1, 5000)  # a paper-scale trajectory, every step
+    cli._check_samples(2 ** 26 - 1, 1, 1)  # exactly the cap
+    cli._check_samples(10 ** 7, 10 ** 4, 200)
+    cli._check_samples(7, 3, 2 ** 24)  # 7 steps sampled every 3rd keep 4 states
+    for steps, every, n in ((2 ** 26, 1, 1), (10 ** 7, 1, 200), (7, 3, 2 ** 24 + 1)):
+        with pytest.raises(cli.ValidationError, match=r"^\(steps / sample_every \+ 1\) \* n"):
+            cli._check_samples(steps, every, n)
+
+
+def test_sde_trajectory_above_the_values_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # n 200 at the 10**7-step cap would keep 16 GB of samples; the engine is
+    # replaced, so that a missing check fails here instead of running it
+    def not_refused(*args, **kwargs):
+        raise AssertionError("the run was not refused")
+
+    monkeypatch.setattr(cli, "simulate_sde", not_refused)
+    cfg = write_config(tmp_path, "c.json", {"engine": "sde", "n": 200, "cycles": 2e5})
+    out = tmp_path / "x"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("validation error: (steps / sample_every + 1) * n = 2000000200 sampled "
+                   "values lies above the cap of 67108864\n")
+    assert list(out.iterdir()) == []
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-fig4"])
+def test_population_above_its_cap_exits_2_before_any_file(tmp_path, command):
+    # in a process limited to 2 GiB of address space, so that a missing cap
+    # ends in a MemoryError (exit 1) instead of an 8 GB allocation
+    cfg = write_config(tmp_path, "c.json", {"n": 10 ** 9})
+    out = tmp_path / "x"
+    proc = subprocess.run([sys.executable, "-m", "rscycle.cli", command, "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True,
+                          preexec_fn=_limit_address_space, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("validation error: n = 1000000000 cells lies above the cap of "
+                           "100000\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, argv, named", [
     (None, ["simulate"], "cannot read config"),
     ("{bad", ["simulate"], "not valid JSON"),

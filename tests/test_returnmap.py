@@ -343,6 +343,54 @@ def test_lockstep_runs_take_scalar_regions_and_speeds():
     assert not runs.errors.any()
 
 
+# three rows on RP1 at speed 1.5 in R: no tie; clusters 1 and 2 exactly
+# tied, so they cross r and then 1 in one stop each; and a near-tie inside
+# TIE_TOL, where the middle arc's head reaches r 5e-13 before R's head
+# reaches 1 and both cross in the one stop
+_TIE_ROWS = ([0.0, 0.48], [0.1, 0.3, 0.3], [0.5, 0.9 - 5e-13])
+
+
+def _lockstep_hits(rows, **kw):
+    offsets = np.cumsum([0] + list(map(len, rows)))
+    runs = _section_runs(np.concatenate(rows), offsets, RP1.s, RP1.r, 1.5, **kw)
+    return offsets, runs
+
+
+def test_lockstep_hits_of_tied_stops_are_the_scalar_order():
+    # a tied stop pops its heads R first and the highest index first, and
+    # `sorted(batch)` orders it by (time to cross, cell): rows 1 and 2 log
+    # their stops as (2, 1) and ((1, R), (0, middle)) and must come out
+    # re-sorted, bit for bit as the scalar replay of each row
+    offsets, runs = _lockstep_hits(_TIE_ROWS)
+    for i, row in enumerate(_TIE_ROWS):
+        t1, final, hits = _section_run(list(row), RP1, [1.0] + [1.5] * len(row))
+        assert runs.errors[i] == 0 and runs.t1[i].hex() == t1.hex()
+        assert [x.hex() for x in runs.final[offsets[i]:offsets[i + 1]].tolist()] == [
+            x.hex() for x in final]
+        lo, hi = runs.bounds[i], runs.bounds[i + 1]
+        assert list(zip(runs.cells[lo:hi].tolist(), runs.codes[lo:hi].tolist())) == hits
+    assert list(zip(runs.cells.tolist(), runs.codes.tolist())) == [
+        (1, 1), (0, 0), (1, 2),
+        (0, 0), (1, 1), (2, 1), (0, 1), (1, 2), (2, 2),
+        (0, 1), (1, 2)]
+
+
+def test_lockstep_hits_sort_only_the_tied_stops(monkeypatch):
+    # the hits come in log order, so a stable sort on the row orders them;
+    # a multi-key sort runs only over the hits of stops that batch two or more
+    real, keys = np.lexsort, []
+
+    def counted(k, *args, **kwargs):
+        keys.append(len(k[0]))
+        return real(k, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    _, runs = _lockstep_hits([[0.0, 0.48], [0.1, 0.35], [0.0, 0.3, 0.75]])
+    assert keys == [] and len(runs.cells) > 0
+    _, runs = _lockstep_hits(_TIE_ROWS)
+    assert keys == [6] and len(runs.cells) > 6  # two stops of row 1, one of row 2
+
+
 def test_one_row_batch_is_the_scalar_replay():
     # a batch of one row is replayed by `_section_run` and packed as the
     # lockstep loop packs it; a failing row is that replay's error, raised
