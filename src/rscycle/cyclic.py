@@ -41,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -142,18 +142,31 @@ _HIT_CODES = np.array([[code for _, code in _CERTIFYING_HITS[case]] for case in 
 _TRIES = np.array([[1, 2, -1], [2, 0, 1], [1, 0, 2], [0, 1, 2]])
 
 
-def _window_error(beta: float, name: str = "beta") -> ValidationError:
+def _window_error(beta: float, name: str = "beta") -> Optional[ValidationError]:
+    """The error for a speed 1 + beta outside the window [FeedbackSpec.v_min,
+    FeedbackSpec.v_max] that profile validation enforces, naming beta as the
+    caller's key, name; None inside it."""
+    if FeedbackSpec.v_min <= 1.0 + beta <= FeedbackSpec.v_max:
+        return None
     return ValidationError(f"speed 1 + {name} = {1.0 + beta!r} lies outside the admissible "
                            f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
 
 
+def _beta_error(beta: float) -> Optional[ValidationError]:
+    """The error `_certify` raises for a row's beta, or None: beta finite
+    with |beta| < 1, then 1 + beta in the speed window."""
+    if not (math.isfinite(beta) and abs(beta) < 1.0):
+        return ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
+    return _window_error(beta)
+
+
 def _cluster_speeds(k: int, beta: float, name: str = "beta") -> List[float]:
     """The speeds of a cyclic k-cluster solution by the count in S, the
-    table of `saturating_feedback(k, beta)`, if 1 + beta lies in the window
-    [FeedbackSpec.v_min, FeedbackSpec.v_max] that profile's validation
-    enforces; the error names beta as the caller's key, name."""
-    if not FeedbackSpec.v_min <= 1.0 + beta <= FeedbackSpec.v_max:
-        raise _window_error(beta, name)
+    table of `saturating_feedback(k, beta)`, if 1 + beta lies in the speed
+    window (else the error of `_window_error`)."""
+    error = _window_error(beta, name)
+    if error is not None:
+        raise error
     return [1.0] + [1.0 + beta] * k
 
 
@@ -241,11 +254,8 @@ def _certify(s, r, k, beta):
             errors[i] = ValidationError("need k >= 2")
         elif bad_int[i]:
             errors[i] = ValidationError(f"need an integer k, got {float(k[i])!r}")
-        elif bad_beta[i]:
-            errors[i] = ValidationError(
-                f"beta must be finite with |beta| < 1, got {float(beta[i])!r}")
         else:
-            errors[i] = _window_error(float(beta[i]))
+            errors[i] = _beta_error(float(beta[i]))
     s, r, k, beta = s[:live], r[:live], k[:live].astype(np.intp), beta[:live]
     M = _max_isolated(s, r)
     case, d, residual = np.full(live, -1), np.zeros(live), np.zeros(live)

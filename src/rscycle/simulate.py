@@ -102,8 +102,11 @@ class NoiseSpec:
     dt: float
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be >= 0")
+        # decision: sigma is the per-step displacement std in cycles, and
+        # the tests use at most 0.05.  A std above 1 moves a cell by laps
+        # per step, and 1e308 filled a trajectory with nan.
+        if not 0.0 <= self.sigma <= 1.0:  # also refuses nan
+            raise ValidationError(f"sigma must lie in [0, 1], got {self.sigma!r}")
         if not (0.0 < self.dt <= 0.1):
             raise ValidationError("dt must lie in (0, 0.1] (at least 10 steps per cycle)")
 

@@ -293,7 +293,7 @@ def test_sweep_value_not_above_one_exit_code(tmp_path, monkeypatch, capsys, thre
     assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: sweep values must be > 1") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -306,7 +306,7 @@ def test_sweep_zero_dt_exit_code(tmp_path, monkeypatch, capsys, threads):
     assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: dt must lie in") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -327,7 +327,7 @@ def test_sweep_histogram_settings_checked_before_the_sweep(tmp_path, monkeypatch
     assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
@@ -370,6 +370,15 @@ def test_out_naming_a_file_exit_code(tmp_path, capsys, below):
     ("simulate", {"s": 1e-300}),
     ("simulate", {"r": 0.9999999999999999}),
     ("retmap", {"r": 0.9999999999999999}),
+    # -inf steps passed the step cap and ended in an OverflowError traceback
+    ("sweep-fig4", {"cycles": -1e308}),
+    ("simulate", {"engine": "sde", "cycles": -1e308}),
+    # sigma 1e308 once filled trajectory.csv with nan (exit 0), and ran a whole sweep
+    ("simulate", {"engine": "sde", "n": 5, "cycles": 1, "sigma": 1e308}),
+    ("sweep-fig4", {"sigma": 1e308}),
+    ("simulate", {"engine": "sde", "n": 5, "cycles": 1, "sigma": float("inf")}),
+    # hi - lo overflows: numpy's RuntimeWarning once made a second line
+    ("sweep-fig4", {"lo": -1e308, "hi": 1e308}),
 ], ids=["unknown-key", "feedback-missing-key", "feedback-unknown-key",
         "feedback-not-object", "non-number", "negative-count", "negative-grid",
         "fractional-count", "zero-points", "zero-grid", "feedback-value-not-number",
@@ -377,15 +386,20 @@ def test_out_naming_a_file_exit_code(tmp_path, capsys, below):
         "infinite-feedback-value", "sweep-negative-cycles", "sweep-horizon-below-one-step",
         "sde-horizon-below-one-step", "initial-length-not-n", "retmap-speed-below-window",
         "retmap-speed-above-window", "cyclic-speed-below-window", "simulate-s-arc-too-short",
-        "simulate-r-arc-too-short", "retmap-r-arc-too-short"])
+        "simulate-r-arc-too-short", "retmap-r-arc-too-short", "sweep-cycles-minus-1e308",
+        "sde-cycles-minus-1e308", "sde-sigma-1e308", "sweep-sigma-1e308", "sde-sigma-inf",
+        "sweep-range-overflow"])
 def test_unknown_config_key_exit_code(tmp_path, command, payload, capsys):
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "x"
-    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings():  # a warning would be one more line on stderr
+        warnings.simplefilter("error")
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
-    # nothing is written: retmap once wrote two files before it checked alpha
-    assert not out.exists() or list(out.iterdir()) == []
+    # nothing is written, and --out is not made: retmap once wrote two files
+    # before it checked alpha
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -402,7 +416,7 @@ def test_speed_window_error_names_the_config_key(tmp_path, command, payload, key
     err = capsys.readouterr().err
     assert f"speed 1 + {key} = " in err
     assert ("beta" in err) == (key == "beta")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -419,14 +433,7 @@ def test_step_count_above_the_cap_exits_2(tmp_path, command, payload, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: cycles / dt = ") and err.count("\n") == 1
     assert "above the cap of 10000000 steps per run" in err
-    assert list(out.iterdir()) == []
-
-
-def test_step_cap_admits_its_own_count():
-    noise = cli.NoiseSpec(sigma=0.0, dt=0.02)
-    cli._check_steps(0.02 * 10 ** 7, noise)  # exactly the cap
-    with pytest.raises(cli.ValidationError):
-        cli._check_steps(float(np.nextafter(0.02 * 10 ** 7, np.inf)), noise)
+    assert not out.exists()
 
 
 def _sized(tmp_path, command, payload, overrides=None):
@@ -444,13 +451,36 @@ def _sized(tmp_path, command, payload, overrides=None):
     ("simulate", {"n": 10 ** 5 + 1, "initial": "uniform"}, "cap of 100000"),
     ("sweep-fig4", {"n": 10 ** 9}, "n = 1000000000 cells"),
     ("sweep-fig4", {"n": 10 ** 5, "points": 101}, "points * n = 10100000 phases"),
-    ("sweep-fig4", {"n": 1, "points": 10 ** 9}, "cap of 10000000 per sweep"),
+    ("sweep-fig4", {"n": 1, "points": 10 ** 9}, "points = 1000000000 sweep points lies above "
+                                                "the cap of 2000"),
+    ("sweep-fig4", {"n": 5000, "points": 2001}, "cap of 2000"),
+    ("sweep-fig4", {"bins": 2401}, "bins = 2401 bins lies above the cap of 2400"),
+    ("retmap", {"grid": 10 ** 9}, "grid = 1000000000 grid points lies above the cap of 20000"),
+    ("pde-steady", {"grid": 20001}, "cap of 20000"),
+    ("cyclic", {"region_grid": 2401}, "region_grid = 2401 cells a side lies above the cap of "
+                                      "2400"),
+    ("cyclic", {"beta_points": 1001}, "beta_points = 1001 betas lies above the cap of 1000"),
+    ("cyclic", {"k_max": 161}, "k_max = 161 clusters lies above the cap of 160"),
+    ("cyclic", {"beta_points": 20, "k_max": 51},
+     "beta_points * (k_max - 1)**2 lies above the cap of 49000"),
 ], ids=["simulate-n-1e9", "simulate-n-above-cap", "sweep-n-1e9", "sweep-block-above-cap",
-        "sweep-points-1e9"])
+        "sweep-points-1e9", "sweep-points-above-cap", "sweep-bins-above-cap",
+        "retmap-grid-1e9", "pde-grid-above-cap", "cyclic-region-grid-above-cap",
+        "cyclic-beta-points-above-cap", "cyclic-k-max-above-cap", "cyclic-stack-above-cap"])
 def test_population_above_its_cap_is_refused_by_the_validator(tmp_path, command, payload, named):
     # refused in _load_config, before any command allocates: n 10**9 asked
     # for 8 GB in its first line and was killed by the host with nothing printed
     assert named in _sized(tmp_path, command, payload)
+
+
+def test_step_cap_admits_its_own_count(tmp_path):
+    for command, payload in (("sweep-fig4", {}), ("simulate", {"engine": "sde", "n": 1})):
+        cycles = 0.02 * 10 ** 7  # exactly the cap
+        at_cap = _sized(tmp_path, command, {**payload, "dt": 0.02, "cycles": cycles})
+        assert at_cap["cycles"] == cycles
+        refused = _sized(tmp_path, command, {**payload, "dt": 0.02,
+                                             "cycles": float(np.nextafter(cycles, np.inf))})
+        assert refused.startswith("cycles / dt = 1e+07 steps lies above the cap")
 
 
 def test_population_caps_admit_their_own_sizes(tmp_path):
@@ -460,17 +490,107 @@ def test_population_caps_admit_their_own_sizes(tmp_path):
     assert _sized(tmp_path, "sweep-fig4", {"n": 10 ** 5, "points": 100})["points"] == 100
     paper = {"n": 5000, "points": 100, "cycles": 200.0}  # the --paper-scale overrides
     assert _sized(tmp_path, "sweep-fig4", {}, paper)["n"] == 5000
+    for command, payload in [("sweep-fig4", {"n": 5000, "points": 2000, "bins": 2400}),
+                             ("retmap", {"grid": 20000}), ("pde-steady", {"grid": 20000}),
+                             ("cyclic", {"region_grid": 2400, "beta_points": 1000, "k_max": 8}),
+                             ("cyclic", {"beta_points": 1, "k_max": 160}),
+                             ("cyclic", {"beta_points": 20, "k_max": 50})]:  # 20 * 49**2 = 48020
+        assert _sized(tmp_path, command, payload) == {**cli._DEFAULTS[command], **payload}
 
 
-def test_sampled_values_cap():
-    # (steps / sample_every + 1) * n: the start, each sample and the last step
-    cli._check_samples(10 ** 4, 1, 5000)  # a paper-scale trajectory, every step
-    cli._check_samples(2 ** 26 - 1, 1, 1)  # exactly the cap
-    cli._check_samples(10 ** 7, 10 ** 4, 200)
-    cli._check_samples(7, 3, 2 ** 24)  # 7 steps sampled every 3rd keep 4 states
-    for steps, every, n in ((2 ** 26, 1, 1), (10 ** 7, 1, 200), (7, 3, 2 ** 24 + 1)):
-        with pytest.raises(cli.ValidationError, match=r"^\(steps / sample_every \+ 1\) \* n"):
-            cli._check_samples(steps, every, n)
+# The validator alone, on drawn configs: every known key of a command may
+# take one of the malformed values a fuzz of the CLI used, a count up to
+# 10**9, or a small valid value; no command runs.
+_MALFORMED = [0, -1, 1e-300, 1e308, -1e308, 10 ** 9, 0.5, "x", [], {}, None, True,
+              float("nan")]
+_VALID = {
+    "engine": st.sampled_from(["exact", "sde"]),
+    "initial": st.one_of(st.sampled_from(["random", "uniform"]),
+                         st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3)),
+    "feedback": st.builds(lambda g: {"kind": "linear", "gamma": g}, st.floats(-0.9, 0.9)),
+    "s": st.floats(0.01, 0.45), "r": st.floats(0.55, 0.99), "cycles": st.floats(-1.0, 20.0),
+    "sigma": st.floats(0.0, 0.05), "dt": st.floats(0.001, 0.1), "gamma": st.floats(-0.9, 0.9),
+    "lo": st.floats(-1.0, 3.0), "hi": st.floats(1.0, 8.0), "alpha": st.floats(-0.9, 3.0),
+    "beta_lo": st.floats(-0.9, 0.0), "beta_hi": st.floats(0.0, 0.9), "c": st.floats(0.0, 2.0),
+    "occupancy_threshold": st.floats(0.0, 4.0),
+}
+
+
+@st.composite
+def drawn_configs(draw):
+    command = draw(st.sampled_from(sorted(cli._DEFAULTS)))
+    keys = draw(st.lists(st.sampled_from(list(cli._DEFAULTS[command])), unique=True,
+                         min_size=1, max_size=3))
+    payload = {}
+    for key in keys:
+        valid = st.integers(0, 10 ** 9) | st.integers(1, 30) if key in cli._COUNTS else _VALID[key]
+        payload[key] = draw(st.sampled_from(_MALFORMED) | valid)
+    return command, payload
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "c.json"
+
+
+def assert_accepted_or_refused_in_one_line(path, command, payload):
+    """_load_config on payload raises ValidationError with one line, or
+    returns the defaults updated with payload; any other exception, or a
+    warning (which the CLI would print), fails."""
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = cli._load_config(str(path), command, {})
+        except cli.ValidationError as exc:
+            assert "\n" not in str(exc) and str(exc)
+            return
+    assert cfg == {**cli._DEFAULTS[command], **payload}
+
+
+def test_validator_on_each_malformed_value_of_each_key(config_path):
+    # the fuzz itself, on the validator alone: 13 values on every key
+    for command, defaults in cli._DEFAULTS.items():
+        for key in defaults:
+            for value in _MALFORMED:
+                assert_accepted_or_refused_in_one_line(config_path, command, {key: value})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(drawn=drawn_configs())
+def test_validator_accepts_or_refuses_in_one_line(config_path, drawn):
+    assert_accepted_or_refused_in_one_line(config_path, *drawn)
+
+
+def test_every_count_has_a_row_and_no_command_body_raises():
+    # each integer default is a count of _COUNTS; the command bodies and the
+    # sweep worker raise no ValidationError: the validator holds every rule
+    for defaults in cli._DEFAULTS.values():
+        for key, value in defaults.items():
+            assert isinstance(value, int) == (key in cli._COUNTS), key
+    bodies = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("cmd_") or node.name == "_sweep_block")]
+    assert len(bodies) == 6
+    for body in bodies:
+        for node in ast.walk(body):
+            raises = isinstance(node, ast.Raise) and "ValidationError" in ast.dump(node)
+            assert not raises, body.name
+
+
+def test_sampled_values_cap(tmp_path):
+    # (steps / sample_every + 1) * n: the start, each sample and the last
+    # step; dt = 2**-4, so that cycles / dt is each step count exactly
+    def sampled(steps, every, n):
+        return _sized(tmp_path, "simulate", {"engine": "sde", "dt": 0.0625, "cycles": steps / 16,
+                                             "sample_every": every, "n": n})
+
+    assert isinstance(sampled(10 ** 4, 1, 5000), dict)  # a paper-scale trajectory, every step
+    assert isinstance(sampled(2 ** 23 - 1, 1, 8), dict)  # exactly the cap
+    assert isinstance(sampled(10 ** 7, 10 ** 4, 200), dict)
+    assert isinstance(sampled(3068, 3, 2 ** 16), dict)  # sampled every 3rd: 1024 states
+    for steps, every, n in ((2 ** 23, 1, 8), (10 ** 7, 1, 200), (3068, 3, 2 ** 16 + 1)):
+        assert sampled(steps, every, n).startswith("(steps / sample_every + 1) * n = ")
 
 
 def test_sde_trajectory_above_the_values_cap_exits_2(tmp_path, monkeypatch, capsys):
@@ -486,7 +606,7 @@ def test_sde_trajectory_above_the_values_cap_exits_2(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err == ("validation error: (steps / sample_every + 1) * n = 2000000200 sampled "
                    "values lies above the cap of 67108864\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _limit_address_space():
@@ -495,18 +615,29 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep-fig4"])
-def test_population_above_its_cap_exits_2_before_any_file(tmp_path, command):
+@pytest.mark.parametrize("command, key, named", [
+    pytest.param("simulate", "n", "n = 1000000000 cells lies above the cap of 100000",
+                 id="simulate"),
+    pytest.param("sweep-fig4", "n", "n = 1000000000 cells lies above the cap of 100000",
+                 id="sweep-fig4"),
+    ("sweep-fig4", "bins", "bins = 1000000000 bins lies above the cap of 2400"),
+    ("retmap", "grid", "grid = 1000000000 grid points lies above the cap of 20000"),
+    ("pde-steady", "grid", "grid = 1000000000 grid points lies above the cap of 20000"),
+    ("cyclic", "region_grid", "region_grid = 1000000000 cells a side lies above the cap of 2400"),
+    ("cyclic", "beta_points", "beta_points = 1000000000 betas lies above the cap of 1000"),
+    ("cyclic", "k_max", "k_max = 1000000000 clusters lies above the cap of 160"),
+])
+def test_population_above_its_cap_exits_2_before_any_file(tmp_path, command, key, named):
     # in a process limited to 2 GiB of address space, so that a missing cap
-    # ends in a MemoryError (exit 1) instead of an 8 GB allocation
-    cfg = write_config(tmp_path, "c.json", {"n": 10 ** 9})
+    # ends in a MemoryError (exit 1) instead of an 8 GB allocation; each
+    # count but n did so at 10**9, and cyclic's region_grid left spectrum.csv
+    cfg = write_config(tmp_path, "c.json", {key: 10 ** 9})
     out = tmp_path / "x"
     proc = subprocess.run([sys.executable, "-m", "rscycle.cli", command, "--config", cfg,
                            "--out", str(out)], capture_output=True, text=True,
                           preexec_fn=_limit_address_space, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == ("validation error: n = 1000000000 cells lies above the cap of "
-                           "100000\n")
+    assert proc.stderr == f"validation error: {named}\n"
     assert not out.exists()
 
 
@@ -569,15 +700,15 @@ def test_paper_scale_flag_changes_config(tmp_path, monkeypatch):
 
 
 def test_sweep_horizon_below_one_step_exit_code_with_workers(tmp_path, monkeypatch, capsys):
-    # a worker of the pool raises as the single process does (the
-    # sweep-horizon-below-one-step id above), and nothing is written
+    # refused while the config is read, before --out is made or any worker
+    # starts, as with one process (the sweep-horizon-below-one-step id above)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = write_config(tmp_path, "c.json", {"n": 50, "points": 3, "cycles": 0.001})
     out = tmp_path / "x"
     assert run_cli(["sweep-fig4", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):

@@ -548,6 +548,12 @@ def test_noise_spec_validation():
         NoiseSpec(sigma=0.1, dt=0.0)
     with pytest.raises(ValidationError):
         NoiseSpec(sigma=0.1, dt=0.2)
+    # sigma, a per-step std in cycles, lies in [0, 1]; nan and inf are refused
+    for sigma in (float("nan"), float("inf"), 1e308, np.nextafter(1.0, 2.0), -5e-324):
+        with pytest.raises(ValidationError, match=r"^sigma must lie in \[0, 1\], got "):
+            NoiseSpec(sigma=sigma, dt=0.01)
+    for sigma in (0.0, 0.05, 1.0):
+        assert NoiseSpec(sigma=sigma, dt=0.01).sigma == sigma
 
 
 def test_sde_deterministic_under_seed():
