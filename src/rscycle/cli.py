@@ -9,10 +9,12 @@ hash, and the seed, so repeated runs are byte-identical.
 
 A config is checked in full by _load_config, with one validator,
 _check_config, before --out is made: a refused config leaves no directory,
-and the commands read it as checked.  This module alone writes files: each
-CSV, through the column-wise _write_table, has a header line and reals as
-%.17g (which round-trips a float64), and each JSON file, through
-_write_json, has indent 2, sorted keys and a trailing newline.
+and the commands read it as checked.  The validator writes no value rule of
+the library again: it builds the library's objects or calls its rules.
+This module alone writes files: each CSV, through the column-wise
+_write_table, has a header line and reals as %.17g (which round-trips a
+float64), and each JSON file, through _write_json, has indent 2, sorted
+keys and a trailing newline.
 
 Exit codes: 0 on success, 2 on validation errors, 3 when a numerical
 certificate fails, 4 when a simulation aborts (runaway or impossible state).
@@ -36,12 +38,12 @@ from . import __version__
 from .clusters import count_clusters_histogram
 from .cyclic import (CertificateError, _beta_error, _certify, _cluster_speeds, _spectrum_roots,
                      classify_case)
-from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _max_isolated,
-                    max_isolated_clusters)
+from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _check_count,
+                    _max_isolated, max_isolated_clusters)
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_runs, analytic_F_k2, as_piecewise, compose, fixed_points
-from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _em_block,
-                       _event_state_blocks, _exact_run, simulate_sde)
+from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _check_horizon, _em_block,
+                       _event_state_blocks, _exact_run, _sde_steps, _speed_table, simulate_sde)
 
 _DEFAULTS = {
     "simulate": {
@@ -163,29 +165,28 @@ def _load_config(path, command: str, overrides: dict) -> dict:
     return cfg
 
 
-# decision: a run holds at most 10**5 cells, 20 times the 5000 of
-# --paper-scale.  One state row is then 0.8 MB and a block of _CHUNK exact
-# states 51 MB; n 10**9 asked for 8 GB before the first step.
+# decision: CLI policy.  A run holds at most 10**5 cells, 20 times the 5000
+# of --paper-scale.  One state row is then 0.8 MB and a block of _CHUNK
+# exact states 51 MB; n 10**9 asked for 8 GB before the first step.
 _MAX_CELLS = 10 ** 5
-# decision: a sweep block holds at most 10**7 phases (points * n), 20 times
-# the 5 * 10**5 of --paper-scale.  Each Euler-Maruyama step makes about
-# eight (points, n) float arrays, ~0.6 GB at the cap.
+# decision: CLI policy.  A sweep block holds at most 10**7 phases (points *
+# n), 20 times the 5 * 10**5 of --paper-scale.  Each Euler-Maruyama step
+# makes about eight (points, n) float arrays, ~0.6 GB at the cap.
 _MAX_BLOCK = 10 ** 7
-# decision: the cyclic atlas's (betas, k - 1, k - 1) eigvals stack holds at
-# most 20 times the default's 50 * 7**2 entries, beta_points * (k_max - 1)**2;
-# k_max 100 took 10.9 s with 50 betas and 220 s with 1000.
+# decision: CLI policy.  The cyclic atlas's (betas, k - 1, k - 1) eigvals
+# stack holds at most 20 times the default's 50 * 7**2 entries, beta_points
+# * (k_max - 1)**2; k_max 100 took 10.9 s with 50 betas and 220 s with 1000.
 _MAX_STACK = 20 * 50 * 7 ** 2
-# decision: simulate's stochastic engine keeps at most 2**26 sampled values,
-# (steps / sample_every + 1) * n: 512 MiB of float64, twice that while they
-# are stacked.  A --paper-scale trajectory (n 5000, 200 cycles at dt 0.02,
-# every step) keeps 5.0 * 10**7; n 200 at the step cap would keep 16 GB.
+# decision: CLI policy.  simulate's stochastic engine keeps at most 2**26
+# sampled values, (steps / sample_every + 1) * n: 512 MiB of float64, twice
+# that while they are stacked.  A --paper-scale trajectory (n 5000, 200
+# cycles at dt 0.02, every step) keeps 5.0 * 10**7; n 200 at the step cap
+# would keep 16 GB.
 _MAX_VALUES = 2 ** 26
-# decision: a stochastic run takes at most 10**7 steps, 1000 times the 10**4
-# of a --paper-scale sweep point; a count past it is a typo or an overflow:
-# cycles 1e308 gives an infinite count, and dt 1e-300 a run that never ends.
-_MAX_STEPS = 10 ** 7
-# Each count: key -> (least, cap or None, what it counts).  Each cap is 20 times the largest
-# default or --paper-scale value; at 10**9, in 2 GiB, each count below raised MemoryError.
+# Each count: key -> (least, cap or None, what it counts), for the library's
+# count rule.  Each cap is CLI policy, 20 times the largest default or
+# --paper-scale value; at 10**9, in 2 GiB, each count below raised
+# MemoryError.
 _COUNTS = {
     "n": (1, _MAX_CELLS, "cells"),
     "sample_every": (1, None, None),
@@ -207,16 +208,13 @@ _COUNTS = {
 
 def _check_config(command: str, cfg: dict) -> None:
     """Refuse cfg unless it keeps every rule of command: counts first, as rules may allocate
-    by them, then the model's rules by building its objects, then cross-key rules."""
+    by them, then the model's rules by building its objects or calling the library's rules,
+    then cross-key rules."""
     for key in filter(_COUNTS.__contains__, cfg):
-        (least, cap, noun), value = _COUNTS[key], cfg[key]
-        if not (isinstance(value, int) and value >= least):
-            raise ValidationError(f"config key {key!r} must be an integer >= {least}, "
-                                  f"got {value!r}")
-        if cap is not None and value > cap:
-            raise ValidationError(f"{key} = {value} {noun} lies above the cap of {cap}")
+        _check_count(key, cfg[key], *_COUNTS[key])
     rp = RegionParams(s=cfg["s"], r=cfg["r"]) if "s" in cfg else None
     fs = _feedback_from_config(cfg["feedback"]) if "feedback" in cfg else None
+    noise = NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]) if "sigma" in cfg else None
     if command == "pde-steady":
         steady_profile(cfg["c"], rp, fs)
     elif command == "retmap":
@@ -229,7 +227,8 @@ def _check_config(command: str, cfg: dict) -> None:
         if cfg["beta_points"] * (cfg["k_max"] - 1) ** 2 > _MAX_STACK:
             raise ValidationError(f"beta_points * (k_max - 1)**2 lies above the cap of "
                                   f"{_MAX_STACK}")
-        error = _beta_error(cfg["beta_lo"]) or _beta_error(cfg["beta_hi"])
+        error = (_beta_error(cfg["beta_lo"], window=True)
+                 or _beta_error(cfg["beta_hi"], window=True))
         if error:
             raise error
     elif command == "sweep-fig4":
@@ -256,17 +255,12 @@ def _check_config(command: str, cfg: dict) -> None:
             Population(np.asarray(initial, dtype=float))
         if cfg["engine"] not in ("exact", "sde"):
             raise ValidationError(f"unknown engine {cfg['engine']!r}")
-        if cfg["engine"] == "exact" and not cfg["cycles"] > 0:
-            raise ValidationError(f"cycles must be > 0, got {cfg['cycles']!r}")
+        if cfg["engine"] == "exact":
+            _check_horizon(cfg["cycles"], rp, _speed_table(fs, cfg["n"]), name="cycles")
     if command == "sweep-fig4" or cfg.get("engine") == "sde":
-        steps = cfg["cycles"] / NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]).dt
-        if not steps <= _MAX_STEPS:  # also refuses inf and nan
-            raise ValidationError(f"cycles / dt = {steps:.6g} steps lies above the cap of "
-                                  f"{_MAX_STEPS} steps per run")
-        if not (steps > 0.0 and round(steps) >= 1):  # as the engine counts; -inf before round
-            raise ValidationError(f"cycles / dt = {steps:.6g} rounds to less than one step")
+        steps = _sde_steps(cfg["cycles"], noise.dt, "cycles")
         if command == "simulate":  # the start, every sample_every-th step and the last
-            values = (-(-round(steps) // cfg["sample_every"]) + 1) * cfg["n"]
+            values = (-(-steps // cfg["sample_every"]) + 1) * cfg["n"]
             if values > _MAX_VALUES:
                 raise ValidationError(f"(steps / sample_every + 1) * n = {values} sampled "
                                       f"values lies above the cap of {_MAX_VALUES}")
@@ -562,7 +556,7 @@ def _sweep_block(args):
     geometry = list(map(_sweep_regions, values))
     rngs = [np.random.default_rng([seed, first + i]) for i in range(len(values))]
     start = np.array([rng.random(n) for rng in rngs])
-    steps = int(round(cfg["cycles"] / noise.dt))
+    steps = _sde_steps(cfg["cycles"], noise.dt)
     _, states = _em_block(start, [rp.s for rp in geometry], [rp.r for rp in geometry],
                           FeedbackSpec.linear(cfg["gamma"]), noise, steps, rngs, steps)
     rows = []
@@ -714,8 +708,7 @@ def main(argv=None) -> int:
     if getattr(ns, "paper_scale", False):
         overrides = {"n": 5000, "points": 100, "cycles": 200.0}
     try:
-        if ns.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {ns.seed}")
+        _check_count("seed", ns.seed, 0)
         cfg = _load_config(ns.config, ns.command, overrides)
         out = Path(ns.out)
         try:

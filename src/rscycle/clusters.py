@@ -7,7 +7,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import Population, RegionParams, ValidationError
+from .model import Population, RegionParams, ValidationError, _check_count, _check_number
+
+# decision: library policy.  A histogram has at most 10**6 bins, counts of
+# 8 MB; 10**9 raised MemoryError.  The CLI's bins cap, 2400, is its own.
+_MAX_BINS = 10 ** 6
 
 
 def _sorted_gaps(phases: np.ndarray):
@@ -101,10 +105,8 @@ def count_clusters_histogram(pop: Population, bins: int = 120,
     runs of marked bins.  Returns 0 if nothing is marked or if more than half
     of all bins are marked (no discernible clusters).
     """
-    if bins < 2:
-        raise ValidationError("need at least 2 bins")
-    if occupancy_threshold <= 0:
-        raise ValidationError("occupancy threshold must be positive")
+    _check_count("bins", bins, 2, _MAX_BINS, "bins")
+    _check_number("occupancy threshold", occupancy_threshold, gt=0.0)
     idx = np.minimum((pop.phases * bins).astype(int), bins - 1)
     counts = np.bincount(idx, minlength=bins)
     marked = counts > occupancy_threshold * (len(pop) / bins)

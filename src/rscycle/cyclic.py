@@ -46,11 +46,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .model import (MIN_ARC, CertificateError, FeedbackSpec, RegionParams, ValidationError,
-                    _max_isolated, _region_error)
+                    _check_count, _check_number, _max_isolated, _region_error)
 from .returnmap import _run_error, _section_runs
 
 _CLOSURE_TOL = 1e-9
 _DUAL_TOL = 1e-8
+# decision: library policy.  A cyclic solution has at most 1000 clusters:
+# `build_A` is then an 8 MB matrix and `spectrum` solves two 999 x 999
+# eigenproblems; k = 10**9 raised MemoryError.  The CLI's k_max cap, 160, is
+# its own and tighter.
+_MAX_K = 1000
 
 
 class Case(Enum):
@@ -90,6 +95,7 @@ def saturating_feedback(k: int, beta: float) -> FeedbackSpec:
     no profile may do, and 1 + beta is exactly 1, so the speeds are those of
     zero feedback either way.
     """
+    _check_k(k)
     if abs(beta) < np.finfo(float).tiny:
         return FeedbackSpec.linear(0.0)
     return FeedbackSpec.tabulated([(0.0, 0.0), (1.0 / k, beta), (1.0, beta)])
@@ -97,10 +103,7 @@ def saturating_feedback(k: int, beta: float) -> FeedbackSpec:
 
 def cyclic_spacing(case: Case, rp: RegionParams, k: int, beta: float) -> float:
     """Return spacing d of the cyclic solution under the given case."""
-    if k < 2:
-        raise ValidationError("need k >= 2")
-    if abs(beta) >= 1.0:
-        raise ValidationError("|beta| must be below 1")
+    _check_k_beta(k, beta)
     d = _spacing(case, rp.s, rp.r, k, beta)
     if not _in_unit_interval(d, k):
         raise ValidationError(f"spacing d={d:.6g} leaves the unit interval for k={k}")
@@ -152,12 +155,26 @@ def _window_error(beta: float, name: str = "beta") -> Optional[ValidationError]:
                            f"window [{FeedbackSpec.v_min}, {FeedbackSpec.v_max}]")
 
 
-def _beta_error(beta: float) -> Optional[ValidationError]:
-    """The error `_certify` raises for a row's beta, or None: beta finite
-    with |beta| < 1, then 1 + beta in the speed window."""
+def _beta_error(beta: float, window: bool = False) -> Optional[ValidationError]:
+    """The beta rule: the error for a beta that is not finite with |beta| <
+    1, then, if window (a replay's rule, as `_certify` checks it), for a
+    speed 1 + beta outside the window of `_window_error`; else None."""
     if not (math.isfinite(beta) and abs(beta) < 1.0):
         return ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
-    return _window_error(beta)
+    return _window_error(beta) if window else None
+
+
+def _check_k(k) -> None:
+    """The k rule: refuse k unless it is an integer from 2 to _MAX_K."""
+    _check_count("k", k, 2, _MAX_K, "clusters")
+
+
+def _check_k_beta(k, beta) -> None:
+    """Refuse k by the k rule, then beta by the beta rule."""
+    _check_k(k)
+    error = _beta_error(beta)
+    if error is not None:
+        raise error
 
 
 def _cluster_speeds(k: int, beta: float, name: str = "beta") -> List[float]:
@@ -226,36 +243,37 @@ def _certify(s, r, k, beta):
 
     s, r, k and beta broadcast to one length.  Each row is checked as a
     one-row call checks it: 0 < s < r < 1 with every arc longer than
-    MIN_ARC (the check of `RegionParams`), an integer k >= 2, a finite
-    |beta| < 1 and 1 + beta in the speed window.  The rows are certified in
+    MIN_ARC (the check of `RegionParams`), k by the k rule, and beta by the
+    beta rule with its speed window.  The rows are certified in
     blocks of _BLOCK_ROWS by `_certify_rows`.
 
     A row that fails raises the error the row-by-row loop raises first: the
     first failing row's first error, after a k != M+1 warning for each row
     that passed validation up to it.
     """
-    s, r, k, beta = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float),
-                                        np.asarray(k, dtype=float),
-                                        np.atleast_1d(np.asarray(beta, dtype=float)))
+    s, r, given, beta = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                            np.asarray(r, dtype=float), np.asarray(k),
+                                            np.atleast_1d(np.asarray(beta, dtype=float)))
+    k = given.astype(float)
     # every arc longer than MIN_ARC > 0 also gives 0 < s < r < 1
     bad_rp = ~((s > MIN_ARC) & (r - s > MIN_ARC) & (1.0 - r > MIN_ARC))
-    bad_k = ~(k >= 2.0)
-    bad_int = ~np.isfinite(k) | (k != np.floor(k))
-    bad_beta = ~np.isfinite(beta) | (np.abs(beta) >= 1.0)
-    bad_w = ~((FeedbackSpec.v_min <= 1.0 + beta) & (1.0 + beta <= FeedbackSpec.v_max))
-    invalid = (bad_rp | bad_k | bad_int | bad_beta | bad_w).nonzero()[0]
+    bad_k = ~((k >= 2.0) & (k <= _MAX_K) & (k == np.floor(k)))
+    bad_beta = ~((np.abs(beta) < 1.0) & (FeedbackSpec.v_min <= 1.0 + beta)
+                 & (1.0 + beta <= FeedbackSpec.v_max))  # nan fails too
+    invalid = (bad_rp | bad_k | bad_beta).nonzero()[0]
     errors = {}  # row: its first error
     live = len(k)  # the rows before the first invalid one; the rest are never reached
-    if invalid.size:
+    if invalid.size:  # the first invalid row's error, from the rules
         live = i = int(invalid[0])
         if bad_rp[i]:
             errors[i] = _region_error(float(s[i]), float(r[i]))
         elif bad_k[i]:
-            errors[i] = ValidationError("need k >= 2")
-        elif bad_int[i]:
-            errors[i] = ValidationError(f"need an integer k, got {float(k[i])!r}")
+            try:
+                _check_k(given[i].item())  # a float k is refused too, as not an int
+            except ValidationError as error:
+                errors[i] = error
         else:
-            errors[i] = _beta_error(float(beta[i]))
+            errors[i] = _beta_error(float(beta[i]), window=True)
     s, r, k, beta = s[:live], r[:live], k[:live].astype(np.intp), beta[:live]
     M = _max_isolated(s, r)
     case, d, residual = np.full(live, -1), np.zeros(live), np.zeros(live)
@@ -356,8 +374,7 @@ def build_A(k: int, beta: float, case: Case) -> np.ndarray:
     Ones on the subdiagonal, a constant last column: -(1+beta) in Case I,
     -1 in Cases II and III.  For k = 2 this is the 1x1 matrix [c].
     """
-    if k < 2:
-        raise ValidationError("need k >= 2")
+    _check_k_beta(k, beta)
     c = -(1.0 + beta) if case is Case.I else -1.0
     A = np.zeros((k - 1, k - 1))
     for i in range(1, k - 1):
@@ -370,11 +387,21 @@ def verify_root_requirement(lam: complex, k: int, beta: float) -> float:
     """Residual of the eigenvalue identity ((lam+beta)/(1+beta)) lam^(k-1) = 1.
 
     lam = 1 always satisfies it and carries no information, so it is
-    rejected.
+    rejected, and so is a lam beyond the roots: every characteristic root
+    has |lam| <= max(1, 1 + beta) (Enestrom-Kakeya), and a lam within a
+    relative 1e-9 of that bound keeps the residual finite for every k and
+    beta of their rules.
     """
     lam = complex(lam)
+    _check_k_beta(k, beta)
+    _check_number("|lambda|", abs(lam), le=max(1.0, 1.0 + beta) * (1.0 + 1e-9))
     if abs(lam - 1.0) < 1e-12:
         raise ValidationError("lambda = 1 is the trivial root; not admissible")
+    return _root_residual(lam, k, beta)
+
+
+def _root_residual(lam: complex, k: int, beta: float) -> float:
+    """`verify_root_requirement` of a checked row, unchecked."""
     return float(abs((lam + beta) / (1.0 + beta) * lam ** (k - 1) - 1.0))
 
 
@@ -409,12 +436,11 @@ def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]
     `rscycle cyclic` builds no report: it takes the spectral radius and the
     smallest modulus of each row straight from `_spectrum_roots`.
     """
-    if k < 2:
-        raise ValidationError("need k >= 2")
+    _check_k(k)
     for i, (beta, case) in enumerate(rows):
-        if not math.isfinite(beta) or abs(beta) >= 1.0:
-            raise ValidationError(f"spectrum row {i}: beta must be finite with |beta| < 1, "
-                                  f"got {beta!r}")
+        error = _beta_error(beta)
+        if error is not None:
+            raise ValidationError(f"spectrum row {i}: {error}")
         if case is Case.I and beta == 0.0:
             raise ValidationError(f"spectrum row {i}: Case I needs 0 < |beta| < 1")
     if not rows:
@@ -429,7 +455,7 @@ def _spectra(k: int, rows: Sequence[Tuple[float, Case]]) -> List[SpectrumReport]
             eigenvalues=roots[i],
             spectral_radius=radius[i],
             min_modulus=low[i],
-            residuals=np.array([verify_root_requirement(z, k, b[i]) for z in roots[i].tolist()]),
+            residuals=np.array([_root_residual(z, k, b[i]) for z in roots[i].tolist()]),
             dual_gap=float(gap[i]),
         )
         for i in range(len(rows))

@@ -44,6 +44,44 @@ TIE_TOL = 1e-12
 MIN_ARC = 1000 * TIE_TOL
 
 
+def _check_number(name: str, value, ge=None, gt=None, le=None, lt=None) -> None:
+    """The number rule: refuse value unless it is a real number, or an array
+    of them, each finite and in the range of the bounds given (>= ge, > gt,
+    <= le, < lt).  nan and inf fail; the message names name and the first
+    value that fails."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    ok = np.isfinite(x)
+    for bound, inside in ((ge, np.greater_equal), (gt, np.greater), (le, np.less_equal),
+                          (lt, np.less)):
+        if bound is not None:
+            ok &= inside(x, bound)
+    if ok.all():
+        return
+    low = ("[", ">=", ge) if ge is not None else ("(", ">", gt) if gt is not None else None
+    high = ("]", "<=", le) if le is not None else (")", "<", lt) if lt is not None else None
+    if low and high:
+        allowed = f"lie in {low[0]}{low[2]:g}, {high[2]:g}{high[0]}"
+    else:
+        allowed = " and ".join(["be finite", *(f"{op} {bound:g}" for _, op, bound in
+                                                filter(None, (low, high)))])
+    bad = x if x.ndim == 0 else x[~ok][0]
+    raise ValidationError(f"{name} must {allowed}, got {float(bad)!r}")
+
+
+def _check_count(name: str, value, least: int, cap: Optional[int] = None, noun: str = "") -> None:
+    """The count rule: refuse value unless it is an int (a numpy integer
+    too, never a bool) of at least least and, given a cap, at most cap;
+    the cap's message counts the value in noun."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    if cap is not None and value > cap:
+        raise ValidationError(f"{name} = {value} {noun} lies above the cap of {cap}")
+
+
 def _region_error(s, r) -> Optional[ValidationError]:
     """The error `RegionParams(s, r)` raises, or None: 0 < s < r < 1, then
     arcs s, r - s and 1 - r each longer than MIN_ARC."""
@@ -167,11 +205,18 @@ class FeedbackSpec:
         elif self.kind == "hill":
             if self.gamma is None or self.theta is None or self.h is None:
                 raise ValidationError("hill feedback needs gamma, theta, h")
-            if self.theta <= 0 or self.h <= 0:
-                raise ValidationError("hill feedback needs theta > 0 and h > 0")
+            _check_number("theta", self.theta, gt=0.0)
+            _check_number("h", self.h, gt=0.0)
+            with np.errstate(all="ignore"):  # _raw's scale may neither overflow nor vanish
+                _check_number("theta ** h", np.float64(self.theta) ** self.h, gt=0.0)
         else:
             if self.table is not None:  # a tuple of float pairs, so the spec hashes by value
-                object.__setattr__(self, "table", tuple((float(a), float(b)) for a, b in self.table))
+                try:
+                    table = tuple((float(a), float(b)) for a, b in self.table)
+                except (TypeError, ValueError):
+                    raise ValidationError(f"table must hold (I, f) pairs of numbers, "
+                                          f"got {self.table!r}") from None
+                object.__setattr__(self, "table", table)
             if self.table is None or len(self.table) < 2:
                 raise ValidationError("tabulated feedback needs at least two points")
             xs = np.array([p[0] for p in self.table])
@@ -216,9 +261,8 @@ class FeedbackSpec:
 
     def __call__(self, I):
         """Evaluate f at a signaling fraction in [0, 1]."""
+        _check_number("signaling fraction I", I, ge=0.0, le=1.0)
         arr = np.asarray(I, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValidationError(f"signaling fraction outside [0, 1]: {I}")
         out = self._raw(arr)
         return float(out) if np.isscalar(I) or arr.ndim == 0 else out
 

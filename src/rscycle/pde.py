@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeedbackSpec, RegionParams, ValidationError, wrap01
+from .model import (FeedbackSpec, RegionParams, ValidationError, _check_count, _check_number,
+                    wrap01)
+
+# decision: library policy.  flux_residual samples at most 10**6 points,
+# about 1000 times its default 1024, in arrays of 8 MB; 10**9 raised
+# MemoryError.
+_MAX_GRID = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,7 @@ def steady_profile(c: float, rp: RegionParams, fs: FeedbackSpec) -> SteadyProfil
     inside the feedback domain [0, 1]; the slowdown factor 1 + f(c s) must
     be positive.
     """
-    if c <= 0.0:
-        raise ValidationError("flux level c must be positive")
+    _check_number("flux level c", c, gt=0.0)
     I = c * rp.s
     if I > 1.0:
         raise ValidationError(
@@ -66,6 +71,8 @@ def mass(profile: SteadyProfile) -> float:
 
 
 def flux_residual(profile: SteadyProfile, grid: int = 1024) -> float:
-    """Max deviation of b(x) u(x) from the flux constant on a dense grid."""
+    """Max deviation of b(x) u(x) from the flux constant on a grid of grid
+    points, an integer from 1 to _MAX_GRID."""
+    _check_count("grid", grid, 1, _MAX_GRID, "grid points")
     xs = np.linspace(0.0, 1.0, grid, endpoint=False)
     return float(np.max(np.abs(profile.b(xs) * profile.u(xs) - profile.flux)))

@@ -42,12 +42,20 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .model import TIE_TOL, CertificateError, FeedbackSpec, RegionParams, ValidationError
+from .model import (TIE_TOL, CertificateError, FeedbackSpec, RegionParams, ValidationError,
+                    _check_count, _check_number)
 from .simulate import (_DT_ERROR, _KIND_OF_CODE, _ORDER_ERROR, SimulationError, _Flow,
                        _speed_table)
 
 _CONTINUITY_TOL = 1e-12
+# decision: library policy.  A composition of more than 10**4 segments is a
+# runaway and is refused (CertificateError); the two-cluster map has at most
+# four and its square, over a grid of regions and alphas, at most seven.
 _MAX_SEGMENTS = 10_000
+# decision: library policy.  compose makes at most 10**4 compositions: those
+# of 1 - x, whose powers keep one segment, take ~0.4 s, and times = 10**9
+# never ended.
+_MAX_TIMES = 10 ** 4
 # decision: a multiplier within _NEUTRAL_TOL of modulus 1 grades its point neutral
 _NEUTRAL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-10
@@ -61,7 +69,10 @@ _NO_SECTION = "section advance did not terminate; integration bug"
 def _ascending(points, message: str) -> List[float]:
     """points as Python floats; ValidationError(message) unless they are
     nonempty and ascend in [0, 1] (any compare with NaN is false)."""
-    pos = list(map(float, points))
+    try:
+        pos = list(map(float, points))
+    except (TypeError, ValueError):  # an entry that is not a number, or a nested list
+        raise ValidationError(message) from None
     if not pos or not all(map(le, [0.0, *pos], [*pos, 1.0])):
         raise ValidationError(message)
     return pos
@@ -348,9 +359,8 @@ def analytic_F_k2(x1, rp: RegionParams, alpha: float):
     r + (1+alpha)s - 1.
     """
     m = as_piecewise(rp, alpha)
+    _check_number("x1", x1, ge=0.0, le=1.0)
     x = np.asarray(x1, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValidationError("x1 must lie in [0, 1]")
     out = m(x)
     return float(out) if np.isscalar(x1) or x.ndim == 0 else out
 
@@ -399,6 +409,7 @@ class PiecewiseAffineMap:
         return min(max(j, 0), self.n_segments - 1)
 
     def __call__(self, x):
+        _check_number("x", x)
         x = np.asarray(x, dtype=float)
         j = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
                     0, self.n_segments - 1)
@@ -413,8 +424,7 @@ def as_piecewise(rp: RegionParams, alpha: float) -> PiecewiseAffineMap:
     {r-s, (1+a r)/(1+a) - s, r}.  For alpha = 0 every branch degenerates
     to 1 - x.
     """
-    if alpha <= -1.0:
-        raise ValidationError("alpha must exceed -1")
+    _check_number("alpha", alpha, gt=-1.0)
     a = float(alpha)
     r, s = rp.r, rp.s
     if _k2_case(rp, a) == 1:
@@ -490,9 +500,9 @@ def _compose2(g: PiecewiseAffineMap, h: PiecewiseAffineMap) -> PiecewiseAffineMa
 
 
 def compose(m: PiecewiseAffineMap, times: int) -> PiecewiseAffineMap:
-    """m composed with itself the given number of times (times >= 1)."""
-    if times < 1:
-        raise ValidationError("times must be >= 1")
+    """m composed with itself the given number of times, an integer from 1
+    to _MAX_TIMES."""
+    _check_count("times", times, 1, _MAX_TIMES, "compositions")
     out = m
     for _ in range(times - 1):
         out = _compose2(m, out)

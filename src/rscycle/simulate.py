@@ -75,7 +75,18 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .model import TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError, wrap01
+from .model import (TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError,
+                    _check_count, _check_number, wrap01)
+
+# decision: library policy, which the CLI shares.  A stochastic run takes at
+# most 10**7 steps, 1000 times the 10**4 of a --paper-scale sweep point; a
+# count past it is a typo or an overflow: duration 1e308 gives an infinite
+# count, and dt 1e-300 a run that never ends.
+_MAX_STEPS = 10 ** 7
+# decision: library policy, which the CLI shares.  An exact run makes at most
+# 10**7 crossings unless its caller sets max_events; the default simulate
+# makes ~6 * 10**3.
+_MAX_EVENTS = 10_000_000
 
 
 class SimulationError(RuntimeError):
@@ -105,10 +116,8 @@ class NoiseSpec:
         # decision: sigma is the per-step displacement std in cycles, and
         # the tests use at most 0.05.  A std above 1 moves a cell by laps
         # per step, and 1e308 filled a trajectory with nan.
-        if not 0.0 <= self.sigma <= 1.0:  # also refuses nan
-            raise ValidationError(f"sigma must lie in [0, 1], got {self.sigma!r}")
-        if not (0.0 < self.dt <= 0.1):
-            raise ValidationError("dt must lie in (0, 0.1] (at least 10 steps per cycle)")
+        _check_number("sigma", self.sigma, ge=0.0, le=1.0)
+        _check_number("dt", self.dt, gt=0.0, le=0.1)  # at least 10 steps per cycle
 
 
 @dataclass
@@ -392,23 +401,44 @@ class _Run(NamedTuple):
     build: tuple
 
 
+def _check_horizon(duration, rp: RegionParams, speeds, max_events=_MAX_EVENTS,
+                   name: str = "duration") -> None:
+    """The exact horizon rule: refuse a duration that is not finite and > 0,
+    or whose lower bound on the event count exceeds max_events.
+
+    speeds is the speed table of n cells (`_speed_table`).  A cell moves at
+    1 outside R and at no less than v_lo, the table's smallest entry, in R,
+    so it makes each full lap, and the lap's three crossings, within lap_max
+    = r + (1 - r) / v_lo.  So the n cells make at least 3 n floor(duration /
+    lap_max) crossings, and a run refused here would have exceeded its
+    budget; the quotient is cut by 1e-12 of itself, more than its rounding.
+    """
+    _check_number(name, duration, gt=0.0)
+    lap_max = rp.r + (1.0 - rp.r) / float(np.min(speeds))
+    laps = np.floor(float(duration) / lap_max * (1.0 - 1e-12))  # may be inf, with no warning
+    least = 3 * (len(speeds) - 1) * float(laps)
+    if least > max_events:
+        raise ValidationError(f"{name} = {float(duration)!r} makes at least {least:.6g} crossings, "
+                              f"above the budget of {max_events} events per run")
+
+
 def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: float,
-               sample: str = "events", max_events: int = 10_000_000) -> _Run:
+               sample: str = "events", max_events: int = _MAX_EVENTS) -> _Run:
     """The run of `simulate_exact`, with its states left to build.
 
-    One run of the kernel's loop, `_Flow.run`, goes to the horizon and logs
-    each stop's clocks and batch.  The event records are built from the log
-    here, and the log is released as they are; the batches stay for the
-    state build.
+    The horizon is checked by `_check_horizon` before any work.  One run of
+    the kernel's loop, `_Flow.run`, goes to the horizon and logs each stop's
+    clocks and batch.  The event records are built from the log here, and
+    the log is released as they are; the batches stay for the state build.
     """
-    if duration <= 0.0:
-        raise ValidationError("duration must be > 0")
+    speeds = _speed_table(fs, len(pop))
+    _check_horizon(duration, rp, speeds, max_events)
     # isinstance first: an array in a tuple raises an ambiguous-truth ValueError
     if not (isinstance(sample, str) and sample in ("events", "endpoints")):
         raise ValidationError(f'sample must be "events" or "endpoints", got {sample!r} '
                               "(the list form of sample times was removed)")
 
-    flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
+    flow = _Flow(pop.phases.tolist(), rp, speeds.tolist())
     start = flow.arrays() if sample == "events" else None
     log, offset = flow.run(duration, max_events=max_events)
     # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
@@ -432,7 +462,7 @@ def simulate_exact(
     fs: FeedbackSpec,
     duration: float,
     sample: str = "events",
-    max_events: int = 10_000_000,
+    max_events: int = _MAX_EVENTS,
 ) -> Trajectory:
     """Integrate the piecewise-constant flow exactly for the given duration.
 
@@ -448,11 +478,28 @@ def simulate_exact(
     into one (K, n) array, the sampled states are built from that log after
     it.
 
-    Raises SimulationError if the event count exceeds max_events, which
-    flags parameter sets whose event cadence explodes.
+    Raises ValidationError, before any work, for a duration that is not
+    finite and > 0 or whose lower bound on the event count already exceeds
+    max_events (`_check_horizon`), and SimulationError if the event count
+    exceeds max_events, which flags parameter sets whose event cadence
+    explodes.
     """
     run = _exact_run(pop, rp, fs, duration, sample, max_events)
     return Trajectory(times=run.times, states=_build_event_states(*run.build), events=run.events)
+
+
+def _sde_steps(duration, dt, name: str = "duration") -> int:
+    """The step rule: the Euler-Maruyama step count of a horizon, duration /
+    dt to the nearest integer, refused (ValidationError) unless it lies in
+    [1, _MAX_STEPS]."""
+    steps = float(duration) / dt  # may be inf, with no warning
+    if not steps <= _MAX_STEPS:  # also refuses inf and nan
+        raise ValidationError(f"{name} / dt = {steps:.6g} steps lies above the cap of "
+                              f"{_MAX_STEPS} steps per run")
+    count = round(steps) if steps > 0.0 else 0  # -inf may not reach round
+    if count < 1:
+        raise ValidationError(f"{name} / dt = {steps:.6g} rounds to less than one step")
+    return count
 
 
 def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: int,
@@ -465,14 +512,9 @@ def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: 
     the speeds are frozen at the row's count j in S: a cell in R moves by
     (1 + f(j/n)) dt, any other by dt; then the sigma-scaled normals are
     added and the row is wrapped.  Returns the sampled step numbers (0,
-    every multiple of sample_every, and steps) and the block at each.
-
-    Raises ValidationError if steps < 1: a horizon shorter than one step
-    would return the start as the result.
+    every multiple of sample_every, and steps) and the block at each; steps
+    is a count of `_sde_steps`.
     """
-    if steps < 1:
-        raise ValidationError(f"the horizon must hold at least one step of dt={noise.dt}, "
-                              f"got {steps} steps")
     dt = noise.dt
     s, r = np.asarray(s, dtype=float)[:, None], np.asarray(r, dtype=float)[:, None]
     r_steps = _speed_table(fs, pos.shape[1]) * dt  # entry j: the R step while j cells are in S
@@ -504,12 +546,17 @@ def simulate_sde(
     Each step the speeds are frozen at the current signaling fraction, the
     cells advance by speed*dt plus sigma-scaled standard normals, and the
     result is wrapped mod 1.  Reproducible for a fixed seed.
+
+    Raises ValidationError for a duration that is not finite and > 0, a
+    step count of `_sde_steps` below 1 or above _MAX_STEPS, a sample_every
+    that is not an integer >= 1, or a seed number that is not an integer
+    >= 0.
     """
-    if duration <= 0.0:
-        raise ValidationError("duration must be > 0")
-    if sample_every < 1:
-        raise ValidationError("sample_every must be >= 1")
-    steps = int(round(duration / noise.dt))
+    _check_number("duration", duration, gt=0.0)
+    _check_count("sample_every", sample_every, 1)
+    if isinstance(seed, (int, float, np.number)):  # else None, a generator or a seed sequence
+        _check_count("seed", seed, 0)
+    steps = _sde_steps(duration, noise.dt)
     ks, states = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, noise, steps,
                            [np.random.default_rng(seed)], sample_every)
     return Trajectory(times=np.array(ks) * noise.dt, states=np.vstack(states), events=[])

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -433,6 +434,27 @@ def test_step_count_above_the_cap_exits_2(tmp_path, command, payload, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: cycles / dt = ") and err.count("\n") == 1
     assert "above the cap of 10000000 steps per run" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"sigma": 1e308, "dt": 5, "n": 4, "cycles": 1.0}, "sigma must lie in [0, 1], got 1e+308"),
+    ({"dt": 5, "n": 4, "cycles": 1.0}, "dt must lie in (0, 0.1], got 5.0"),
+    ({"cycles": 1e308}, "cycles = 1e+308 makes at least inf crossings, above the budget of "
+                        "10000000 events per run"),
+    ({"cycles": 1e9}, "cycles = 1000000000.0 makes at least 4.36364e+11 crossings"),
+], ids=["exact-sigma-1e308", "exact-dt-5", "exact-cycles-1e308", "exact-cycles-1e9"])
+def test_exact_simulate_config_is_refused_before_any_work(tmp_path, payload, named, capsys):
+    # sigma and dt went unchecked on the exact engine and into metadata.json;
+    # cycles 1e308 and 1e9 ran 11-13 s to the event budget, then exited 4
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 

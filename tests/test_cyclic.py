@@ -530,9 +530,9 @@ def test_grid_classification_is_one_batch(monkeypatch):
 
 @pytest.mark.parametrize("rp,k,message", [
     ((0.6, 0.2), 2, "region bounds must satisfy 0 < s < r < 1, got s=0.6, r=0.2"),
-    ((0.2, 0.6), 2.5, "need an integer k, got 2.5"),
-    ((0.2, 0.6), float("inf"), "need an integer k, got inf"),
-    ((0.2, 0.6), 1.5, "need k >= 2"),
+    ((0.2, 0.6), 2.5, "k must be an integer >= 2, got 2.5"),
+    ((0.2, 0.6), float("inf"), "k must be an integer >= 2, got inf"),
+    ((0.2, 0.6), 1.5, "k must be an integer >= 2, got 1.5"),
     ((1e-300, 0.6), 2, "region arcs s, r - s and 1 - r must each be longer than 1e-09, "
                        "got s=1e-300, r=0.6"),
     ((0.2, 0.9999999999999999), 2, "region arcs s, r - s and 1 - r must each be longer "

@@ -19,6 +19,7 @@ from rscycle.simulate import (
     NoiseSpec,
     SimulationError,
     _build_event_states,
+    _check_horizon,
     _em_block,
     _Flow,
     _speed_table,
@@ -514,8 +515,26 @@ def test_section_map_same_for_lists_and_arrays(data):
 
 def test_event_budget_guard():
     pop = Population(np.sort(np.random.default_rng(0).random(20)))
-    with pytest.raises(SimulationError):
+    # 20 cells make 3 crossings per lap, and a lap takes at most 1 here: a
+    # budget below 3 * 20 * 49 is refused before any work
+    with pytest.raises(ValidationError, match="makes at least 2940 crossings"):
         simulate_exact(pop, RP, POS, 50.0, max_events=10)
+    # a budget above that lower bound but below the run's count: the engine's guard
+    with pytest.raises(SimulationError):
+        simulate_exact(pop, RP, POS, 50.0, max_events=2940)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), gamma=st.floats(-0.9, 5.0), duration=st.floats(0.01, 8.0),
+       s=st.floats(0.05, 0.4), r=st.floats(0.5, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+def test_horizon_rule_admits_every_run_within_its_budget(n, gamma, duration, s, r, seed):
+    # 3 n floor(duration / lap_max) is a lower bound on the crossings: a run
+    # whose own count is its budget is never refused before it starts
+    rp, fs = RegionParams(s=s, r=r), FeedbackSpec.linear(gamma)
+    pop = Population(np.sort(np.random.default_rng(seed).random(n)))
+    count = len(simulate_exact(pop, rp, fs, duration, sample="endpoints").events)
+    _check_horizon(duration, rp, _speed_table(fs, n), max_events=count)
+    assert len(simulate_exact(pop, rp, fs, duration, max_events=count).events) == count
 
 
 @pytest.mark.parametrize("sample", ["events", "endpoints"])
