@@ -71,7 +71,8 @@ def _check_number(name: str, value, ge=None, gt=None, le=None, lt=None) -> None:
     raise ValidationError(f"{name} must {allowed}, got {float(bad)!r}")
 
 
-def _check_count(name: str, value, least: int, cap: Optional[int] = None, noun: str = "") -> None:
+def _check_count(name: str, value, least: int, cap: Optional[int] = None,
+                 noun: Optional[str] = None) -> None:
     """The count rule: refuse value unless it is an int (a numpy integer
     too, never a bool) of at least least and, given a cap, at most cap;
     the cap's message counts the value in noun."""

@@ -124,16 +124,15 @@ def entry_points():
     }
 
 
-def calls(name, arrays=True):
+def calls(name):
     """The calls of entry point name: (argument, value label, keyword
     arguments), the base call first (argument None)."""
     _, base, numeric, array_args = entry_points()[name]
     out = [(None, None, base)]
     for arg in numeric:
         out += [(arg, repr(value), {**base, arg: value}) for value in VALUES]
-    if arrays:
-        for arg in array_args:
-            out += [(arg, label, {**base, arg: value}) for label, value in ARRAYS.items()]
+    for arg in array_args:
+        out += [(arg, label, {**base, arg: value}) for label, value in ARRAYS.items()]
     return out
 
 
@@ -187,12 +186,12 @@ def outcome(function, kwargs, limit: float) -> str:
     return "ok" if finite(result) else "broken: non-finite result"
 
 
-def child(names, limit: float, arrays: bool) -> None:
+def child(names, limit: float) -> None:
     """Run every call of the entry points names, printing one JSON row per
     call as it ends."""
     table = entry_points()
     for name in names:
-        for arg, value, kwargs in calls(name, arrays):
+        for arg, value, kwargs in calls(name):
             row = {"entry": name, "argument": arg, "value": value,
                    "outcome": outcome(table[name][0], kwargs, limit)}
             print(json.dumps(row), flush=True)
@@ -204,14 +203,12 @@ def limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_child(names, limit: float, arrays: bool = True):
+def run_child(names, limit: float):
     """The rows of `child(names)` run in a new process under the address
     space limit; the calls a dead or stuck child never reported are rows
     too, each broken."""
     argv = [sys.executable, __file__, "--child", *names, "--limit", str(limit)]
-    if not arrays:
-        argv.append("--numbers-only")
-    expected = [(name, arg, value) for name in names for arg, value, _ in calls(name, arrays)]
+    expected = [(name, arg, value) for name in names for arg, value, _ in calls(name)]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env,
@@ -230,10 +227,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="fuzz_report.json", help="JSON report path")
     parser.add_argument("--limit", type=float, default=5.0, help="seconds per call")
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
-    parser.add_argument("--numbers-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.limit, not args.numbers_only)
+        child(args.child, args.limit)
         return 0
     rows = []
     for name in entry_points():  # one child each, one after another
