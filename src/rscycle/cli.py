@@ -29,7 +29,6 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _ch
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_runs, analytic_F_k2, as_piecewise, compose, fixed_points
 from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _check_horizon, _em_block,
-                       _event_state_blocks, _exact_run, _sde_steps, _speed_table, simulate_sde)
+                       _event_state_blocks, _exact_run, _sde_run, _sde_steps, _speed_table)
 
 _DEFAULTS = {
     "simulate": {
@@ -177,11 +176,12 @@ _MAX_BLOCK = 10 ** 7
 # stack holds at most 20 times the default's 50 * 7**2 entries, beta_points
 # * (k_max - 1)**2; k_max 100 took 10.9 s with 50 betas and 220 s with 1000.
 _MAX_STACK = 20 * 50 * 7 ** 2
-# decision: CLI policy.  simulate's stochastic engine keeps at most 2**26
-# sampled values, (steps / sample_every + 1) * n: 512 MiB of float64, twice
-# that while they are stacked.  A --paper-scale trajectory (n 5000, 200
-# cycles at dt 0.02, every step) keeps 5.0 * 10**7; n 200 at the step cap
-# would keep 16 GB.
+# decision: CLI policy.  simulate's stochastic engine writes at most 2**26
+# sampled values, (steps / sample_every + 1) * n.  It streams them, so the
+# cap bounds the output and the time, not the memory: ~1.3 GB of
+# trajectory.csv at ~20 bytes a value, formatted in ~12 s.  A --paper-scale
+# trajectory (n 5000, 200 cycles at dt 0.02, every step) has 5.0 * 10**7;
+# n 200 at the step cap would write ~40 GB.
 _MAX_VALUES = 2 ** 26
 # Each count: key -> (least, cap or None, what it counts), for the library's
 # count rule.  Each cap is CLI policy, 20 times the largest default or
@@ -410,12 +410,12 @@ def _write_table(path: Path, header: str, *columns) -> None:
     it.  A table of arrays only is written as the formatted bytes, with no
     per-row or per-column work in Python.
 
-    The table may instead be one iterator of 2-D blocks of reals, its rows
-    in order: each block is written, in chunks, as it comes, so a producer
-    can reuse one buffer and the whole table is never held.
+    The table may instead be one iterator of tuples of columns, each tuple
+    the next rows of the table: each is written, in chunks, as it comes,
+    so a producer can reuse one buffer and the whole table is never held.
     """
     if len(columns) == 1 and isinstance(columns[0], Iterator):
-        tables = ([[block]] for block in columns[0])
+        tables = map(_runs, columns[0])
     else:
         tables = [_runs(columns)]
     with open(path, "wb") as fh:
@@ -489,17 +489,31 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
-_KIND_VALUE = {kind: kind.value for kind in EventKind}
+_KIND_LABELS = [kind.value for kind in EventKind]  # indexed by the crossing code
 
 
-def write_events_csv(traj, path) -> None:
-    """Boundary crossings of an exact run, read from traj.events (a
-    Trajectory, or the run cmd_simulate streams): t,kind,cell, the bytes of
-    "%.17g,%s,%d" per event, through _write_table."""
-    events = traj.events
-    _write_table(path, "t,kind,cell", np.fromiter(map(itemgetter(0), events), float, len(events)),
-                 list(map(_KIND_VALUE.__getitem__, map(itemgetter(1), events))),
-                 list(map(itemgetter(2), events)))
+def write_events_csv(run, path) -> None:
+    """Boundary crossings of an exact run (`simulate._Run`): t,kind,cell,
+    the bytes of "%.17g,%s,%d" per event, through _write_table.  The
+    columns are cut from the run's compact arrays a group of whole slices
+    at a time, each group of at least _CHUNK_VALUES events (the last the
+    rest), so the writer's chunks are those of the whole columns."""
+    _write_table(path, "t,kind,cell", _event_tables(run.slices))
+
+
+def _event_tables(slices):
+    """The columns of events.csv, a times array and the kinds and cells as
+    lists, for groups of whole slices of at least _CHUNK_VALUES events."""
+    group, count, last = [], 0, len(slices) - 1
+    for k, piece in enumerate(slices):
+        group.append(piece)
+        count += len(piece.cells)
+        if count >= _CHUNK_VALUES or k == last:
+            codes = np.concatenate([piece.codes for piece in group]).tolist()
+            yield (np.concatenate([np.repeat(piece.t, piece.sizes) for piece in group]),
+                   list(map(_KIND_LABELS.__getitem__, codes)),
+                   np.concatenate([piece.cells for piece in group]).tolist())
+            group, count = [], 0
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
@@ -517,28 +531,37 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     duration = float(cfg["cycles"])
     if cfg["engine"] == "exact":
         run = _exact_run(pop, rp, fs, duration)
+        # first, while no large block has been freed: see README on the writer's speed
         write_events_csv(run, out / "events.csv")
-        columns = (_trajectory_blocks(run, n),)
+        rows, blocks = run.rows, _event_state_blocks(run)
     else:
-        traj = simulate_sde(pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), duration,
-                            seed=rng, sample_every=cfg["sample_every"])
-        columns = (traj.times, traj.states)
-    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(n)), *columns)
+        rows, blocks = _sde_run(pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
+                                duration, rng, cfg["sample_every"])
+    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(n)),
+                 _trajectory_tables(blocks, min(rows, _CHUNK), n))
     return 0
 
 
-def _trajectory_blocks(run, n):
-    """The [t | phases] rows of an exact run of n cells, block by block:
-    each block of states is built into one reused buffer and copied into
-    the phase columns of one reused table (a build straight into those
-    strided columns is the slower)."""
-    rows = min(len(run.times), _CHUNK)
-    table = np.empty((rows, n + 1))
-    for first, block in _event_state_blocks(*run.build, np.empty((rows, n))):
-        part = table[:len(block)]
-        part[:, 0] = run.times[first:first + len(block)]
-        part[:, 1:] = block
-        yield part
+def _trajectory_tables(blocks, rows: int, n: int):
+    """The [t | phases] rows of a stream of (times, states) blocks of n
+    cells, copied in order into one reused table of rows rows, which is
+    yielded, as a one-column table of _write_table, each time it is full,
+    and its filled rows last.  (A build straight into the table's strided
+    phase columns is the slower.)"""
+    table, filled = np.empty((rows, n + 1)), 0
+    for times, block in blocks:
+        done = 0
+        while done < len(block):
+            take = min(len(block) - done, rows - filled)
+            part = table[filled:filled + take]
+            part[:, 0] = times[done:done + take]
+            part[:, 1:] = block[done:done + take]
+            filled, done = filled + take, done + take
+            if filled == rows:
+                yield (table,)
+                filled = 0
+    if filled:
+        yield (table[:filled],)
 
 
 def _sweep_regions(value: float) -> RegionParams:
@@ -557,10 +580,11 @@ def _sweep_block(args):
     rngs = [np.random.default_rng([seed, first + i]) for i in range(len(values))]
     start = np.array([rng.random(n) for rng in rngs])
     steps = _sde_steps(cfg["cycles"], noise.dt)
-    _, states = _em_block(start, [rp.s for rp in geometry], [rp.r for rp in geometry],
-                          FeedbackSpec.linear(cfg["gamma"]), noise, steps, rngs, steps)
+    for _, final in _em_block(start, [rp.s for rp in geometry], [rp.r for rp in geometry],
+                              FeedbackSpec.linear(cfg["gamma"]), noise, steps, rngs, steps):
+        pass  # the last sample is the final state
     rows = []
-    for value, rp, phases in zip(values, geometry, states[-1]):
+    for value, rp, phases in zip(values, geometry, final):
         M = max_isolated_clusters(rp)
         N = count_clusters_histogram(Population(phases), cfg["bins"], cfg["occupancy_threshold"])
         verdict = "none" if N == 0 else "le_M" if N <= M else "ge_M_plus_1"

@@ -57,6 +57,7 @@ def decompose(pop: Population, rp: RegionParams, delta: Optional[float] = None) 
     """
     if delta is None:
         delta = default_merge_delta(rp)
+    _check_number("merge delta", delta)
     if not (0.0 < delta < rp.interaction_length):
         raise ValidationError(
             f"merge delta must lie in (0, |R|+|S|) = (0, {rp.interaction_length:.6g})"

@@ -37,7 +37,6 @@ most (a one-row call replays through the scalar `_section_run`).
 given a pair of region-bound arrays, a batch.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .model import (MIN_ARC, CertificateError, FeedbackSpec, RegionParams, ValidationError,
-                    _check_count, _check_number, _max_isolated, _region_error)
+                    _check_count, _check_number, _max_isolated, _reals, _region_error)
 from .returnmap import _run_error, _section_runs
 
 _CLOSURE_TOL = 1e-9
@@ -96,6 +95,7 @@ def saturating_feedback(k: int, beta: float) -> FeedbackSpec:
     zero feedback either way.
     """
     _check_k(k)
+    _check_number("beta", beta)
     if abs(beta) < np.finfo(float).tiny:
         return FeedbackSpec.linear(0.0)
     return FeedbackSpec.tabulated([(0.0, 0.0), (1.0 / k, beta), (1.0, beta)])
@@ -159,7 +159,9 @@ def _beta_error(beta: float, window: bool = False) -> Optional[ValidationError]:
     """The beta rule: the error for a beta that is not finite with |beta| <
     1, then, if window (a replay's rule, as `_certify` checks it), for a
     speed 1 + beta outside the window of `_window_error`; else None."""
-    if not (math.isfinite(beta) and abs(beta) < 1.0):
+    try:
+        _check_number("beta", beta, gt=-1.0, lt=1.0)
+    except ValidationError:
         return ValidationError(f"beta must be finite with |beta| < 1, got {beta!r}")
     return _window_error(beta) if window else None
 
@@ -251,9 +253,10 @@ def _certify(s, r, k, beta):
     first failing row's first error, after a k != M+1 warning for each row
     that passed validation up to it.
     """
-    s, r, given, beta = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                            np.asarray(r, dtype=float), np.asarray(k),
-                                            np.atleast_1d(np.asarray(beta, dtype=float)))
+    _reals("k", k, array=True)
+    s, r, given, beta = np.broadcast_arrays(_reals("s", s, array=True), _reals("r", r, array=True),
+                                            np.asarray(k),
+                                            np.atleast_1d(_reals("beta", beta, array=True)))
     k = given.astype(float)
     # every arc longer than MIN_ARC > 0 also gives 0 < s < r < 1
     bad_rp = ~((s > MIN_ARC) & (r - s > MIN_ARC) & (1.0 - r > MIN_ARC))
@@ -356,7 +359,9 @@ def classify_case(rp: Union[RegionParams, Tuple], k, beta):
     result is a list of Case, one per row (a region grid, as `rscycle
     cyclic` classifies it).
     """
-    if isinstance(rp, RegionParams):
+    if isinstance(rp, RegionParams):  # one row: k and beta are each one number
+        _reals("k", k)
+        _reals("beta", beta)
         return _certify(rp.s, rp.r, k, beta)[0][0]
     return _certify(*rp, k, beta)[0]
 
@@ -364,6 +369,8 @@ def classify_case(rp: Union[RegionParams, Tuple], k, beta):
 def cyclic_solution(rp: RegionParams, k: int, beta: float) -> CyclicSolution:
     """The case of `classify_case`, with the spacing d and closure residual
     of the one replay that certified it."""
+    _reals("k", k)
+    _reals("beta", beta)
     cases, d, residual = _certify(rp.s, rp.r, k, beta)
     return CyclicSolution(k, beta, cases[0], float(d[0]), float(residual[0]))
 
@@ -392,6 +399,8 @@ def verify_root_requirement(lam: complex, k: int, beta: float) -> float:
     relative 1e-9 of that bound keeps the residual finite for every k and
     beta of their rules.
     """
+    if np.ndim(lam) or np.asarray(lam).dtype.kind not in "biufc":
+        raise ValidationError(f"lambda must be a complex number, got {lam!r}")
     lam = complex(lam)
     _check_k_beta(k, beta)
     _check_number("|lambda|", abs(lam), le=max(1.0, 1.0 + beta) * (1.0 + 1e-9))

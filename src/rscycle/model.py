@@ -44,15 +44,28 @@ TIE_TOL = 1e-12
 MIN_ARC = 1000 * TIE_TOL
 
 
-def _check_number(name: str, value, ge=None, gt=None, le=None, lt=None) -> None:
-    """The number rule: refuse value unless it is a real number, or an array
-    of them, each finite and in the range of the bounds given (>= ge, > gt,
-    <= le, < lt).  nan and inf fail; the message names name and the first
-    value that fails."""
+def _reals(name: str, value, array: bool = False) -> np.ndarray:
+    """The type part of the number rule: value as a float array, refused
+    (ValidationError) unless it is a real number or, if array, an array of
+    them.  A string, None, an object or, unless array, a list is refused
+    before any comparison can raise on it (np.asarray(value, dtype=float)
+    would parse "0.5" and turn None into nan)."""
     try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+        x = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # a ragged list
+        x = None
+    if x is None or x.dtype.kind not in "biuf" or (x.ndim and not array):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return x.astype(float, copy=False)
+
+
+def _check_number(name: str, value, ge=None, gt=None, le=None, lt=None,
+                  array: bool = False) -> None:
+    """The number rule: refuse value unless it is a real number, or if
+    array an array of them (`_reals`), each finite and in the range of the
+    bounds given (>= ge, > gt, <= le, < lt).  nan and inf fail; the message
+    names name and the first value that fails."""
+    x = _reals(name, value, array)
     ok = np.isfinite(x)
     for bound, inside in ((ge, np.greater_equal), (gt, np.greater), (le, np.less_equal),
                           (lt, np.less)):
@@ -123,6 +136,8 @@ class RegionParams:
     r: float
 
     def __post_init__(self):
+        _check_number("s", self.s)
+        _check_number("r", self.r)
         error = _region_error(self.s, self.r)
         if error is not None:
             raise error
@@ -182,11 +197,11 @@ class FeedbackSpec:
 
     @classmethod
     def linear(cls, gamma: float) -> "FeedbackSpec":
-        return cls(kind="linear", gamma=float(gamma))
+        return cls(kind="linear", gamma=gamma)
 
     @classmethod
     def hill(cls, gamma: float, theta: float, h: float) -> "FeedbackSpec":
-        return cls(kind="hill", gamma=float(gamma), theta=float(theta), h=float(h))
+        return cls(kind="hill", gamma=gamma, theta=theta, h=h)
 
     @classmethod
     def tabulated(cls, points: Sequence[Tuple[float, float]]) -> "FeedbackSpec":
@@ -203,11 +218,16 @@ class FeedbackSpec:
         if self.kind == "linear":
             if self.gamma is None:
                 raise ValidationError("linear feedback needs gamma")
+            _check_number("gamma", self.gamma)
+            object.__setattr__(self, "gamma", float(self.gamma))
         elif self.kind == "hill":
             if self.gamma is None or self.theta is None or self.h is None:
                 raise ValidationError("hill feedback needs gamma, theta, h")
+            _check_number("gamma", self.gamma)
             _check_number("theta", self.theta, gt=0.0)
             _check_number("h", self.h, gt=0.0)
+            for key in ("gamma", "theta", "h"):  # floats, so the spec hashes by value
+                object.__setattr__(self, key, float(getattr(self, key)))
             with np.errstate(all="ignore"):  # _raw's scale may neither overflow nor vanish
                 _check_number("theta ** h", np.float64(self.theta) ** self.h, gt=0.0)
         else:
@@ -262,7 +282,7 @@ class FeedbackSpec:
 
     def __call__(self, I):
         """Evaluate f at a signaling fraction in [0, 1]."""
-        _check_number("signaling fraction I", I, ge=0.0, le=1.0)
+        _check_number("signaling fraction I", I, ge=0.0, le=1.0, array=True)
         arr = np.asarray(I, dtype=float)
         out = self._raw(arr)
         return float(out) if np.isscalar(I) or arr.ndim == 0 else out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (FeedbackSpec, RegionParams, ValidationError, _check_count, _check_number,
-                    wrap01)
+                    _reals, wrap01)
 
 # decision: library policy.  flux_residual samples at most 10**6 points,
 # about 1000 times its default 1024, in arrays of 8 MB; 10**9 raised
@@ -34,13 +34,13 @@ class SteadyProfile:
 
     def u(self, x):
         """Density at phase x (vectorized)."""
-        x = wrap01(x)
+        x = wrap01(_reals("x", x, array=True))
         out = np.where(x >= self.rp.r, self.on_r_level, self.c)
         return float(out) if out.ndim == 0 else out
 
     def b(self, x):
         """Advection speed at phase x for this profile's signaling load."""
-        x = wrap01(x)
+        x = wrap01(_reals("x", x, array=True))
         out = np.where(x >= self.rp.r, self.c / self.on_r_level, 1.0)
         return float(out) if out.ndim == 0 else out
 

@@ -359,7 +359,7 @@ def analytic_F_k2(x1, rp: RegionParams, alpha: float):
     r + (1+alpha)s - 1.
     """
     m = as_piecewise(rp, alpha)
-    _check_number("x1", x1, ge=0.0, le=1.0)
+    _check_number("x1", x1, ge=0.0, le=1.0, array=True)
     x = np.asarray(x1, dtype=float)
     out = m(x)
     return float(out) if np.isscalar(x1) or x.ndim == 0 else out
@@ -409,7 +409,7 @@ class PiecewiseAffineMap:
         return min(max(j, 0), self.n_segments - 1)
 
     def __call__(self, x):
-        _check_number("x", x)
+        _check_number("x", x, array=True)
         x = np.asarray(x, dtype=float)
         j = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
                     0, self.n_segments - 1)

@@ -13,8 +13,11 @@ region bounds and its own generator.  I = j/n for every row comes from one
 count over the block, and the R step (1 + f(j/n)) dt is read from a table
 built once per run.  Only the normal draws stay per row, one
 standard_normal(n) per row and step, so each row's stream, and its result,
-is bit for bit that of the row run alone.  `simulate_sde` is the
-P = 1 caller; the cluster-count sweep of the CLI steps its points as blocks.
+is bit for bit that of the row run alone.  It yields (step, block) at each
+sample and keeps none: the cluster-count sweep of the CLI keeps the last,
+and `_sde_run`, the P = 1 run, copies the samples into blocks of 2 MB,
+which `simulate_sde` stacks into one (K, n) array and `rscycle simulate`
+writes as they come.
 
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
@@ -48,21 +51,24 @@ agreement column) go through `returnmap._section_runs` instead: the same
 stops in one lockstep numpy loop over all points, bit for bit `_section_run`
 row by row.
 
-`simulate_exact` runs the loop once, to the horizon, and builds the event
-records and the sampled states from the log after it; `_exact_run` is that
-run up to the records, with the states left to build.  A crossing's code
-fixes the cell's new entry phase, entry clock and region, as `_Flow.run`
-sets them.  `_event_state_blocks` builds the states in blocks of `_CHUNK`
-stops and yields each block as it is done: every cell's row is entry +
-(clock[region] - since) from the per-cell state at the block's first stop,
-and then only the columns of the cells that cross inside the block are
-rebuilt, each row from the cell's latest crossing at or before it.  In
-"endpoints" mode the build has one row, the horizon's clocks, and no batch,
-and starts from the flow's per-cell state after the run.  Every block is
-wrapped in place.  `simulate_exact` builds the blocks into one (K, n)
-array, which it returns; `rscycle simulate` builds them into one reused
-table of `_CHUNK` rows and writes each before the next is built, so it
-never holds the K x n states.
+`_exact_run` runs the loop to the horizon in runs of `_SLICE` stops and
+keeps each run's log only as one `_Slice` of compact arrays: each row's
+clocks t and tau and batch size, and each crossing's cell and code, in cell
+order within a row, as events.csv has them; 20 bytes a stop and 5 a
+crossing.  `simulate_exact` also builds the event records from each run's
+log.  A crossing's code fixes the cell's new entry phase, entry clock and
+region, as `_Flow.run` sets them.  `_event_state_blocks` builds the states
+slice by slice in blocks of `_CHUNK` rows and yields each block with its
+times as it is done: every cell's row is entry + (clock[region] - since)
+from the per-cell state at the block's first row, and then only the
+columns of the cells that cross inside the block are rebuilt, each row
+from the cell's latest crossing at or before it.  In "endpoints" mode the
+build has one row, the horizon's clocks, and no batch, and starts from the
+flow's per-cell state after the run.  Every block is wrapped in place.
+`simulate_exact` builds the blocks into one (K, n) array, which it
+returns; `rscycle simulate` writes events.csv from the arrays, then builds
+the blocks into one reused buffer and writes each before the next is
+built, so it holds neither the K x n states nor a Python object per event.
 """
 
 import math
@@ -292,7 +298,59 @@ class _Flow:
 
 
 _KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.run
-_CHUNK = 64  # stops per block of _build_event_states
+_CHUNK = 64  # rows per block of _event_state_blocks
+_SLICE = 1024  # stops per run of _Flow.run in _exact_run
+
+
+class _Slice(NamedTuple):
+    """Rows of an exact run in compact arrays, 20 bytes a row and 5 a
+    crossing: each row's clocks t and tau and the size of its batch, and
+    each crossing's cell and code, by row and within a row by cell, the
+    order of events.csv.  A row of a log is a stop; the start of a run and
+    a horizon between stops are rows of no crossing."""
+
+    t: np.ndarray
+    tau: np.ndarray
+    sizes: np.ndarray
+    cells: np.ndarray
+    codes: np.ndarray
+
+
+def _row_slice(t: float, tau: float) -> _Slice:
+    """One row of clocks with no crossing."""
+    return _Slice(np.array([t]), np.array([tau]), np.zeros(1, np.int32), np.empty(0, np.int32),
+                  np.empty(0, np.int8))
+
+
+def _log_slice(log, n: int) -> _Slice:
+    """The compact arrays of a log of `_Flow.run` over n cells."""
+    rows, batches = len(log), list(map(itemgetter(2), log))
+    sizes = np.fromiter(map(len, batches), np.int32, rows)
+    members = list(chain.from_iterable(batches))
+    cells = np.fromiter(map(itemgetter(1), members), np.int32, len(members))
+    codes = np.fromiter(map(itemgetter(2), members), np.int8, len(members))
+    if len(members) > rows:  # a batch of several crossings: put each in cell order
+        order = np.argsort(np.repeat(np.arange(rows), sizes) * n + cells)
+        cells, codes = cells[order], codes[order]
+    return _Slice(np.fromiter(map(itemgetter(0), log), float, rows),
+                  np.fromiter(map(itemgetter(1), log), float, rows), sizes, cells, codes)
+
+
+class _Run(NamedTuple):
+    """One exact run before its states are built: the horizon, the rows in
+    slices of compact arrays, start, each cell's entry phase, entry clock
+    and region at the first row, starts, the entry phase of each crossing
+    code (`_Flow.starts`), and the event records, if the run built them."""
+
+    duration: float
+    slices: List[_Slice]
+    start: tuple
+    starts: tuple
+    events: List[EventRecord]
+
+    @property
+    def rows(self) -> int:
+        return sum(len(piece.t) for piece in self.slices)
 
 
 def _fill(out, clocks, entry, since, region) -> None:
@@ -311,94 +369,82 @@ def _wrap(out, scratch) -> None:
     out[out == 1.0] = 0.0
 
 
-def _event_state_blocks(clocks, start, log, starts, out):
-    """Build the state at each row of clocks into out, _CHUNK rows at a
-    time, and yield each block as (first, view of out) once it is built.
+def _event_state_blocks(run: _Run, out=None):
+    """Build the state at each row of run, slice by slice and _CHUNK rows
+    at a time, and yield each block as (its times, view of out) once it is
+    built.  A row's time is its clock t, and the last row's the horizon.
 
-    Row k of the (K, 3) array clocks is stop k's (t, t, tau), and log[k - 1]
-    is the batch of stop k as (time to cross, cell, code); rows past the log
-    have no batch.  start holds each cell's entry phase, entry clock and
-    region at stop 0, as numpy arrays that the build advances in place.  A
-    crossing of code c moves its cell to region (c + 1) % 3 with entry phase
-    starts[c], at that region's clock of its stop, as `_Flow.run` does.
+    The build advances copies of run.start in place.  A crossing of code c
+    moves its cell to region (c + 1) % 3 with entry phase run.starts[c], at
+    that region's clock of its row, as `_Flow.run` does.
 
-    out is either (K, n), and block b fills its rows b * _CHUNK onward in
-    place, or a buffer of min(K, _CHUNK) rows that every block reuses from
+    out is either (K, n), and each block fills its own rows in place, or
+    None, for a buffer of min(K, _CHUNK) rows that every block reuses from
     its first row.
     """
-    K, n = len(clocks), len(start[0])
-    entry, since, region = start
-    members = list(chain.from_iterable(log))
-    cells = np.fromiter(map(itemgetter(1), members), np.intp, len(members))
-    codes = np.fromiter(map(itemgetter(2), members), np.intp, len(members))
-    stops = np.repeat(np.arange(1, len(log) + 1), np.fromiter(map(len, log), np.intp, len(log)))
-    new_region = ((codes + 1) % 3).astype(np.int8)
-    new_entry = np.array(starts)[codes]
-    new_since = clocks[stops, np.where(new_region == 2, 2, 0)]
-    bounds = np.searchsorted(stops, np.arange(0, K + _CHUNK, _CHUNK)).tolist()
+    K = run.rows
+    entry, since, region = (a.copy() for a in run.start)
+    n = len(entry)
+    if out is None:
+        out = np.empty((min(K, _CHUNK), n))
+    starts, whole, row = np.array(run.starts), len(out) == K, 0
     scratch = np.empty((min(K, _CHUNK), n))
     column = np.empty(n, np.intp)
-    for first in range(0, K, _CHUNK):
-        rows = clocks[first:first + _CHUNK]
-        block = out[first:first + _CHUNK] if len(out) == K else out[:len(rows)]
-        _fill(block, rows, entry, since, region)
-        lo, hi = bounds[first // _CHUNK], bounds[first // _CHUNK + 1]
-        if lo < hi:
-            # the crossing cells' columns: row k takes the cell's latest
-            # crossing at or before it (index m + j for crossing j of the
-            # block), else its state at the block's first stop (index < m).
-            # A cell crosses at most once a stop, so no index is written twice.
-            cross = cells[lo:hi]
-            changed = np.flatnonzero(np.bincount(cross, minlength=n))
-            m = changed.size
-            column[changed] = np.arange(m)
-            latest = np.empty((len(block), m), np.intp)
-            latest[:] = np.arange(m)
-            latest[stops[lo:hi] - first, column[cross]] = np.arange(m, m + hi - lo)
-            np.maximum.accumulate(latest, axis=0, out=latest)
-            ent = np.concatenate((entry[changed], new_entry[lo:hi]))
-            sin = np.concatenate((since[changed], new_since[lo:hi]))
-            reg = np.concatenate((region[changed], new_region[lo:hi]))
-            sub = np.take_along_axis(rows, reg[latest], axis=1)
-            sub -= sin[latest]
-            sub += ent[latest]
-            block[:, changed] = sub
-            last = latest[-1]
-            entry[changed], since[changed], region[changed] = ent[last], sin[last], reg[last]
-        _wrap(block, scratch)
-        yield first, block
+    for piece in run.slices:
+        clocks = np.column_stack((piece.t, piece.t, piece.tau))
+        stops = np.repeat(np.arange(len(clocks)), piece.sizes)
+        cells, new_region = piece.cells, (piece.codes + 1) % 3
+        new_entry = starts[piece.codes]
+        new_since = clocks[stops, np.where(new_region == 2, 2, 0)]
+        bounds = np.searchsorted(stops, np.arange(0, len(clocks) + _CHUNK, _CHUNK)).tolist()
+        for first in range(0, len(clocks), _CHUNK):
+            rows = clocks[first:first + _CHUNK]
+            block = out[row:row + len(rows)] if whole else out[:len(rows)]
+            _fill(block, rows, entry, since, region)
+            lo, hi = bounds[first // _CHUNK], bounds[first // _CHUNK + 1]
+            if lo < hi:
+                # the crossing cells' columns: row k takes the cell's latest
+                # crossing at or before it (index m + j for crossing j of the
+                # block), else its state at the block's first row (index < m).
+                # A cell crosses at most once a row, so no index is written twice.
+                cross = cells[lo:hi]
+                changed = np.flatnonzero(np.bincount(cross, minlength=n))
+                m = changed.size
+                column[changed] = np.arange(m)
+                latest = np.empty((len(block), m), np.intp)
+                latest[:] = np.arange(m)
+                latest[stops[lo:hi] - first, column[cross]] = np.arange(m, m + hi - lo)
+                np.maximum.accumulate(latest, axis=0, out=latest)
+                ent = np.concatenate((entry[changed], new_entry[lo:hi]))
+                sin = np.concatenate((since[changed], new_since[lo:hi]))
+                reg = np.concatenate((region[changed], new_region[lo:hi]))
+                sub = np.take_along_axis(rows, reg[latest], axis=1)
+                sub -= sin[latest]
+                sub += ent[latest]
+                block[:, changed] = sub
+                last = latest[-1]
+                entry[changed], since[changed], region[changed] = ent[last], sin[last], reg[last]
+            _wrap(block, scratch)
+            row += len(rows)
+            times = piece.t[first:first + _CHUNK]
+            if row == K:
+                times = np.append(times[:-1], run.duration)
+            yield times, block
 
 
-def _build_event_states(clocks, start, log, starts) -> np.ndarray:
-    """The states of `_event_state_blocks`, built in place in one (K, n) array."""
-    states = np.empty((len(clocks), len(start[0])))
-    for _ in _event_state_blocks(clocks, start, log, starts, states):
-        pass
-    return states
+def _build_event_states(run: _Run):
+    """The times and states of `_event_state_blocks`, the states built in
+    place in one (K, n) array."""
+    states = np.empty((run.rows, len(run.start[0])))
+    times = np.concatenate([times for times, _ in _event_state_blocks(run, states)])
+    return times, states
 
 
 def _event_records(log) -> List[EventRecord]:
-    """The events of a run's log, by stop and within a stop by cell.  The
-    log is released block by block as the records are built, so the two
-    never exist in full at once."""
-    events: List[EventRecord] = []
+    """The events of a log of `_Flow.run`, by stop and within a stop by cell."""
     new = tuple.__new__  # EventRecord's own __new__, without its Python frame
-    for first in range(0, len(log), _CHUNK):
-        block = log[first:first + _CHUNK]
-        log[first:first + _CHUNK] = [None] * len(block)
-        events += [new(EventRecord, (t, _KIND_OF_CODE[code], i)) for t, _, batch in block
-                   for _, i, code in (sorted(batch, key=itemgetter(1)) if len(batch) > 1 else batch)]
-    return events
-
-
-class _Run(NamedTuple):
-    """One exact run before its states are built: the sample times, the
-    event records, and build, the arguments (clocks, start, log, starts) of
-    `_event_state_blocks` but its buffer."""
-
-    times: np.ndarray
-    events: List[EventRecord]
-    build: tuple
+    return [new(EventRecord, (t, _KIND_OF_CODE[code], i)) for t, _, batch in log
+            for _, i, code in (sorted(batch, key=itemgetter(1)) if len(batch) > 1 else batch)]
 
 
 def _check_horizon(duration, rp: RegionParams, speeds, max_events=_MAX_EVENTS,
@@ -423,14 +469,17 @@ def _check_horizon(duration, rp: RegionParams, speeds, max_events=_MAX_EVENTS,
 
 
 def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: float,
-               sample: str = "events", max_events: int = _MAX_EVENTS) -> _Run:
+               sample: str = "events", max_events: int = _MAX_EVENTS,
+               records: bool = False) -> _Run:
     """The run of `simulate_exact`, with its states left to build.
 
-    The horizon is checked by `_check_horizon` before any work.  One run of
-    the kernel's loop, `_Flow.run`, goes to the horizon and logs each stop's
-    clocks and batch.  The event records are built from the log here, and
-    the log is released as they are; the batches stay for the state build.
+    The horizon is checked by `_check_horizon` before any work.  The
+    kernel's loop, `_Flow.run`, goes to the horizon in runs of _SLICE
+    stops, and each run's log is kept only as one slice of compact arrays
+    ("events" mode) and, if records, as its event records.  In "endpoints"
+    mode the one row is the horizon, built from the flow after the run.
     """
+    _check_count("max_events", max_events, 0)
     speeds = _speed_table(fs, len(pop))
     _check_horizon(duration, rp, speeds, max_events)
     # isinstance first: an array in a tuple raises an ambiguous-truth ValueError
@@ -440,20 +489,20 @@ def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: fl
 
     flow = _Flow(pop.phases.tolist(), rp, speeds.tolist())
     start = flow.arrays() if sample == "events" else None
-    log, offset = flow.run(duration, max_events=max_events)
+    slices, events, offset = [_row_slice(0.0, 0.0)], [], None
+    while offset is None:
+        log, offset = flow.run(duration, max_events=max_events, max_stops=_SLICE)
+        if records:
+            events += _event_records(log)
+        if log and sample == "events":
+            slices.append(_log_slice(log, len(pop)))
     # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
     t, tau = flow.t + offset, flow.tau + flow.v * offset
     if sample == "endpoints":
-        events = _event_records(log)  # first, so the log is released before the arrays are made
-        return _Run(np.array([duration]), events,
-                    (np.array([(t, t, tau)]), flow.arrays(), [], flow.starts))
-    ts, taus = [0.0, *map(itemgetter(0), log)], [0.0, *map(itemgetter(1), log)]
-    if offset:  # else the last stop is on the horizon and is its sample
-        ts.append(t)
-        taus.append(tau)
-    clocks, batches = np.column_stack((ts, ts, taus)), [batch for _, _, batch in log]
-    return _Run(np.array(ts[:-1] + [duration]), _event_records(log),
-                (clocks, start, batches, flow.starts))
+        return _Run(duration, [_row_slice(t, tau)], flow.arrays(), flow.starts, events)
+    if offset:  # else the last stop is on the horizon and is its row
+        slices.append(_row_slice(t, tau))
+    return _Run(duration, slices, start, flow.starts, events)
 
 
 def simulate_exact(
@@ -473,19 +522,21 @@ def simulate_exact(
     at duration; else the horizon row is the last stop's state moved along
     the frozen speeds.
 
-    One run of the kernel's loop, `_Flow.run`, goes to the horizon and logs
-    each stop's clocks and batch; the event records and, block by block
-    into one (K, n) array, the sampled states are built from that log after
-    it.
+    The kernel's loop, `_Flow.run`, goes to the horizon in runs of _SLICE
+    stops; the event records are built from each run's log, and the
+    sampled states, block by block into one (K, n) array, from the run's
+    compact arrays after it.
 
-    Raises ValidationError, before any work, for a duration that is not
-    finite and > 0 or whose lower bound on the event count already exceeds
-    max_events (`_check_horizon`), and SimulationError if the event count
+    Raises ValidationError, before any work, for a max_events that is not
+    an integer >= 0, a duration that is not finite and > 0 or whose lower
+    bound on the event count already exceeds max_events (`_check_horizon`),
+    and SimulationError if the event count
     exceeds max_events, which flags parameter sets whose event cadence
     explodes.
     """
-    run = _exact_run(pop, rp, fs, duration, sample, max_events)
-    return Trajectory(times=run.times, states=_build_event_states(*run.build), events=run.events)
+    run = _exact_run(pop, rp, fs, duration, sample, max_events, records=True)
+    times, states = _build_event_states(run)
+    return Trajectory(times=times, states=states, events=run.events)
 
 
 def _sde_steps(duration, dt, name: str = "duration") -> int:
@@ -511,15 +562,16 @@ def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: 
     per step, so each row's stream is that of a run on its own.  Each step
     the speeds are frozen at the row's count j in S: a cell in R moves by
     (1 + f(j/n)) dt, any other by dt; then the sigma-scaled normals are
-    added and the row is wrapped.  Returns the sampled step numbers (0,
-    every multiple of sample_every, and steps) and the block at each; steps
-    is a count of `_sde_steps`.
+    added and the row is wrapped.  Yields (k, block) at step k = 0, every
+    multiple of sample_every and steps, a count of `_sde_steps`; each
+    block is pos itself (k = 0) or a new array, and the stepper never
+    writes into a block it has yielded.
     """
     dt = noise.dt
     s, r = np.asarray(s, dtype=float)[:, None], np.asarray(r, dtype=float)[:, None]
     r_steps = _speed_table(fs, pos.shape[1]) * dt  # entry j: the R step while j cells are in S
     normals = np.empty_like(pos)
-    ks, states = [0], [pos.copy()]
+    yield 0, pos
     for k in range(1, steps + 1):
         for row, rng in zip(normals, rngs):
             rng.standard_normal(out=row)
@@ -527,9 +579,47 @@ def _em_block(pos: np.ndarray, s, r, fs: FeedbackSpec, noise: NoiseSpec, steps: 
         pos += noise.sigma * normals
         pos = wrap01(pos)
         if k % sample_every == 0 or k == steps:
-            ks.append(k)
-            states.append(pos)
-    return ks, states
+            yield k, pos
+
+
+def _sde_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, noise: NoiseSpec,
+             duration: float, seed=None, sample_every: int = 1):
+    """The run of `simulate_sde` as a stream, its arguments checked first:
+    (K, an iterator of (times, block)), K the sample count and each block
+    the next samples of `_em_block` with their times k dt, in blocks of
+    `_sample_blocks`."""
+    _check_number("duration", duration, gt=0.0)
+    _check_count("sample_every", sample_every, 1)
+    if not (seed is None or isinstance(seed, (np.random.Generator, np.random.SeedSequence))):
+        _check_count("seed", seed, 0)
+    steps = _sde_steps(duration, noise.dt)
+    K = -(-steps // sample_every) + 1  # step 0, every sample_every-th and the last
+    samples = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, noise, steps,
+                        [np.random.default_rng(seed)], sample_every)
+    rows = min(K, max(1, _SAMPLE_BLOCK // len(pop)))
+    return K, _sample_blocks(samples, noise.dt, rows, len(pop))
+
+
+# values per block of _sample_blocks: 2 MB of float64.  A block is a new
+# array, freed once written; glibc then raises its mmap and trim thresholds
+# to the block's size, above the ~2 MB of numpy temporaries that each chunk
+# of the table writer makes, which it would otherwise map, trim and fault in
+# again chunk by chunk (1.3x the writer's time at n = 1000 in fresh processes)
+_SAMPLE_BLOCK = 1 << 18
+
+
+def _sample_blocks(samples, dt, rows, n):
+    """The (k, (1, n) block) samples of `_em_block` as (times k dt, block)
+    blocks of rows samples, each block a new array, and the rest last."""
+    steps, block, i = np.empty(rows), np.empty((rows, n)), 0
+    for k, sample in samples:
+        steps[i], block[i] = k, sample[0]
+        i += 1
+        if i == rows:
+            yield steps * dt, block
+            steps, block, i = np.empty(rows), np.empty((rows, n)), 0
+    if i:
+        yield steps[:i] * dt, block[:i]
 
 
 def simulate_sde(
@@ -545,18 +635,17 @@ def simulate_sde(
 
     Each step the speeds are frozen at the current signaling fraction, the
     cells advance by speed*dt plus sigma-scaled standard normals, and the
-    result is wrapped mod 1.  Reproducible for a fixed seed.
+    result is wrapped mod 1.  Reproducible for a fixed seed.  The samples
+    are stacked, block by block as they come, into one (K, n) array.
 
     Raises ValidationError for a duration that is not finite and > 0, a
     step count of `_sde_steps` below 1 or above _MAX_STEPS, a sample_every
     that is not an integer >= 1, or a seed number that is not an integer
     >= 0.
     """
-    _check_number("duration", duration, gt=0.0)
-    _check_count("sample_every", sample_every, 1)
-    if isinstance(seed, (int, float, np.number)):  # else None, a generator or a seed sequence
-        _check_count("seed", seed, 0)
-    steps = _sde_steps(duration, noise.dt)
-    ks, states = _em_block(pop.phases[None, :], [rp.s], [rp.r], fs, noise, steps,
-                           [np.random.default_rng(seed)], sample_every)
-    return Trajectory(times=np.array(ks) * noise.dt, states=np.vstack(states), events=[])
+    K, blocks = _sde_run(pop, rp, fs, noise, duration, seed, sample_every)
+    times, states, first = np.empty(K), np.empty((K, len(pop))), 0
+    for t, block in blocks:
+        times[first:first + len(t)], states[first:first + len(t)] = t, block
+        first += len(t)
+    return Trajectory(times=times, states=states, events=[])

@@ -148,11 +148,8 @@ def _sample_in_case(rng, target: Case):
             continue
         beta = rng.uniform(0.03, 0.7) * rng.choice([-1.0, 1.0])
         rp = RegionParams(s=s, r=r)
-        try:
-            if classify_case(rp, k, beta) is target:
-                return rp, k, beta
-        except Exception:
-            continue
+        if classify_case(rp, k, beta) is target:
+            return rp, k, beta
     raise RuntimeError(f"could not sample parameters for case {target}")
 
 

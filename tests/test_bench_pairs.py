@@ -70,3 +70,29 @@ def test_beyond_bound_is_a_worse_median_past_the_fraction():
     assert not summary["wall_s"]["beyond_bound"]  # better is never beyond the bound
     summary = bench_pairs.summarise(_pairs(parent, [1.4] * 10), METRICS)
     assert summary["work_per_s"]["beyond_bound"]  # 1/1.4 is 29% lower
+
+
+def test_cli_pairs_alternate_and_measure_each_child(tmp_path):
+    # smoke size: both sides are this checkout, so each pair writes the same bytes
+    root = _PATH.parent.parent
+    pairs = bench_pairs.cli_pairs({"parent": root, "change": root}, "simulate",
+                                  {"n": 5, "cycles": 1.0}, [3, 4], tmp_path)
+    assert [p["first"] for p in pairs] == ["parent", "change"]
+    assert [p["seed"] for p in pairs] == [3, 4]
+    for pair in pairs:
+        assert pair["identical"]
+        for side in ("parent", "change"):
+            assert pair[side]["exit"] == 0
+            assert pair[side]["metrics"]["wall_s"]["value"] > 0.0
+            assert pair[side]["metrics"]["peak_rss_mb"]["value"] > 1.0  # a Python process
+    assert not (tmp_path / "parent").exists() and not (tmp_path / "change").exists()
+    summary = bench_pairs.summarise(pairs, [{"name": "peak_rss_mb", "better": "lower",
+                                             "bound": 0.1}])
+    assert not summary["peak_rss_mb"]["claim_met"]  # two pairs make no claim
+
+
+def test_cli_pairs_record_a_refused_config(tmp_path):
+    root = _PATH.parent.parent
+    [pair] = bench_pairs.cli_pairs({"parent": root, "change": root}, "simulate",
+                                   {"n": 0}, [0], tmp_path)
+    assert pair["parent"]["exit"] == pair["change"]["exit"] == 2

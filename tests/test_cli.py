@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from rscycle.cyclic import classify_case, cyclic_spacing
 from rscycle.model import (CertificateError, FeedbackSpec, Population, RegionParams,
                            max_isolated_clusters)
 from rscycle.returnmap import as_piecewise
-from rscycle.simulate import (_CHUNK, EventKind, EventRecord, SimulationError, Trajectory,
-                              simulate_exact)
+from rscycle.simulate import (_CHUNK, _KIND_OF_CODE, EventKind, EventRecord, NoiseSpec,
+                              SimulationError, _Run, _Slice, simulate_exact, simulate_sde)
 
 
 def run_cli(args):
@@ -616,12 +617,13 @@ def test_sampled_values_cap(tmp_path):
 
 
 def test_sde_trajectory_above_the_values_cap_exits_2(tmp_path, monkeypatch, capsys):
-    # n 200 at the 10**7-step cap would keep 16 GB of samples; the engine is
-    # replaced, so that a missing check fails here instead of running it
+    # n 200 at the 10**7-step cap would write 2 * 10**9 values, ~40 GB of
+    # trajectory.csv; the engine is replaced, so that a missing check fails
+    # here instead of running it
     def not_refused(*args, **kwargs):
         raise AssertionError("the run was not refused")
 
-    monkeypatch.setattr(cli, "simulate_sde", not_refused)
+    monkeypatch.setattr(cli, "_sde_run", not_refused)
     cfg = write_config(tmp_path, "c.json", {"engine": "sde", "n": 200, "cycles": 2e5})
     out = tmp_path / "x"
     assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -921,20 +923,26 @@ def test_real_formatter_sweep_matches_per_value_format():
         assert format_lines(chunk) == reference_lines(chunk), start
 
 
+def sde_reference(payload, seed=3):
+    """simulate_sde on the inputs `rscycle simulate --seed seed` builds from
+    the config payload of the sde engine: its cells drawn as
+    np.sort(rng.random(n)) from rng = default_rng(seed), and its noise drawn
+    from that rng after them."""
+    cfg = {**cli._DEFAULTS["simulate"], **payload}
+    rng = np.random.default_rng(seed)
+    return simulate_sde(Population(np.sort(rng.random(cfg["n"]))),
+                        RegionParams(s=cfg["s"], r=cfg["r"]),
+                        FeedbackSpec.linear(cfg["feedback"]["gamma"]),
+                        NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]), float(cfg["cycles"]),
+                        seed=rng, sample_every=cfg["sample_every"])
+
+
 @pytest.mark.parametrize("engine", ["exact", "sde"])
-def test_trajectory_csv_matches_per_row_format(tmp_path, monkeypatch, engine):
-    runs = []
-    real = cli.simulate_sde
-
-    def recording(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(cli, "simulate_sde", recording)
+def test_trajectory_csv_matches_per_row_format(tmp_path, engine):
     payload = {"engine": engine, "n": 30, "cycles": 3.0}
     cfg = write_config(tmp_path, "c.json", payload)
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
-    traj = runs[0] if engine == "sde" else exact_reference(payload)
+    traj = sde_reference(payload) if engine == "sde" else exact_reference(payload)
     header = "t," + ",".join(f"phase_{i}" for i in range(30))
     table = np.column_stack((traj.times, traj.states))
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(header, table)
@@ -981,19 +989,50 @@ def test_streamed_trajectory_at_block_and_horizon_edges(tmp_path, stops, on_stop
     assert assert_streamed_trajectory(tmp_path, {"n": 7, "cycles": float(cycles)}) == rows
 
 
+def traced_simulate(out, payload, seed=3):
+    """rscycle simulate on payload into out, under tracemalloc: its traced peak in bytes."""
+    out.mkdir()
+    cfg = write_config(out, "c.json", payload)
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_never_holds_the_states(tmp_path):
     # the exact engine's rows stream into trajectory.csv block by block, so a
     # default run peaks below the size of its (K, n) states
-    tracemalloc.start()
-    try:
-        assert run_cli(["simulate", "--seed", "3", "--out", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    K = (tmp_path / "trajectory.csv").read_bytes().count(b"\n") - 1
+    peak = traced_simulate(tmp_path / "out", {})
+    K = (tmp_path / "out" / "trajectory.csv").read_bytes().count(b"\n") - 1
     n = cli._DEFAULTS["simulate"]["n"]
     assert K > 10 * _CHUNK
     assert peak < K * n * 8
+
+
+def test_exact_simulate_keeps_at_most_64_bytes_per_event(tmp_path):
+    # the run is kept as compact arrays, 25 bytes for a crossing alone in its
+    # stop, not as per-stop tuples and event records (~240 bytes an event):
+    # from 250 to 1000 cycles (14k to 58k events) the traced peak grows by at
+    # most 64 bytes per extra event
+    peaks, events = [], []
+    for cycles in (250.0, 1000.0):
+        out = tmp_path / str(cycles)
+        peaks.append(traced_simulate(out, {"n": 20, "cycles": cycles}, seed=1))
+        events.append((out / "events.csv").read_bytes().count(b"\n") - 1)
+    assert events[1] > 3 * events[0] > 40000
+    assert peaks[1] - peaks[0] <= 64 * (events[1] - events[0])
+
+
+def test_sde_simulate_never_holds_its_samples(tmp_path):
+    # every sample streams into trajectory.csv as it is drawn: 2001 samples
+    # of 500 cells are 8 MB stacked, and the run peaks below that
+    payload = {"engine": "sde", "n": 500, "cycles": 40.0, "sample_every": 1}
+    peak = traced_simulate(tmp_path / "out", payload)
+    K = (tmp_path / "out" / "trajectory.csv").read_bytes().count(b"\n") - 1
+    assert K == 2001
+    assert peak < K * 500 * 8
 
 
 # events.csv against the per-row "%.17g,%s,%d" formatting it replaced.
@@ -1011,8 +1050,20 @@ def test_events_csv_matches_per_row_format(tmp_path):
     assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(events)
 
 
-def _events_csv(path, events):
-    cli.write_events_csv(Trajectory(np.zeros(1), np.zeros((1, 1)), events), path)
+def _events_csv(path, events, rows_per_slice=7):
+    """events.csv of the run whose compact arrays hold events: each run of
+    events with bitwise-equal times is one row, and the rows are cut into
+    slices of rows_per_slice."""
+    rows = [list(group) for _, group in itertools.groupby(events, key=lambda ev: ev.time.hex())]
+    slices = []
+    for first in range(0, max(len(rows), 1), rows_per_slice):
+        part = rows[first:first + rows_per_slice]
+        members = [ev for row in part for ev in row]
+        slices.append(_Slice(np.array([row[0].time for row in part], dtype=float),
+                             np.zeros(len(part)), np.array(list(map(len, part)), np.int32),
+                             np.array([ev.cell for ev in members], np.int32),
+                             np.array([_KIND_OF_CODE.index(ev.kind) for ev in members], np.int8)))
+    cli.write_events_csv(_Run(0.0, slices, None, None, []), path)
     return path.read_bytes()
 
 
@@ -1031,9 +1082,11 @@ def test_events_writer_matches_per_row_format(table_path, rows):
 
 def test_events_writer_spans_chunks(tmp_path):
     rng = np.random.default_rng(17)
-    count = cli._CHUNK_VALUES + 5
+    count = 2 * cli._CHUNK_VALUES + 5
     times = np.concatenate((rng.random(count - 100) * 50.0, rng.random(100) * 1e-6))
     kinds = tuple(EventKind)
     events = [EventRecord(t, kinds[k], c) for t, k, c in
               zip(times.tolist(), rng.integers(0, 3, count).tolist(), rng.integers(0, 2000, count).tolist())]
-    assert _events_csv(tmp_path / "events.csv", events) == reference_events_csv(events)
+    for rows_per_slice in (1000, 7000, 20000):  # tables of whole slices, one or several
+        got = _events_csv(tmp_path / "events.csv", events, rows_per_slice)
+        assert got == reference_events_csv(events)

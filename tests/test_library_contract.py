@@ -19,8 +19,9 @@ import pytest
 
 import rscycle
 from rscycle import (Case, FeedbackSpec, NoiseSpec, Population, RegionParams, ValidationError,
-                     analytic_F_k2, as_piecewise, build_A, compose, count_clusters_histogram,
-                     saturating_feedback, simulate_exact, simulate_sde, spectrum, steady_profile,
+                     analytic_F_k2, as_piecewise, build_A, classify_case, compose,
+                     count_clusters_histogram, cyclic_solution, decompose, saturating_feedback,
+                     simulate_exact, simulate_sde, spectrum, steady_profile,
                      verify_root_requirement)
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "fuzz_library.py"
@@ -76,6 +77,25 @@ DEFECTS = {
     "count_clusters_histogram-threshold-nan": lambda: count_clusters_histogram(POP, 10, NAN),
     # returned inf: lambda**999 / (1 + beta) overflows, for a lambda no root reaches
     "verify_root_requirement-lambda-2": lambda: verify_root_requirement(2.0, 1000, -1.0 + 1e-15),
+    # TypeError or ValueError: a comparison, float(), abs() or math.isfinite
+    # met a value that is not a number before any rule did
+    "RegionParams-s-x": lambda: RegionParams("x", 0.5),
+    "RegionParams-r-string-number": lambda: RegionParams(0.25, "0.75"),
+    "decompose-delta-x": lambda: decompose(POP, RP, "x"),
+    "spectrum-beta-x": lambda: spectrum(3, "x", Case.I),
+    "FeedbackSpec.linear-gamma-x": lambda: FeedbackSpec.linear("x"),
+    "FeedbackSpec.hill-theta-None": lambda: FeedbackSpec.hill(0.6, None, 2.0),
+    "saturating_feedback-beta-None": lambda: saturating_feedback(3, None),
+    "verify_root_requirement-lambda-x": lambda: verify_root_requirement("x", 3, 0.3),
+    "simulate_exact-max_events-x": lambda: simulate_exact(POP, RP, LINEAR, 1.0, max_events="x"),
+    "simulate_sde-seed-x": lambda: simulate_sde(POP, RP, LINEAR, NoiseSpec(1e-3, 0.02), 1.0,
+                                                seed="x"),
+    "SteadyProfile.u-x-x": lambda: steady_profile(1.0, RP, LINEAR).u("x"),
+    # TypeError from [] * s: the number rule let an empty list through
+    "steady_profile-c-empty": lambda: steady_profile([], RP, LINEAR),
+    # AttributeError and IndexError from a batch of objects or of no rows
+    "classify_case-k-None": lambda: classify_case(RegionParams(0.15, 0.6), None, -0.3),
+    "cyclic_solution-beta-empty": lambda: cyclic_solution(RegionParams(0.15, 0.6), 2, []),
 }
 
 
@@ -94,6 +114,12 @@ def test_each_defect_is_refused_in_the_library(call):
 ])
 def test_number_rule_names_the_first_value_that_fails(value, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
+        rscycle.model._check_number("x", value, array=True)
+
+
+@pytest.mark.parametrize("value", [[0.5], np.array([0.5]), [], "0.5", None, b"1", 1j, [1, None]])
+def test_number_rule_wants_one_real_number_unless_array(value):
+    with pytest.raises(ValidationError, match="^x must be a real number, got "):
         rscycle.model._check_number("x", value)
 
 

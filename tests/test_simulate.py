@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import exact_oracle
 import sampler_oracle
 import sde_oracle
+import rscycle.simulate
 from rscycle.model import TIE_TOL, FeedbackSpec, Population, RegionParams, ValidationError
 from rscycle.returnmap import advance_to_section
 from rscycle.simulate import (
     _CHUNK,
+    _SLICE,
     _KIND_OF_CODE,
     EventKind,
     NoiseSpec,
@@ -22,6 +24,9 @@ from rscycle.simulate import (
     _check_horizon,
     _em_block,
     _Flow,
+    _log_slice,
+    _row_slice,
+    _Run,
     _speed_table,
     simulate_exact,
     simulate_sde,
@@ -367,11 +372,6 @@ def _hex(values):
     return [float(x).hex() for x in values]
 
 
-def _start(flow):
-    """A copy of the flow's per-cell state, for the builder to advance."""
-    return [a.copy() for a in flow.arrays()]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_phase_list_is_phases_bit_for_bit(data):
@@ -380,14 +380,14 @@ def test_phase_list_is_phases_bit_for_bit(data):
     n = data.draw(st.integers(1, 12))
     phases, rp, fs = _draw_cells(data, n)
     flow = _Flow(phases, rp, _speed_table(fs, n).tolist())
-    start, clocks, log, lists = _start(flow), [(0.0, 0.0, 0.0)], [], [flow.phase_list()]
+    start, log, lists = flow.arrays(), [], [flow.phase_list()]
     for _ in range(data.draw(st.integers(1, 8 * n))):
-        [(t, tau, batch)], _ = flow.run(max_stops=1)
+        log += flow.run(max_stops=1)[0]
+        t, tau, _ = log[-1]
         assert (t, tau) == (flow.t, flow.tau)
-        log.append(batch)
-        clocks.append((t, t, tau))
         lists.append(flow.phase_list())
-    states = _build_event_states(np.array(clocks), start, log, flow.starts)
+    run = _Run(flow.t, [_row_slice(0.0, 0.0), _log_slice(log, n)], start, flow.starts, [])
+    _, states = _build_event_states(run)
     assert [_hex(row) for row in states] == [_hex(x) for x in lists]
 
 
@@ -410,7 +410,7 @@ def test_queues_are_the_per_cell_fill(data):
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
     flow = _Flow([-1e-300, 0.5], RP, _speed_table(POS, 2).tolist())
-    built = _build_event_states(np.zeros((1, 3)), _start(flow), [], flow.starts)[0]
+    built = _build_event_states(_Run(0.0, [_row_slice(0.0, 0.0)], flow.arrays(), flow.starts, []))[1][0]
     assert _hex(flow.phase_list()) == _hex(built) == _hex(sampler_oracle.phases(flow))
     assert _hex(built) == _hex([0.0, 0.5])
 
@@ -471,6 +471,19 @@ def test_built_states_match_the_per_stop_sampler_at_n_1000(gamma):
     args = (pop, RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(gamma), 0.4)
     assert len(_assert_same_run(*args, "events").states) > 10 * _CHUNK
     _assert_same_run(*args, "endpoints")
+
+
+@pytest.mark.parametrize("stops", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+@pytest.mark.parametrize("on_stop", [True, False], ids=["horizon-on-a-stop", "horizon-between"])
+def test_runs_across_slices_match_the_per_stop_sampler(stops, on_stop):
+    # the loop runs _SLICE stops at a time; a horizon at or just past a
+    # slice's last stop ends the run in a slice of its own or none
+    pop = Population(np.random.default_rng(7).random(7))
+    ends = np.unique([ev.time for ev in simulate_exact(pop, RP, POS, 200.0, "endpoints").events])
+    duration = ends[stops - 1] if on_stop else (ends[stops - 1] + ends[stops]) / 2.0
+    traj = _assert_same_run(pop, RP, POS, float(duration), "events")
+    assert len(traj.times) == 1 + stops + (not on_stop)
+    _assert_same_run(pop, RP, POS, float(duration), "endpoints")
 
 
 @pytest.mark.parametrize("phases", [[0.3], [0.1, 0.7]])
@@ -676,6 +689,20 @@ def test_sde_samples_match_reference(fs):
     spec = NoiseSpec(sigma=1e-2, dt=0.01)
     traj = simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
     times, states = sde_oracle.simulate_sde(pop, RP, fs, spec, 2.0, seed=8, sample_every=7)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3, 30])
+def test_sde_samples_stack_across_blocks(monkeypatch, per_block):
+    # the run streams its samples in blocks of _SAMPLE_BLOCK values; the 30
+    # samples here come in blocks of one, two, three or all of them
+    monkeypatch.setattr(rscycle.simulate, "_SAMPLE_BLOCK", 25 * per_block)
+    pop = Population(np.random.default_rng(4).random(25))
+    spec = NoiseSpec(sigma=1e-2, dt=0.01)
+    traj = simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
+    times, states = sde_oracle.simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
+    assert len(times) == 30
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
 

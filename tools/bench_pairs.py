@@ -1,7 +1,8 @@
 """Paired benchmark runs, parent commit against a change, as one JSON file.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<N>.json \
-        --run section-atlas=1761-1770 [--run exact-large=1721-1730 ...]
+        --run section-atlas=1761-1770 [--run exact-large=1721-1730 ...] \
+        [--cli sde-every-step simulate '{"engine": "sde", "sample_every": 1}' 1-5 ...]
 
 The committed files of the parent (default HEAD) are extracted with
 `git archive` into a temporary directory; the change is this checkout's
@@ -15,18 +16,30 @@ change/parent ratio of the medians, `change_wins`, the pairs in which
 the change is better, and two verdicts: `claim_met` (a gain may be claimed)
 and `beyond_bound` (the change is worse than the metric's bound allows).  `trace1` holds every per-layer row of one
 `--trace 1 --seconds 0` run per side and workload at seed 0.
+
+A `--cli NAME COMMAND CONFIG SEEDS` pair runs one `rscycle COMMAND` with
+the JSON config CONFIG and `--seed S` for each seed S, in a fresh process
+per side and seed, alternating which side goes first.  It records the
+exit code, the wall time and the child's peak RSS (`ru_maxrss` from
+`os.wait4`) per side, and whether the two sides wrote the same bytes;
+under `cli` the file holds its pairs and the same summary of `wall_s` and
+`peak_rss_mb`.  This measures runs that no workload makes, such as the
+stochastic `simulate` or an exact one of many cycles.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +82,62 @@ def bench(checkout, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+# the child of a CLI pair: `rscycle` with the arguments after -c
+_CLI_MAIN = "import sys; from rscycle.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cli_run(checkout, command, config_path, seed, out):
+    """Exit code, wall time and peak RSS (MB) of one `rscycle COMMAND`
+    process that imports rscycle from checkout's src."""
+    argv = [sys.executable, "-c", _CLI_MAIN, command, "--config", str(config_path),
+            "--seed", str(seed), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout) / "src")}
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"exit": proc.returncode,
+            "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": usage.ru_maxrss / 1024}}}
+
+
+def digest(out):
+    """sha256 over the names and bytes of every file under out, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(out).rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(out)).encode() + b"\0")
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                h.update(block)
+    return h.hexdigest()
+
+
+def cli_pairs(sides, command, config, seeds, workdir):
+    """One pair per seed of `cli_run` on each side, which side goes first
+    alternating; each side's output is hashed and removed before the next
+    run, and identical tells whether the two wrote the same bytes."""
+    workdir = Path(workdir)
+    config_path = workdir / "config.json"
+    config_path.write_text(json.dumps(config))
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair, digests = {"seed": seed, "first": order[0]}, {}
+        for s in order:
+            out = workdir / s
+            pair[s] = cli_run(sides[s], command, config_path, seed, out)
+            digests[s] = digest(out) if out.exists() else None
+            shutil.rmtree(out, ignore_errors=True)
+        pair["identical"] = digests["parent"] == digests["change"]
+        pairs.append(dict(sorted(pair.items())))
+        print(f"{command} seed {seed}: " + " ".join(
+            f"{s} wall_s={pair[s]['metrics']['wall_s']['value']:.4f} "
+            f"peak_rss_mb={pair[s]['metrics']['peak_rss_mb']['value']:.1f}" for s in order),
+            flush=True)
+    return pairs
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -105,10 +174,15 @@ def summarise(pairs, metrics):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--run", type=parse_run, action="append", required=True,
+    parser.add_argument("--run", type=parse_run, action="append", default=[],
                         metavar="WORKLOAD=SEEDS", help="e.g. section-atlas=1761-1770")
+    parser.add_argument("--cli", nargs=4, action="append", default=[],
+                        metavar=("NAME", "COMMAND", "CONFIG", "SEEDS"),
+                        help="a CLI pair, e.g. sde simulate '{\"engine\": \"sde\"}' 1-5")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not (args.run or args.cli):
+        parser.error("give at least one --run or --cli")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -131,6 +205,7 @@ def main(argv=None):
             "parent_commit": parent_sha,
             "trace1": {workload: {"seed": TRACE_SEED} for workload, _ in args.run},
             "workloads": {},
+            "cli": {},
         }
         for workload, row in result["trace1"].items():
             for s, path in sides.items():
@@ -150,6 +225,18 @@ def main(argv=None):
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("change", "parent")},
                 "pairs": pairs,
                 "summary": summarise(pairs, spec["end_to_end"]),
+            }
+        cli_metrics = [m for m in spec["end_to_end"] if m["name"] in ("wall_s", "peak_rss_mb")]
+        for name, command, config, seeds in args.cli:
+            config = json.loads(config)
+            with tempfile.TemporaryDirectory(prefix="bench-cli-") as work:
+                pairs = cli_pairs(sides, command, config, parse_run(f"{name}={seeds}")[1], work)
+            result["cli"][name] = {
+                "command": command, "config": config,
+                "failed": {s: sum(p[s]["exit"] != 0 for p in pairs) for s in ("change", "parent")},
+                "identical": sum(p["identical"] for p in pairs),
+                "pairs": pairs,
+                "summary": summarise(pairs, cli_metrics),
             }
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0

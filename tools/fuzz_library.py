@@ -42,7 +42,7 @@ NOT_ENTRY_POINTS = ("CertificateError", "SimulationError", "ValidationError", "C
                     "ClusterDecomposition", "CyclicSolution", "EventRecord", "FixedPoint",
                     "FixedPointReport", "Group", "SpectrumReport", "Trajectory")
 # each numeric argument takes each of these
-VALUES = [math.nan, math.inf, -1, 0, 1e308, -1e-320, 2.5, 10 ** 9]
+VALUES = [math.nan, math.inf, -1, 0, 1e308, -1e-320, 2.5, 10 ** 9, "x", None, []]
 # each array argument takes each of these
 ARRAYS = {
     "empty": [],
