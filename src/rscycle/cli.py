@@ -268,7 +268,12 @@ def _check_config(command: str, cfg: dict) -> None:
 
 # The table writer formats a real in numpy when 1e-4 <= x < 1e15 (its
 # decimal exponent E lies in [-4, 14]); every other value (zero, negative,
-# tiny, huge, non-finite) goes through "%.17g" one by one.
+# tiny, huge, non-finite) goes through "%.17g" one by one.  Its 17 digits
+# come from the exact product x * 10**(16 - E).  Every value is first
+# multiplied by the one constant 10**17, as if E were -1 (x in [0.1, 1), the
+# phases that fill trajectory.csv); only the values whose product lands
+# outside (10**16, 10**17) then take E from log10 and their own power of
+# ten, on their own subset.
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each one exact
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a float64
 # One value takes a row of 28 bytes: byte 0 is unused, so that the digits
@@ -297,65 +302,101 @@ def _digit_tables():
     return words, zeros
 
 
-def _two_product(a, b):
-    """(hi, lo) with hi = fl(a * b) and hi + lo == a * b exactly (Dekker);
-    each ufunc rounds once, so nothing is fused."""
-    hi = a * b
+def _split(a):
+    """Veltkamp's split (ah, al) of the float64 array a: ah + al == a, each
+    half 26 bits."""
     c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    ah = c - a
+    np.subtract(c, ah, out=ah)  # c - (c - a)
+    return ah, np.subtract(a, ah, out=c)
 
 
-def _div_10k(x):
-    """x // 10**4 for int64 0 <= x < 10**9, by multiply and shift."""
-    return (x * 3518437209) >> 45
+def _two_product(a, b, b_split):
+    """(hi, lo) with hi = fl(a * b) and hi + lo == a * b exactly (Dekker),
+    b_split the _split of b: lo is ((ah*bh - hi) + ah*bl + al*bh) + al*bl,
+    each ufunc rounding once, so nothing is fused."""
+    hi = a * b
+    (ah, al), (bh, bl) = _split(a), b_split
+    lo = ah * bh
+    lo -= hi
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, bh, out=ah)
+    lo += np.multiply(al, bl, out=al)
+    return hi, lo
 
 
-def _decimal_digits(x):
-    """(D, E) for float64 x in [1e-4, 1e15): D, in [10**16, 10**17), holds
-    the 17 significant digits of x rounded half-even, and E is the decimal
-    exponent, so that D * 10**(E - 16) is x rounded."""
+_SPLIT_1E17 = _split(_POW10[17:18])  # 10**17's split, made once
+
+
+def _split_10k(x):
+    """(x // 10**4, x % 10**4) for int64 0 <= x < 10**9, the quotient by
+    multiply and shift; the remainder is written over x."""
+    hi = np.multiply(x, 3518437209)
+    np.right_shift(hi, 45, out=hi)
+    x -= hi * 10 ** 4
+    return hi, x
+
+
+def _exponent_products(x):
+    """(E, hi, lo) for float64 x in [1e-4, 1e15): E the decimal exponent
+    of x, and hi + lo == x * 10**(16 - E) exactly, in [10**16, 10**17)."""
     # E is fixed up from the exact product before rounding, so a value just
     # below a power of ten (1e-07 is 9.9999999999999995e-08) gets the smaller E
     E = np.floor(np.log10(x)).astype(np.int64)
-    hi, lo = _two_product(x, _POW10[16 - E])
+    p = _POW10[16 - E]
+    hi, lo = _two_product(x, p, _split(p))
     while True:
         low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
         high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
         bad = np.flatnonzero(low | high)
         if not bad.size:
-            break
+            return E, hi, lo
         E[bad] += high[bad].astype(np.int64) - low[bad]
-        hi[bad], lo[bad] = _two_product(x[bad], _POW10[16 - E[bad]])
+        p = _POW10[16 - E[bad]]
+        hi[bad], lo[bad] = _two_product(x[bad], p, _split(p))
+
+
+def _decimal_digits(x):
+    """(D, other, E) for float64 x in [1e-4, 1e15): D, in [10**16, 10**17),
+    holds the 17 significant digits of x rounded half-even.  The decimal
+    exponent of x[i], such that D[i] * 10**(E - 16) is x[i] rounded, is -1,
+    except at the indices of the array other, whose exponents E holds."""
+    # the same bits as hi, lo of E = -1: _POW10[17] and its split
+    hi, lo = _two_product(x, _POW10[17], _SPLIT_1E17)
+    # (1e16, 1e17) holds products of E = -1 alone; the subset sorts out the
+    # ends 1e16 and 1e17 by the sign of lo
+    other = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    E, hi[other], lo[other] = _exponent_products(x[other])
     # hi >= 1e16 > 2**53 is an even integer (its ulp is 2 or more) and |lo|
     # <= ulp(hi) / 2 <= 8, so lo carries the whole fraction, and rounding lo
     # half to even rounds hi + lo half to even: hi + rint(lo) is even iff rint(lo) is
-    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = D == 10 ** 17
-    D[carry] = 10 ** 16
+    D = hi.astype(np.int64)
+    D += np.rint(lo, out=lo).astype(np.int64)
+    # only hi = 1e17 (with lo < 0) rounds up to 10**17, and it is in other
+    carry = np.flatnonzero(D[other] == 10 ** 17)
+    D[other[carry]] = 10 ** 16
     E[carry] += 1
-    return D, E
+    return D, other, E
 
 
 def _packed_digits(D):
     """(packed, zeros): row i of the (len(D), 7) uint32 array packed holds a
     zero byte, "0." and the 17 digits of D[i] in bytes 0-19; zeros[i] counts
-    the trailing zeros of D[i]."""
+    the trailing zeros of D[i].  D is overwritten."""
     words, tail_zeros = _digit_tables()
     # D = d0 | g1 | g2 | g3 | g4, a digit and four groups of four
-    q, r = np.divmod(D, 10 ** 8)
-    q_hi = _div_10k(q)
-    d0 = _div_10k(q_hi)
-    r_hi = _div_10k(r)
-    groups = (d0 + 10 ** 4, q_hi - d0 * 10 ** 4, q - q_hi * 10 ** 4, r_hi, r - r_hi * 10 ** 4)
-    zeros = tail_zeros[groups[4]]
-    for k in (3, 2, 1):  # groups after k all zero: count on into group k
-        i = np.flatnonzero(zeros == 4 * (4 - k))
+    q = D // 10 ** 8
+    D -= q * 10 ** 8
+    q, g2 = _split_10k(q)
+    d0, g1 = _split_10k(q)
+    g3, g4 = _split_10k(D)
+    d0 += 10 ** 4
+    groups = (d0, g1, g2, g3, g4)
+    zeros = tail_zeros[g4]
+    i = np.flatnonzero(zeros == 4)
+    for k in (3, 2, 1):  # the rows whose groups after k are all zero count on into group k
         zeros[i] += tail_zeros[groups[k][i]]
+        i = i[zeros[i] == 4 * (5 - k)]
     packed = np.empty((D.size, _ROW // 4), np.uint32)
     for k, group in enumerate(groups):
         packed[:, k] = words[group]
@@ -365,37 +406,44 @@ def _packed_digits(D):
 def _format_g17(x, sep) -> bytes:
     """The bytes of "%.17g" % v + chr(s) for each value v of the float64
     vector x and separator byte s of sep, joined."""
-    fast = (x >= 1e-4) & (x < 1e15)
-    D, E = _decimal_digits(np.where(fast, x, 1.0))
+    special = np.flatnonzero(~((x >= 1e-4) & (x < 1e15)))
+    y = x.copy()
+    y[special] = 0.5  # a value of E = -1: no work in the subset
+    D, other, E = _decimal_digits(y)
+    del y
     packed, zeros = _packed_digits(D)
     del D  # freed before the layout, to keep the peak memory low
 
     # %g layout: fixed, as -4 <= E < 17; trailing zeros and a bare "."
-    # dropped.  Every row gets E = -1 ("0." + 17 digits in bytes 1-19),
-    # then the other exponents are patched group by group.
+    # dropped.  Every row gets E = -1 ("0." + 17 digits in bytes 1-19);
+    # E = -2 writes "0.0" over bytes 0-2, so that its digits stay in place
+    # and its text starts at byte 0; the other exponents are patched group
+    # by group.
     buf = packed.view(np.uint8)
     length = 19 - zeros
-    other = np.flatnonzero(E != -1)
-    # np.bincount, not np.unique: the first np.unique imports numpy.ma (~20 ms)
-    for e in (np.flatnonzero(np.bincount(E[other] + 4)) - 4).tolist():
-        i = other[E[other] == e]
-        digits = buf[i, 3:20]
+    at_0 = other[E == -2]
+    buf[at_0, :3] = np.frombuffer(b"0.0", np.uint8)
+    # np.bincount, not np.unique: the first np.unique imports numpy.ma (10-14 ms)
+    for e in (np.flatnonzero(np.bincount(E + 4)) - 4).tolist():
+        i = other[E == e]
         if e >= 0:
+            digits = buf[i, 3:20]
             buf[i, 1:e + 2] = digits[:, :e + 1]
             buf[i, e + 2] = ord(".")
             buf[i, e + 3:19] = digits[:, e + 1:]
             length[i] = np.where(zeros[i] >= 16 - e, e + 1, 18 - zeros[i])
-        else:
+        elif e < -2:
+            buf[i, 2 - e:19 - e] = buf[i, 3:20]
             buf[i, 3:2 - e] = ord("0")
-            buf[i, 2 - e:19 - e] = digits
             length[i] -= e + 1
     # every other value, +0.0 too, as "%.17g" gives it, padded to 24 bytes
-    special = np.flatnonzero(~fast)
     texts = [b"%.17g" % v for v in x[special].tolist()]
     buf[special, 1:25] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
     length[special] = list(map(len, texts))
     buf.ravel()[np.arange(1, buf.size, _ROW) + length] = sep
-    return buf[np.take(_KEEP, length, axis=0)].tobytes()
+    keep = np.take(_KEEP, length, axis=0)
+    keep[at_0, 0] = True
+    return buf[keep].tobytes()
 
 
 def _write_table(path: Path, header: str, *columns) -> None:
@@ -502,17 +550,22 @@ def write_events_csv(run, path) -> None:
 
 
 def _event_tables(slices):
-    """The columns of events.csv, a times array and the kinds and cells as
-    lists, for groups of whole slices of at least _CHUNK_VALUES events."""
+    """The columns of events.csv, a times array and each crossing's
+    "kind,cell" as a list of labels, for groups of whole slices of at least
+    _CHUNK_VALUES events.  One label column, not a kind and a cell column,
+    makes two items a row in the writer's join of a chunk, not three, each
+    item 80 bytes while the join runs."""
     group, count, last = [], 0, len(slices) - 1
     for k, piece in enumerate(slices):
         group.append(piece)
         count += len(piece.cells)
         if count >= _CHUNK_VALUES or k == last:
-            codes = np.concatenate([piece.codes for piece in group]).tolist()
+            cells = np.concatenate([piece.cells for piece in group])
+            # a crossing's key is 3 * cell + code, one per label
+            keys = (cells * 3 + np.concatenate([piece.codes for piece in group])).tolist()
+            labels = {key: f"{_KIND_LABELS[key % 3]},{key // 3}" for key in set(keys)}
             yield (np.concatenate([np.repeat(piece.t, piece.sizes) for piece in group]),
-                   list(map(_KIND_LABELS.__getitem__, codes)),
-                   np.concatenate([piece.cells for piece in group]).tolist())
+                   list(map(labels.__getitem__, keys)))
             group, count = [], 0
 
 

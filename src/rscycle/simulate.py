@@ -39,24 +39,26 @@ straddles 0, so the occupants of S, the middle arc and R form three FIFO
 queues, and the next batch is found among the three queue heads: an event
 costs O(batch) work.  One loop, `_Flow.run`, steps the flow: it holds the
 clocks, the speed, the three heads' due clocks and the queues in locals,
-stops at the horizon, after a stop budget or, for the section map, after
-the first batch in which a cell reaches 1, and returns its stops as a log
-of (t, tau, batch).  `_Flow` takes its cells and its speed law as lists of
-Python floats, the speeds indexed by the count in S: `simulate_exact`
-builds the list from `_speed_table` once per run, and `_section_run` takes
-the list from its caller.  It reads the cells back as a list
-(`phase_list`), so a replay of a few clusters does no numpy work per call.
+stops at the horizon, after a stop or crossing budget or, for the section
+map, after the first batch in which a cell reaches 1, and returns its stops
+as a log of (t, tau, batch).  `_Flow` takes its cells and its speed law as
+lists of Python floats, the speeds indexed by the count in S:
+`simulate_exact` builds the list from `_speed_table` once per run, and
+`_section_run` takes the list from its caller.  It reads the cells back as
+a list (`phase_list`), so a replay of a few clusters does no numpy work per
+call.
 Replays of many points (the cyclic certificates, the return map's
 agreement column) go through `returnmap._section_runs` instead: the same
 stops in one lockstep numpy loop over all points, bit for bit `_section_run`
 row by row.
 
-`_exact_run` runs the loop to the horizon in runs of `_SLICE` stops and
-keeps each run's log only as one `_Slice` of compact arrays: each row's
-clocks t and tau and batch size, and each crossing's cell and code, in cell
-order within a row, as events.csv has them; 20 bytes a stop and 5 a
-crossing.  `simulate_exact` also builds the event records from each run's
-log.  A crossing's code fixes the cell's new entry phase, entry clock and
+`_exact_run` runs the loop to the horizon in runs that end after the stop
+that reaches `_SLICE` crossings (a stop may batch up to n), and keeps each
+run's log only as one `_Slice` of compact arrays: each row's clocks t and
+tau and batch size, and each crossing's cell and code, in cell order within
+a row, as events.csv has them; 20 bytes a stop and 5 a crossing.
+`simulate_exact` also builds the event records from each run's log.  A
+crossing's code fixes the cell's new entry phase, entry clock and
 region, as `_Flow.run` sets them.  `_event_state_blocks` builds the states
 slice by slice in blocks of `_CHUNK` rows and yields each block with its
 times as it is done: every cell's row is entry + (clock[region] - since)
@@ -182,7 +184,8 @@ class _Flow:
         self.t = self.tau = 0.0
         self.event_count = 0
 
-    def run(self, horizon=math.inf, max_events=math.inf, max_stops=math.inf, to_section=False):
+    def run(self, horizon=math.inf, max_events=math.inf, max_stops=math.inf,
+            max_crossings=math.inf, to_section=False):
         """Step the flow from stop to stop; return (log, offset).
 
         A stop finds the earliest crossing among the three queue heads, dt
@@ -195,7 +198,8 @@ class _Flow:
         The run ends at the horizon: before a stop more than TIE_TOL past it,
         with offset the time from t to the horizon, or after a stop within
         TIE_TOL of it, with offset 0.0.  It also ends, offset None, after
-        max_stops stops or, if to_section, after the first stop in which a
+        max_stops stops, after the stop in which its crossings reach
+        max_crossings or, if to_section, after the first stop in which a
         cell reaches 1.  The clocks, speed and dues are kept in locals while it
         runs and stored back when it ends, so a later run resumes the flow.
 
@@ -208,7 +212,7 @@ class _Flow:
         entry, since, region, speeds = self.entry, self.since, self.region, self.speeds
         (e0, e1, e2), (s0, s1, s2) = self.ends, self.starts
         late, near, tol, inf = horizon + TIE_TOL, horizon - TIE_TOL, TIE_TOL, math.inf
-        log, offset, stops = [], None, 0
+        log, offset, stops, cut = [], None, 0, events + max_crossings
         while True:
             tt0, tt1, tt2 = d0 - t, d1 - t, (d2 - tau) / v
             dt = tt1 if tt1 < tt0 else tt0
@@ -275,7 +279,7 @@ class _Flow:
                 offset = 0.0
                 break
             stops += 1
-            if stops >= max_stops or (to_section and wrapped):
+            if stops >= max_stops or events >= cut or (to_section and wrapped):
                 break
         self.t, self.tau, self.v, self.due, self.event_count = t, tau, v, (d0, d1, d2), events
         return log, offset
@@ -299,7 +303,9 @@ class _Flow:
 
 _KIND_OF_CODE = tuple(EventKind)  # indexed by the crossing code of _Flow.run
 _CHUNK = 64  # rows per block of _event_state_blocks
-_SLICE = 1024  # stops per run of _Flow.run in _exact_run
+# crossings per run of _Flow.run in _exact_run: a run ends after the stop
+# that reaches them, so its log holds fewer than _SLICE + n crossings
+_SLICE = 1024
 
 
 class _Slice(NamedTuple):
@@ -474,8 +480,8 @@ def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: fl
     """The run of `simulate_exact`, with its states left to build.
 
     The horizon is checked by `_check_horizon` before any work.  The
-    kernel's loop, `_Flow.run`, goes to the horizon in runs of _SLICE
-    stops, and each run's log is kept only as one slice of compact arrays
+    kernel's loop, `_Flow.run`, goes to the horizon in runs of about _SLICE
+    crossings, and each run's log is kept only as one slice of compact arrays
     ("events" mode) and, if records, as its event records.  In "endpoints"
     mode the one row is the horizon, built from the flow after the run.
     """
@@ -491,7 +497,7 @@ def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: fl
     start = flow.arrays() if sample == "events" else None
     slices, events, offset = [_row_slice(0.0, 0.0)], [], None
     while offset is None:
-        log, offset = flow.run(duration, max_events=max_events, max_stops=_SLICE)
+        log, offset = flow.run(duration, max_events=max_events, max_crossings=_SLICE)
         if records:
             events += _event_records(log)
         if log and sample == "events":
@@ -522,8 +528,8 @@ def simulate_exact(
     at duration; else the horizon row is the last stop's state moved along
     the frozen speeds.
 
-    The kernel's loop, `_Flow.run`, goes to the horizon in runs of _SLICE
-    stops; the event records are built from each run's log, and the
+    The kernel's loop, `_Flow.run`, goes to the horizon in runs of about
+    _SLICE crossings; the event records are built from each run's log, and the
     sampled states, block by block into one (K, n) array, from the run's
     compact arrays after it.
 

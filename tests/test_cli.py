@@ -779,6 +779,34 @@ def test_import_does_not_load_multiprocessing():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma takes 10-14 ms to import, about half of what retmap, cyclic
+    # and pde-steady take together at their defaults; np.unique, for one,
+    # imports it on its first call
+    configs = {
+        "simulate": {"n": 20, "cycles": 2.0},
+        "sde": {"engine": "sde", "n": 20, "cycles": 2.0},
+        "sweep-fig4": SMALL_SWEEP,
+        "retmap": {"grid": 50},
+        "cyclic": {"k_max": 3, "beta_points": 6, "region_grid": 12},
+        "pde-steady": {"grid": 64},
+    }
+    runs = [["simulate" if name == "sde" else name,
+             "--config", write_config(tmp_path, f"{name}.json", payload),
+             "--seed", "1", "--out", str(tmp_path / name)] for name, payload in configs.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from rscycle.cli import main\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    assert main(argv) == 0, argv\n"
+         "    assert 'numpy.ma' not in sys.modules, argv",
+         json.dumps(runs)],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 # The table writer against the per-row "%" formatting it replaced.
 
 def reference_csv(header, table):
@@ -906,6 +934,14 @@ def test_real_formatter_sweep_matches_per_value_format():
             scaled = Fraction(v) * Fraction(10) ** (16 - E)
             assert scaled.denominator == 2 and 10 ** 16 < scaled < 10 ** 17
         ties.append(values)
+    # 64 ulps either side of 0.01, 0.1, 1 and 10: x * 1e17 lands on or next
+    # to 1e16 or 1e17, where a value leaves the class of E = -1
+    around = [np.array([0.01, 0.1, 1.0, 10.0])]
+    for direction in (0.0, np.inf):
+        step = around[0]
+        for _ in range(64):
+            step = np.nextafter(step, direction)
+            around.append(step)
     edges = np.array([1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4,
                       9.9999999999999995e-08, 1e15, np.nextafter(1e15, 0.0), 1e14,
                       685186056114786.875, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -915,12 +951,13 @@ def test_real_formatter_sweep_matches_per_value_format():
         rng.random(250_000) * 10.0 ** rng.integers(-12, 17, 250_000),
         10.0 ** rng.uniform(-12.0, 16.0, 250_000),
         np.arange(250_000) / 1024.0,
-        *near, *ties, edges,
+        *near, *ties, *around, edges,
     ])
     assert values.size >= 1_000_000
-    for start in range(0, values.size, 1 << 14):
-        chunk = values[start:start + (1 << 14)]
-        assert format_lines(chunk) == reference_lines(chunk), start
+    chunks = [values[start:start + (1 << 14)] for start in range(0, values.size, 1 << 14)]
+    chunks.append(0.01 + 0.089 * rng.random(1 << 14))  # E = -2 alone
+    for k, chunk in enumerate(chunks):
+        assert format_lines(chunk) == reference_lines(chunk), k
 
 
 def sde_reference(payload, seed=3):

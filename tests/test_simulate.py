@@ -23,6 +23,7 @@ from rscycle.simulate import (
     _build_event_states,
     _check_horizon,
     _em_block,
+    _exact_run,
     _Flow,
     _log_slice,
     _row_slice,
@@ -476,14 +477,25 @@ def test_built_states_match_the_per_stop_sampler_at_n_1000(gamma):
 @pytest.mark.parametrize("stops", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
 @pytest.mark.parametrize("on_stop", [True, False], ids=["horizon-on-a-stop", "horizon-between"])
 def test_runs_across_slices_match_the_per_stop_sampler(stops, on_stop):
-    # the loop runs _SLICE stops at a time; a horizon at or just past a
-    # slice's last stop ends the run in a slice of its own or none
+    # the loop runs _SLICE crossings at a time, here one a stop; a horizon
+    # at or just past a slice's last stop ends the run in a slice of its own
+    # or none
     pop = Population(np.random.default_rng(7).random(7))
     ends = np.unique([ev.time for ev in simulate_exact(pop, RP, POS, 200.0, "endpoints").events])
     duration = ends[stops - 1] if on_stop else (ends[stops - 1] + ends[stops]) / 2.0
     traj = _assert_same_run(pop, RP, POS, float(duration), "events")
     assert len(traj.times) == 1 + stops + (not on_stop)
     _assert_same_run(pop, RP, POS, float(duration), "endpoints")
+
+
+def test_a_run_cut_inside_a_batch_matches_the_per_stop_sampler():
+    # three clusters of 400 equal phases cross 400 at a stop: a run ends
+    # after the stop whose batch reaches _SLICE crossings, inside that batch
+    pop = Population(np.repeat([0.1, 0.4, 0.7], 400))
+    run = _exact_run(pop, RP, POS, 3.0)
+    assert [(len(piece.t), len(piece.cells)) for piece in run.slices[1:3]] == [(3, 1200)] * 2
+    assert len(run.slices) > 4
+    _assert_same_run(pop, RP, POS, 3.0, "events")
 
 
 @pytest.mark.parametrize("phases", [[0.3], [0.1, 0.7]])
