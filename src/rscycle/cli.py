@@ -41,7 +41,7 @@ from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _ch
                     _max_isolated, max_isolated_clusters)
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_runs, analytic_F_k2, as_piecewise, compose, fixed_points
-from .simulate import (_CHUNK, EventKind, NoiseSpec, SimulationError, _check_horizon, _em_block,
+from .simulate import (EventKind, NoiseSpec, SimulationError, _check_horizon, _em_block,
                        _event_state_blocks, _exact_run, _sde_run, _sde_steps, _speed_table)
 
 _DEFAULTS = {
@@ -165,8 +165,8 @@ def _load_config(path, command: str, overrides: dict) -> dict:
 
 
 # decision: CLI policy.  A run holds at most 10**5 cells, 20 times the 5000
-# of --paper-scale.  One state row is then 0.8 MB and a block of _CHUNK
-# exact states 51 MB; n 10**9 asked for 8 GB before the first step.
+# of --paper-scale.  One state row is then 0.8 MB and a block of
+# simulate._CHUNK exact states 51 MB; n 10**9 asked for 8 GB before the first step.
 _MAX_CELLS = 10 ** 5
 # decision: CLI policy.  A sweep block holds at most 10**7 phases (points *
 # n), 20 times the 5 * 10**5 of --paper-scale.  Each Euler-Maruyama step
@@ -460,7 +460,9 @@ def _write_table(path: Path, header: str, *columns) -> None:
 
     The table may instead be one iterator of tuples of columns, each tuple
     the next rows of the table: each is written, in chunks, as it comes,
-    so a producer can reuse one buffer and the whole table is never held.
+    and the whole table is never held.  A column of such a tuple may be a
+    view of a buffer that its producer overwrites once the next tuple is
+    asked for: the writer is done with each tuple before it asks.
     """
     if len(columns) == 1 and isinstance(columns[0], Iterator):
         tables = map(_runs, columns[0])
@@ -586,35 +588,12 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
         run = _exact_run(pop, rp, fs, duration)
         # first, while no large block has been freed: see README on the writer's speed
         write_events_csv(run, out / "events.csv")
-        rows, blocks = run.rows, _event_state_blocks(run)
+        blocks = _event_state_blocks(run)
     else:
-        rows, blocks = _sde_run(pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
-                                duration, rng, cfg["sample_every"])
-    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(n)),
-                 _trajectory_tables(blocks, min(rows, _CHUNK), n))
+        _, blocks = _sde_run(pop, rp, fs, NoiseSpec(sigma=cfg["sigma"], dt=cfg["dt"]),
+                             duration, rng, cfg["sample_every"])
+    _write_table(out / "trajectory.csv", "t," + ",".join(f"phase_{i}" for i in range(n)), blocks)
     return 0
-
-
-def _trajectory_tables(blocks, rows: int, n: int):
-    """The [t | phases] rows of a stream of (times, states) blocks of n
-    cells, copied in order into one reused table of rows rows, which is
-    yielded, as a one-column table of _write_table, each time it is full,
-    and its filled rows last.  (A build straight into the table's strided
-    phase columns is the slower.)"""
-    table, filled = np.empty((rows, n + 1)), 0
-    for times, block in blocks:
-        done = 0
-        while done < len(block):
-            take = min(len(block) - done, rows - filled)
-            part = table[filled:filled + take]
-            part[:, 0] = times[done:done + take]
-            part[:, 1:] = block[done:done + take]
-            filled, done = filled + take, done + take
-            if filled == rows:
-                yield (table,)
-                filled = 0
-    if filled:
-        yield (table[:filled],)
 
 
 def _sweep_regions(value: float) -> RegionParams:

@@ -7,7 +7,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import Population, RegionParams, ValidationError, _check_count, _check_number
+from .model import Population, RegionParams, _check_count, _check_number
 
 # decision: library policy.  A histogram has at most 10**6 bins, counts of
 # 8 MB; 10**9 raised MemoryError.  The CLI's bins cap, 2400, is its own.
@@ -57,11 +57,7 @@ def decompose(pop: Population, rp: RegionParams, delta: Optional[float] = None) 
     """
     if delta is None:
         delta = default_merge_delta(rp)
-    _check_number("merge delta", delta)
-    if not (0.0 < delta < rp.interaction_length):
-        raise ValidationError(
-            f"merge delta must lie in (0, |R|+|S|) = (0, {rp.interaction_length:.6g})"
-        )
+    _check_number("merge delta", delta, gt=0.0, lt=rp.interaction_length)  # (0, |R|+|S|)
     order, widths = _sorted_gaps(pop.phases)
     m = order.size
 

@@ -295,11 +295,10 @@ class Population:
     phases: np.ndarray
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float).copy()
+        self.phases = _reals("phases", self.phases, array=True).copy()
         if self.phases.ndim != 1 or self.phases.size == 0:
             raise ValidationError("population needs a non-empty 1-d phase array")
-        if not np.all((self.phases >= 0.0) & (self.phases < 1.0)):  # NaN fails too
-            raise ValidationError("phases must lie in [0, 1)")
+        _check_number("phases", self.phases, ge=0.0, lt=1.0, array=True)
 
     def __len__(self) -> int:
         return self.phases.size

@@ -43,7 +43,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from .model import (TIE_TOL, CertificateError, FeedbackSpec, RegionParams, ValidationError,
-                    _check_count, _check_number)
+                    _check_count, _check_number, _reals)
 from .simulate import (_DT_ERROR, _KIND_OF_CODE, _ORDER_ERROR, SimulationError, _Flow,
                        _speed_table)
 
@@ -66,14 +66,13 @@ _NO_SECTION = "section advance did not terminate; integration bug"
 # numeric section map
 
 
-def _ascending(points, message: str) -> List[float]:
-    """points as Python floats; ValidationError(message) unless they are
-    nonempty and ascend in [0, 1] (any compare with NaN is false)."""
-    try:
-        pos = list(map(float, points))
-    except (TypeError, ValueError):  # an entry that is not a number, or a nested list
-        raise ValidationError(message) from None
-    if not pos or not all(map(le, [0.0, *pos], [*pos, 1.0])):
+def _ascending(name: str, points, message: str) -> List[float]:
+    """points as Python floats; ValidationError unless they are real numbers
+    (`_reals`) and, with message, a nonempty 1-d sequence that ascends in
+    [0, 1] (any compare with NaN is false)."""
+    x = _reals(name, points, array=True)
+    pos = x.tolist()
+    if x.ndim != 1 or not pos or not all(map(le, [0.0, *pos], [*pos, 1.0])):
         raise ValidationError(message)
     return pos
 
@@ -323,7 +322,7 @@ def advance_to_section(positions, rp: RegionParams, fs: FeedbackSpec):
     Raises CertificateError if no cluster reaches 1 within 3k + 10 stops
     (a correct advance makes at most 2k + 1).
     """
-    pos = _ascending(positions, "positions must be finite and ascend in [0, 1]")
+    pos = _ascending("positions", positions, "positions must be finite and ascend in [0, 1]")
     t1, final, hits = _section_run(pos, rp, _speed_table(fs, len(pos)).tolist())
     return t1, np.array(final), [(i, _KIND_OF_CODE[code]) for i, code in hits]
 
@@ -337,7 +336,8 @@ def numeric_F(p, rp: RegionParams, fs: FeedbackSpec):
     is a pure relabel: t1 = 0 and the image is (0, x_1, ..., x_{k-2}).
     """
     # an empty p (k = 1) has no section map
-    p = _ascending(p, "simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
+    p = _ascending("simplex point", p,
+                   "simplex point must satisfy 0 <= x_1 <= ... <= x_{k-1} <= 1, k >= 2")
     t1, final, _ = _section_run([0.0, *p], rp, _speed_table(fs, len(p) + 1).tolist())
     return np.array(final[:-1]), t1
 
@@ -379,9 +379,9 @@ class PiecewiseAffineMap:
     intercepts: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        q = np.asarray(self.intercepts, dtype=float)
+        b = _reals("breakpoints", self.breakpoints, array=True)
+        s = _reals("slopes", self.slopes, array=True)
+        q = _reals("intercepts", self.intercepts, array=True)
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "slopes", s)
         object.__setattr__(self, "intercepts", q)

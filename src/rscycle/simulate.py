@@ -15,9 +15,8 @@ built once per run.  Only the normal draws stay per row, one
 standard_normal(n) per row and step, so each row's stream, and its result,
 is bit for bit that of the row run alone.  It yields (step, block) at each
 sample and keeps none: the cluster-count sweep of the CLI keeps the last,
-and `_sde_run`, the P = 1 run, copies the samples into blocks of 2 MB,
-which `simulate_sde` stacks into one (K, n) array and `rscycle simulate`
-writes as they come.
+and `_sde_run`, the P = 1 run, copies the samples into new blocks of 2 MB,
+its stream of (times, block).
 
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
@@ -60,17 +59,20 @@ a row, as events.csv has them; 20 bytes a stop and 5 a crossing.
 `simulate_exact` also builds the event records from each run's log.  A
 crossing's code fixes the cell's new entry phase, entry clock and
 region, as `_Flow.run` sets them.  `_event_state_blocks` builds the states
-slice by slice in blocks of `_CHUNK` rows and yields each block with its
-times as it is done: every cell's row is entry + (clock[region] - since)
-from the per-cell state at the block's first row, and then only the
-columns of the cells that cross inside the block are rebuilt, each row
-from the cell's latest crossing at or before it.  In "endpoints" mode the
-build has one row, the horizon's clocks, and no batch, and starts from the
-flow's per-cell state after the run.  Every block is wrapped in place.
-`simulate_exact` builds the blocks into one (K, n) array, which it
-returns; `rscycle simulate` writes events.csv from the arrays, then builds
-the blocks into one reused buffer and writes each before the next is
-built, so it holds neither the K x n states nor a Python object per event.
+slice by slice in blocks of `_CHUNK` rows, into one reused buffer, and
+yields each block with its times as it is done: every cell's row is entry +
+(clock[region] - since) from the per-cell state at the block's first row,
+and then only the columns of the cells that cross inside the block are
+rebuilt, each row from the cell's latest crossing at or before it.  In
+"endpoints" mode the build has one row, the horizon's clocks, and no batch,
+and starts from the flow's per-cell state after the run.  Every block is
+wrapped in place.
+
+So each engine gives one stream of (times, block), and two readers take
+it: `_stack` copies it into the (K, n) array that `simulate_exact` and
+`simulate_sde` return, and `rscycle simulate` writes events.csv from the
+arrays and then each block of the stream before it asks for the next, so
+it holds neither the K x n states nor a Python object per event.
 """
 
 import math
@@ -375,26 +377,22 @@ def _wrap(out, scratch) -> None:
     out[out == 1.0] = 0.0
 
 
-def _event_state_blocks(run: _Run, out=None):
+def _event_state_blocks(run: _Run):
     """Build the state at each row of run, slice by slice and _CHUNK rows
-    at a time, and yield each block as (its times, view of out) once it is
-    built.  A row's time is its clock t, and the last row's the horizon.
+    at a time, into one buffer of min(K, _CHUNK) rows, and yield each block
+    as (its times, view of the buffer) once it is built; the next block
+    overwrites it.  A row's time is its clock t, and the last row's the
+    horizon.
 
     The build advances copies of run.start in place.  A crossing of code c
     moves its cell to region (c + 1) % 3 with entry phase run.starts[c], at
     that region's clock of its row, as `_Flow.run` does.
-
-    out is either (K, n), and each block fills its own rows in place, or
-    None, for a buffer of min(K, _CHUNK) rows that every block reuses from
-    its first row.
     """
     K = run.rows
     entry, since, region = (a.copy() for a in run.start)
     n = len(entry)
-    if out is None:
-        out = np.empty((min(K, _CHUNK), n))
-    starts, whole, row = np.array(run.starts), len(out) == K, 0
-    scratch = np.empty((min(K, _CHUNK), n))
+    out, scratch = np.empty((min(K, _CHUNK), n)), np.empty((min(K, _CHUNK), n))
+    starts, row = np.array(run.starts), 0
     column = np.empty(n, np.intp)
     for piece in run.slices:
         clocks = np.column_stack((piece.t, piece.t, piece.tau))
@@ -405,7 +403,7 @@ def _event_state_blocks(run: _Run, out=None):
         bounds = np.searchsorted(stops, np.arange(0, len(clocks) + _CHUNK, _CHUNK)).tolist()
         for first in range(0, len(clocks), _CHUNK):
             rows = clocks[first:first + _CHUNK]
-            block = out[row:row + len(rows)] if whole else out[:len(rows)]
+            block = out[:len(rows)]
             _fill(block, rows, entry, since, region)
             lo, hi = bounds[first // _CHUNK], bounds[first // _CHUNK + 1]
             if lo < hi:
@@ -438,11 +436,13 @@ def _event_state_blocks(run: _Run, out=None):
             yield times, block
 
 
-def _build_event_states(run: _Run):
-    """The times and states of `_event_state_blocks`, the states built in
-    place in one (K, n) array."""
-    states = np.empty((run.rows, len(run.start[0])))
-    times = np.concatenate([times for times, _ in _event_state_blocks(run, states)])
+def _stack(K: int, n: int, blocks):
+    """The times and states of a stream of (times, block) blocks of n cells,
+    K rows in all, copied in order into one (K,) and one (K, n) array."""
+    times, states, first = np.empty(K), np.empty((K, n)), 0
+    for t, block in blocks:
+        times[first:first + len(t)], states[first:first + len(t)] = t, block
+        first += len(t)
     return times, states
 
 
@@ -530,8 +530,8 @@ def simulate_exact(
 
     The kernel's loop, `_Flow.run`, goes to the horizon in runs of about
     _SLICE crossings; the event records are built from each run's log, and the
-    sampled states, block by block into one (K, n) array, from the run's
-    compact arrays after it.
+    sampled states from the run's compact arrays after it, block by block,
+    each block copied into one (K, n) array.
 
     Raises ValidationError, before any work, for a max_events that is not
     an integer >= 0, a duration that is not finite and > 0 or whose lower
@@ -541,7 +541,7 @@ def simulate_exact(
     explodes.
     """
     run = _exact_run(pop, rp, fs, duration, sample, max_events, records=True)
-    times, states = _build_event_states(run)
+    times, states = _stack(run.rows, len(pop), _event_state_blocks(run))
     return Trajectory(times=times, states=states, events=run.events)
 
 
@@ -650,8 +650,5 @@ def simulate_sde(
     >= 0.
     """
     K, blocks = _sde_run(pop, rp, fs, noise, duration, seed, sample_every)
-    times, states, first = np.empty(K), np.empty((K, len(pop))), 0
-    for t, block in blocks:
-        times[first:first + len(t)], states[first:first + len(t)] = t, block
-        first += len(t)
+    times, states = _stack(K, len(pop), blocks)
     return Trajectory(times=times, states=states, events=[])

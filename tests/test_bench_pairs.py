@@ -84,11 +84,15 @@ def test_cli_pairs_alternate_and_measure_each_child(tmp_path):
         for side in ("parent", "change"):
             assert pair[side]["exit"] == 0
             assert pair[side]["metrics"]["wall_s"]["value"] > 0.0
-            assert pair[side]["metrics"]["peak_rss_mb"]["value"] > 1.0  # a Python process
-    assert not (tmp_path / "parent").exists() and not (tmp_path / "change").exists()
-    summary = bench_pairs.summarise(pairs, [{"name": "peak_rss_mb", "better": "lower",
-                                             "bound": 0.1}])
+            metrics = pair[side]["metrics"]
+            assert metrics["peak_rss_mb"]["value"] > 1.0  # a Python process
+            # the traced child holds live only what the command allocates
+            assert 0.0 < metrics["traced_peak_mb"]["value"] < metrics["peak_rss_mb"]["value"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    summary = bench_pairs.summarise(pairs, [{"name": name, "better": "lower", "bound": 0.1}
+                                            for name in ("peak_rss_mb", "traced_peak_mb")])
     assert not summary["peak_rss_mb"]["claim_met"]  # two pairs make no claim
+    assert summary["traced_peak_mb"]["change_over_parent"] > 0.0
 
 
 def test_cli_pairs_record_a_refused_config(tmp_path):
@@ -96,3 +100,4 @@ def test_cli_pairs_record_a_refused_config(tmp_path):
     [pair] = bench_pairs.cli_pairs({"parent": root, "change": root}, "simulate",
                                    {"n": 0}, [0], tmp_path)
     assert pair["parent"]["exit"] == pair["change"]["exit"] == 2
+    assert pair["parent"]["metrics"]["traced_peak_mb"]["value"] >= 0.0

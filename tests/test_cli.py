@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sde_oracle
 import spectrum_oracle
+import rscycle.simulate
 from rscycle import cli, cyclic
 from rscycle.cyclic import classify_case, cyclic_spacing
 from rscycle.model import (CertificateError, FeedbackSpec, Population, RegionParams,
@@ -974,12 +975,19 @@ def sde_reference(payload, seed=3):
                         seed=rng, sample_every=cfg["sample_every"])
 
 
-@pytest.mark.parametrize("engine", ["exact", "sde"])
-def test_trajectory_csv_matches_per_row_format(tmp_path, engine):
+@pytest.mark.parametrize("engine, small", [("exact", False), ("sde", False), ("exact", True),
+                                           ("sde", True)],
+                         ids=["exact", "sde", "exact-small-blocks", "sde-small-blocks"])
+def test_trajectory_csv_matches_per_row_format(tmp_path, monkeypatch, engine, small):
+    # small: the stream's blocks hold 3 exact rows or 7 samples, so they end
+    # inside the writer's chunks
     payload = {"engine": engine, "n": 30, "cycles": 3.0}
+    traj = sde_reference(payload) if engine == "sde" else exact_reference(payload)
+    if small:
+        monkeypatch.setattr(rscycle.simulate, "_CHUNK", 3)
+        monkeypatch.setattr(rscycle.simulate, "_SAMPLE_BLOCK", 7 * 30)
     cfg = write_config(tmp_path, "c.json", payload)
     assert run_cli(["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
-    traj = sde_reference(payload) if engine == "sde" else exact_reference(payload)
     header = "t," + ",".join(f"phase_{i}" for i in range(30))
     table = np.column_stack((traj.times, traj.states))
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_csv(header, table)

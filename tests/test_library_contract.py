@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 import rscycle
-from rscycle import (Case, FeedbackSpec, NoiseSpec, Population, RegionParams, ValidationError,
-                     analytic_F_k2, as_piecewise, build_A, classify_case, compose,
-                     count_clusters_histogram, cyclic_solution, decompose, saturating_feedback,
-                     simulate_exact, simulate_sde, spectrum, steady_profile,
-                     verify_root_requirement)
+from rscycle import (Case, FeedbackSpec, NoiseSpec, PiecewiseAffineMap, Population, RegionParams,
+                     ValidationError, advance_to_section, analytic_F_k2, as_piecewise, build_A,
+                     classify_case, compose, count_clusters_histogram, cyclic_solution, decompose,
+                     numeric_F, saturating_feedback, simulate_exact, simulate_sde, spectrum,
+                     steady_profile, verify_root_requirement)
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "fuzz_library.py"
 _SPEC = importlib.util.spec_from_file_location("fuzz_library", _PATH)
@@ -96,6 +96,22 @@ DEFECTS = {
     # AttributeError and IndexError from a batch of objects or of no rows
     "classify_case-k-None": lambda: classify_case(RegionParams(0.15, 0.6), None, -0.3),
     "cyclic_solution-beta-empty": lambda: cyclic_solution(RegionParams(0.15, 0.6), 2, []),
+    # ValueError or TypeError from np.asarray(value, dtype=float) on an
+    # array of text or of objects
+    "Population-phases-text": lambda: Population(["x"]),
+    "Population-phases-object": lambda: Population([object()]),
+    "PiecewiseAffineMap-breakpoints-text": lambda: PiecewiseAffineMap(["x"], [1.0], [0.0]),
+    "PiecewiseAffineMap-breakpoints-object": lambda: PiecewiseAffineMap([object()], [1.0], [0.0]),
+    "PiecewiseAffineMap-slopes-text": lambda: PiecewiseAffineMap([0.0, 1.0], ["x"], [0.0]),
+    "PiecewiseAffineMap-slopes-object": lambda: PiecewiseAffineMap([0.0, 1.0], [object()], [0.0]),
+    "PiecewiseAffineMap-intercepts-text": lambda: PiecewiseAffineMap([0.0, 1.0], [1.0], ["x"]),
+    "PiecewiseAffineMap-intercepts-object":
+        lambda: PiecewiseAffineMap([0.0, 1.0], [1.0], [object()]),
+    # returned: np.asarray(value, dtype=float) or float() parsed the text
+    "Population-phases-string-number": lambda: Population(np.array(["0.5"])),
+    "advance_to_section-positions-string-number":
+        lambda: advance_to_section(np.array(["0.0", "0.5"]), RP, LINEAR),
+    "numeric_F-p-string-number": lambda: numeric_F(np.array(["0.5"]), RP, LINEAR),
 }
 
 

@@ -20,15 +20,16 @@ from rscycle.simulate import (
     EventKind,
     NoiseSpec,
     SimulationError,
-    _build_event_states,
     _check_horizon,
     _em_block,
+    _event_state_blocks,
     _exact_run,
     _Flow,
     _log_slice,
     _row_slice,
     _Run,
     _speed_table,
+    _stack,
     simulate_exact,
     simulate_sde,
 )
@@ -388,7 +389,7 @@ def test_phase_list_is_phases_bit_for_bit(data):
         assert (t, tau) == (flow.t, flow.tau)
         lists.append(flow.phase_list())
     run = _Run(flow.t, [_row_slice(0.0, 0.0), _log_slice(log, n)], start, flow.starts, [])
-    _, states = _build_event_states(run)
+    _, states = _stack(run.rows, n, _event_state_blocks(run))
     assert [_hex(row) for row in states] == [_hex(x) for x in lists]
 
 
@@ -411,7 +412,8 @@ def test_queues_are_the_per_cell_fill(data):
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
     flow = _Flow([-1e-300, 0.5], RP, _speed_table(POS, 2).tolist())
-    built = _build_event_states(_Run(0.0, [_row_slice(0.0, 0.0)], flow.arrays(), flow.starts, []))[1][0]
+    run = _Run(0.0, [_row_slice(0.0, 0.0)], flow.arrays(), flow.starts, [])
+    built = _stack(1, 2, _event_state_blocks(run))[1][0]
     assert _hex(flow.phase_list()) == _hex(built) == _hex(sampler_oracle.phases(flow))
     assert _hex(built) == _hex([0.0, 0.5])
 
@@ -705,16 +707,29 @@ def test_sde_samples_match_reference(fs):
     assert traj.states.tobytes() == states.tobytes()
 
 
-@pytest.mark.parametrize("per_block", [1, 2, 3, 30])
-def test_sde_samples_stack_across_blocks(monkeypatch, per_block):
-    # the run streams its samples in blocks of _SAMPLE_BLOCK values; the 30
-    # samples here come in blocks of one, two, three or all of them
-    monkeypatch.setattr(rscycle.simulate, "_SAMPLE_BLOCK", 25 * per_block)
+@pytest.mark.parametrize("engine, per_block", [
+    ("sde", 1), ("sde", 2), ("sde", 3), ("sde", 30),
+    ("exact", 1), ("exact", 2), ("exact", 3), ("exact", 64),
+], ids=["1", "2", "3", "30", "exact-1", "exact-2", "exact-3", "exact-64"])
+def test_sde_samples_stack_across_blocks(monkeypatch, engine, per_block):
+    # each engine streams its states in blocks, which the library stacks:
+    # the 30 samples of the stochastic run come in blocks of _SAMPLE_BLOCK
+    # values, one, two, three or all of them a block, and the exact run's
+    # rows in blocks of _CHUNK rows, whatever their size bit for bit the
+    # states of the default blocks
     pop = Population(np.random.default_rng(4).random(25))
-    spec = NoiseSpec(sigma=1e-2, dt=0.01)
-    traj = simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
-    times, states = sde_oracle.simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
-    assert len(times) == 30
+    if engine == "sde":
+        monkeypatch.setattr(rscycle.simulate, "_SAMPLE_BLOCK", 25 * per_block)
+        spec = NoiseSpec(sigma=1e-2, dt=0.01)
+        traj = simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
+        times, states = sde_oracle.simulate_sde(pop, RP, POS, spec, 2.0, seed=8, sample_every=7)
+        assert len(times) == 30
+    else:
+        default = simulate_exact(pop, RP, POS, 2.0)
+        monkeypatch.setattr(rscycle.simulate, "_CHUNK", per_block)
+        traj = simulate_exact(pop, RP, POS, 2.0)
+        times, states = default.times, default.states
+        assert len(times) > 2 * 64 and traj.events == default.events
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
 

@@ -21,10 +21,13 @@ A `--cli NAME COMMAND CONFIG SEEDS` pair runs one `rscycle COMMAND` with
 the JSON config CONFIG and `--seed S` for each seed S, in a fresh process
 per side and seed, alternating which side goes first.  It records the
 exit code, the wall time and the child's peak RSS (`ru_maxrss` from
-`os.wait4`) per side, and whether the two sides wrote the same bytes;
-under `cli` the file holds its pairs and the same summary of `wall_s` and
-`peak_rss_mb`.  This measures runs that no workload makes, such as the
-stochastic `simulate` or an exact one of many cycles.
+`os.wait4`) per side, and whether the two sides wrote the same bytes.  One
+more child per side and seed, untimed, runs the same command under
+`tracemalloc` and records its traced Python peak, `traced_peak_mb`: the
+memory the program holds live, which RSS mixes with glibc's heap layout.
+Under `cli` the file holds its pairs and the same summary of `wall_s`,
+`peak_rss_mb` and `traced_peak_mb`.  This measures runs that no workload
+makes, such as the stochastic `simulate` or an exact one of many cycles.
 """
 
 import argparse
@@ -84,22 +87,33 @@ def bench(checkout, workload, seed, seconds, trace):
 
 # the child of a CLI pair: `rscycle` with the arguments after -c
 _CLI_MAIN = "import sys; from rscycle.cli import main; sys.exit(main(sys.argv[1:]))"
+# the traced child: the same command under tracemalloc, which prints the
+# traced peak in bytes, also when the command raises
+_CLI_TRACED = ("import sys, tracemalloc; from rscycle.cli import main; tracemalloc.start()\n"
+               "try: code = main(sys.argv[1:])\n"
+               "finally: print(tracemalloc.get_traced_memory()[1])\n"
+               "sys.exit(code)")
 
 
 def cli_run(checkout, command, config_path, seed, out):
     """Exit code, wall time and peak RSS (MB) of one `rscycle COMMAND`
-    process that imports rscycle from checkout's src."""
-    argv = [sys.executable, "-c", _CLI_MAIN, command, "--config", str(config_path),
-            "--seed", str(seed), "--out", str(out)]
+    process that imports rscycle from checkout's src, and the traced peak
+    (MB) of one more such process under tracemalloc, which writes its
+    files to out-traced and removes them."""
+    args = [command, "--config", str(config_path), "--seed", str(seed), "--out"]
     env = {**os.environ, "PYTHONPATH": str(Path(checkout) / "src")}
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, "-c", _CLI_MAIN, *args, str(out)], cwd=checkout,
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"exit": proc.returncode,
-            "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": usage.ru_maxrss / 1024}}}
+    traced_out = f"{out}-traced"
+    traced = subprocess.run([sys.executable, "-c", _CLI_TRACED, *args, traced_out], cwd=checkout,
+                            env=env, capture_output=True, text=True)
+    shutil.rmtree(traced_out, ignore_errors=True)
+    return {"exit": os.waitstatus_to_exitcode(status),
+            "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": usage.ru_maxrss / 1024},
+                        "traced_peak_mb": {"value": int(traced.stdout.split()[-1]) / 2 ** 20}}}
 
 
 def digest(out):
@@ -133,7 +147,8 @@ def cli_pairs(sides, command, config, seeds, workdir):
         pairs.append(dict(sorted(pair.items())))
         print(f"{command} seed {seed}: " + " ".join(
             f"{s} wall_s={pair[s]['metrics']['wall_s']['value']:.4f} "
-            f"peak_rss_mb={pair[s]['metrics']['peak_rss_mb']['value']:.1f}" for s in order),
+            f"peak_rss_mb={pair[s]['metrics']['peak_rss_mb']['value']:.1f} "
+            f"traced_peak_mb={pair[s]['metrics']['traced_peak_mb']['value']:.2f}" for s in order),
             flush=True)
     return pairs
 
@@ -227,6 +242,9 @@ def main(argv=None):
                 "summary": summarise(pairs, spec["end_to_end"]),
             }
         cli_metrics = [m for m in spec["end_to_end"] if m["name"] in ("wall_s", "peak_rss_mb")]
+        # the traced peak is judged by the bound of the peak RSS
+        cli_metrics += [{**m, "name": "traced_peak_mb"} for m in cli_metrics
+                        if m["name"] == "peak_rss_mb"]
         for name, command, config, seeds in args.cli:
             config = json.loads(config)
             with tempfile.TemporaryDirectory(prefix="bench-cli-") as work:

@@ -54,6 +54,10 @@ ARRAYS = {
     "descending": [0.75, 0.25],
     "huge": [1e308],
     "subnormal": [-1e-320],
+    "text": ["x"],
+    "none": [None],
+    "object": [object()],
+    "string-number": np.array(["0.5"]),
 }
 
 
