@@ -41,8 +41,9 @@ from .model import (FeedbackSpec, Population, RegionParams, ValidationError, _ch
                     _max_isolated, max_isolated_clusters)
 from .pde import flux_residual, mass, steady_profile
 from .returnmap import _section_runs, analytic_F_k2, as_piecewise, compose, fixed_points
-from .simulate import (EventKind, NoiseSpec, SimulationError, _check_horizon, _em_block,
-                       _event_state_blocks, _exact_run, _sde_run, _sde_steps, _speed_table)
+from .simulate import (_KIND_OF_CODE, NoiseSpec, SimulationError, _check_horizon, _em_block,
+                       _event_arrays, _event_state_blocks, _exact_run, _sde_run, _sde_steps,
+                       _speed_table)
 
 _DEFAULTS = {
     "simulate": {
@@ -468,6 +469,9 @@ def _write_table(path: Path, header: str, *columns) -> None:
         tables = map(_runs, columns[0])
     else:
         tables = [_runs(columns)]
+    # a block of one chunk's numpy temporaries (128 bytes a value), freed at once, raises
+    # glibc's mmap and trim thresholds, so that every chunk's temporaries stay in its heap
+    np.empty(_CHUNK_VALUES * 128, np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for runs in tables:
@@ -539,35 +543,27 @@ def _write_metadata(out: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
-_KIND_LABELS = [kind.value for kind in EventKind]  # indexed by the crossing code
-
-
 def write_events_csv(run, path) -> None:
-    """Boundary crossings of an exact run (`simulate._Run`): t,kind,cell,
-    the bytes of "%.17g,%s,%d" per event, through _write_table.  The
-    columns are cut from the run's compact arrays a group of whole slices
-    at a time, each group of at least _CHUNK_VALUES events (the last the
-    rest), so the writer's chunks are those of the whole columns."""
-    _write_table(path, "t,kind,cell", _event_tables(run.slices))
+    """Boundary crossings of an exact run (`simulate._Run`): t,kind,cell, the
+    bytes of "%.17g,%s,%d" per event, in the tables of `_event_tables`."""
+    _write_table(path, "t,kind,cell", _event_tables(run.events))
 
 
 def _event_tables(slices):
-    """The columns of events.csv, a times array and each crossing's
-    "kind,cell" as a list of labels, for groups of whole slices of at least
-    _CHUNK_VALUES events.  One label column, not a kind and a cell column,
-    makes two items a row in the writer's join of a chunk, not three, each
-    item 80 bytes while the join runs."""
+    """The columns of events.csv, a times array and each crossing's "kind,cell"
+    label, for groups of whole slices of at least _CHUNK_VALUES events (the last
+    the rest), so the writer's chunks are those of the whole columns.  One label
+    column, not a kind and a cell column, makes two items a row in the writer's
+    join of a chunk, not three, each item 80 bytes while the join runs."""
     group, count, last = [], 0, len(slices) - 1
     for k, piece in enumerate(slices):
         group.append(piece)
         count += len(piece.cells)
         if count >= _CHUNK_VALUES or k == last:
-            cells = np.concatenate([piece.cells for piece in group])
-            # a crossing's key is 3 * cell + code, one per label
-            keys = (cells * 3 + np.concatenate([piece.codes for piece in group])).tolist()
-            labels = {key: f"{_KIND_LABELS[key % 3]},{key // 3}" for key in set(keys)}
-            yield (np.concatenate([np.repeat(piece.t, piece.sizes) for piece in group]),
-                   list(map(labels.__getitem__, keys)))
+            times, cells, codes = _event_arrays(group)
+            keys = (cells * 3 + codes).tolist()  # a crossing's key, one per label
+            labels = {key: f"{_KIND_OF_CODE[key % 3].value},{key // 3}" for key in set(keys)}
+            yield times, list(map(labels.__getitem__, keys))
             group, count = [], 0
 
 
@@ -586,7 +582,6 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
     duration = float(cfg["cycles"])
     if cfg["engine"] == "exact":
         run = _exact_run(pop, rp, fs, duration)
-        # first, while no large block has been freed: see README on the writer's speed
         write_events_csv(run, out / "events.csv")
         blocks = _event_state_blocks(run)
     else:

@@ -55,7 +55,9 @@ def _reals(name: str, value, array: bool = False) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # a ragged list
         x = None
     if x is None or x.dtype.kind not in "biuf" or (x.ndim and not array):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        wanted = "a real number or an array of real numbers" if array else "a real number"
+        shown = str(value) if isinstance(value, np.ndarray) else repr(value)  # no dtype
+        raise ValidationError(f"{name} must be {wanted}, got {shown}")
     return x.astype(float, copy=False)
 
 

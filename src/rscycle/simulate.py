@@ -15,8 +15,8 @@ built once per run.  Only the normal draws stay per row, one
 standard_normal(n) per row and step, so each row's stream, and its result,
 is bit for bit that of the row run alone.  It yields (step, block) at each
 sample and keeps none: the cluster-count sweep of the CLI keeps the last,
-and `_sde_run`, the P = 1 run, copies the samples into new blocks of 2 MB,
-its stream of (times, block).
+and `_sde_run`, the P = 1 run, copies the samples into one reused block of
+2 MB, its stream of (times, block).
 
 A cell that reaches 1 wraps to exactly 0 and is in S from that instant.
 Simultaneous boundary hits (within TIE_TOL of the earliest) are processed
@@ -55,9 +55,9 @@ row by row.
 that reaches `_SLICE` crossings (a stop may batch up to n), and keeps each
 run's log only as one `_Slice` of compact arrays: each row's clocks t and
 tau and batch size, and each crossing's cell and code, in cell order within
-a row, as events.csv has them; 20 bytes a stop and 5 a crossing.
-`simulate_exact` also builds the event records from each run's log.  A
-crossing's code fixes the cell's new entry phase, entry clock and
+a row, as events.csv has them; 20 bytes a stop and 5 a crossing: the run's
+one event log, which `_event_arrays` flattens for the Trajectory and events.csv.
+A crossing's code fixes the cell's new entry phase, entry clock and
 region, as `_Flow.run` sets them.  `_event_state_blocks` builds the states
 slice by slice in blocks of `_CHUNK` rows, into one reused buffer, and
 yields each block with its times as it is done: every cell's row is entry +
@@ -133,11 +133,21 @@ class NoiseSpec:
 @dataclass
 class Trajectory:
     """Sampled states of a run: times[i] pairs with states[i] (one row of
-    phases per sample).  events is empty for the stochastic engine."""
+    phases per sample), and the exact engine's crossings in events.csv's
+    order (event_codes index EventKind; empty for the stochastic engine)."""
 
     times: np.ndarray
     states: np.ndarray
-    events: List[EventRecord] = field(default_factory=list)
+    event_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    event_cells: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
+    event_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
+
+    @property
+    def events(self) -> List[EventRecord]:
+        """The crossings as a new list of EventRecord, built from the arrays."""
+        kinds = map(_KIND_OF_CODE.__getitem__, self.event_codes.tolist())
+        rows = zip(self.event_times.tolist(), kinds, self.event_cells.tolist())
+        return list(map(EventRecord._make, rows))
 
     def final_population(self) -> Population:
         return Population(wrap01(self.states[-1]))
@@ -348,13 +358,13 @@ class _Run(NamedTuple):
     """One exact run before its states are built: the horizon, the rows in
     slices of compact arrays, start, each cell's entry phase, entry clock
     and region at the first row, starts, the entry phase of each crossing
-    code (`_Flow.starts`), and the event records, if the run built them."""
+    code (`_Flow.starts`), and events, the slices of its crossings."""
 
     duration: float
     slices: List[_Slice]
     start: tuple
     starts: tuple
-    events: List[EventRecord]
+    events: List[_Slice]
 
     @property
     def rows(self) -> int:
@@ -446,11 +456,12 @@ def _stack(K: int, n: int, blocks):
     return times, states
 
 
-def _event_records(log) -> List[EventRecord]:
-    """The events of a log of `_Flow.run`, by stop and within a stop by cell."""
-    new = tuple.__new__  # EventRecord's own __new__, without its Python frame
-    return [new(EventRecord, (t, _KIND_OF_CODE[code], i)) for t, _, batch in log
-            for _, i, code in (sorted(batch, key=itemgetter(1)) if len(batch) > 1 else batch)]
+def _event_arrays(slices):
+    """The (times, cells, codes) of the crossings of slices, in events.csv's order."""
+    return (np.repeat(np.concatenate([piece.t for piece in slices]),
+                      np.concatenate([piece.sizes for piece in slices])),
+            np.concatenate([piece.cells for piece in slices]),
+            np.concatenate([piece.codes for piece in slices]))
 
 
 def _check_horizon(duration, rp: RegionParams, speeds, max_events=_MAX_EVENTS,
@@ -475,15 +486,14 @@ def _check_horizon(duration, rp: RegionParams, speeds, max_events=_MAX_EVENTS,
 
 
 def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: float,
-               sample: str = "events", max_events: int = _MAX_EVENTS,
-               records: bool = False) -> _Run:
+               sample: str = "events", max_events: int = _MAX_EVENTS) -> _Run:
     """The run of `simulate_exact`, with its states left to build.
 
     The horizon is checked by `_check_horizon` before any work.  The
     kernel's loop, `_Flow.run`, goes to the horizon in runs of about _SLICE
-    crossings, and each run's log is kept only as one slice of compact arrays
-    ("events" mode) and, if records, as its event records.  In "endpoints"
-    mode the one row is the horizon, built from the flow after the run.
+    crossings, and each run's log is kept only as one slice of compact
+    arrays, which are also the rows in "events" mode.  In "endpoints" mode
+    the one row is the horizon, built from the flow after the run.
     """
     _check_count("max_events", max_events, 0)
     speeds = _speed_table(fs, len(pop))
@@ -495,20 +505,18 @@ def _exact_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, duration: fl
 
     flow = _Flow(pop.phases.tolist(), rp, speeds.tolist())
     start = flow.arrays() if sample == "events" else None
-    slices, events, offset = [_row_slice(0.0, 0.0)], [], None
+    slices, offset = [_row_slice(0.0, 0.0)], None
     while offset is None:
         log, offset = flow.run(duration, max_events=max_events, max_crossings=_SLICE)
-        if records:
-            events += _event_records(log)
-        if log and sample == "events":
+        if log:
             slices.append(_log_slice(log, len(pop)))
     # the horizon's clocks: the last stop's moved by offset, 0.0 if the stop is on the horizon
     t, tau = flow.t + offset, flow.tau + flow.v * offset
     if sample == "endpoints":
-        return _Run(duration, [_row_slice(t, tau)], flow.arrays(), flow.starts, events)
+        return _Run(duration, [_row_slice(t, tau)], flow.arrays(), flow.starts, slices)
     if offset:  # else the last stop is on the horizon and is its row
         slices.append(_row_slice(t, tau))
-    return _Run(duration, slices, start, flow.starts, events)
+    return _Run(duration, slices, start, flow.starts, slices)
 
 
 def simulate_exact(
@@ -528,10 +536,9 @@ def simulate_exact(
     at duration; else the horizon row is the last stop's state moved along
     the frozen speeds.
 
-    The kernel's loop, `_Flow.run`, goes to the horizon in runs of about
-    _SLICE crossings; the event records are built from each run's log, and the
-    sampled states from the run's compact arrays after it, block by block,
-    each block copied into one (K, n) array.
+    The run is `_exact_run`'s.  Its slices give the event arrays, with no
+    Python object per event, and the states, each block copied into one
+    (K, n) array.
 
     Raises ValidationError, before any work, for a max_events that is not
     an integer >= 0, a duration that is not finite and > 0 or whose lower
@@ -540,9 +547,9 @@ def simulate_exact(
     exceeds max_events, which flags parameter sets whose event cadence
     explodes.
     """
-    run = _exact_run(pop, rp, fs, duration, sample, max_events, records=True)
+    run = _exact_run(pop, rp, fs, duration, sample, max_events)
     times, states = _stack(run.rows, len(pop), _event_state_blocks(run))
-    return Trajectory(times=times, states=states, events=run.events)
+    return Trajectory(times, states, *_event_arrays(run.events))
 
 
 def _sde_steps(duration, dt, name: str = "duration") -> int:
@@ -593,7 +600,7 @@ def _sde_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, noise: NoiseSp
     """The run of `simulate_sde` as a stream, its arguments checked first:
     (K, an iterator of (times, block)), K the sample count and each block
     the next samples of `_em_block` with their times k dt, in blocks of
-    `_sample_blocks`."""
+    `_sample_blocks`, each a view of one buffer that the next overwrites."""
     _check_number("duration", duration, gt=0.0)
     _check_count("sample_every", sample_every, 1)
     if not (seed is None or isinstance(seed, (np.random.Generator, np.random.SeedSequence))):
@@ -606,24 +613,19 @@ def _sde_run(pop: Population, rp: RegionParams, fs: FeedbackSpec, noise: NoiseSp
     return K, _sample_blocks(samples, noise.dt, rows, len(pop))
 
 
-# values per block of _sample_blocks: 2 MB of float64.  A block is a new
-# array, freed once written; glibc then raises its mmap and trim thresholds
-# to the block's size, above the ~2 MB of numpy temporaries that each chunk
-# of the table writer makes, which it would otherwise map, trim and fault in
-# again chunk by chunk (1.3x the writer's time at n = 1000 in fresh processes)
-_SAMPLE_BLOCK = 1 << 18
+_SAMPLE_BLOCK = 1 << 18  # values per block of _sample_blocks: 2 MB of float64
 
 
 def _sample_blocks(samples, dt, rows, n):
     """The (k, (1, n) block) samples of `_em_block` as (times k dt, block)
-    blocks of rows samples, each block a new array, and the rest last."""
+    blocks of rows samples, the rest last, in one buffer the next overwrites."""
     steps, block, i = np.empty(rows), np.empty((rows, n)), 0
     for k, sample in samples:
         steps[i], block[i] = k, sample[0]
         i += 1
         if i == rows:
             yield steps * dt, block
-            steps, block, i = np.empty(rows), np.empty((rows, n)), 0
+            i = 0
     if i:
         yield steps[:i] * dt, block[:i]
 
@@ -651,4 +653,4 @@ def simulate_sde(
     """
     K, blocks = _sde_run(pop, rp, fs, noise, duration, seed, sample_every)
     times, states = _stack(K, len(pop), blocks)
-    return Trajectory(times=times, states=states, events=[])
+    return Trajectory(times=times, states=states)

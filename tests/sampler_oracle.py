@@ -4,7 +4,9 @@ This is the sampler `simulate_exact` used before its event log: the loop
 drives the same kernel, `simulate._Flow`, one stop per `run`, keeps its own
 horizon rules ("endpoints" samples the grid [duration]), and at each stop
 rebuilds every phase from the flow's per-cell lists with numpy (`phases`),
-so each stop costs O(n); the rows are stacked after the loop.
+so each stop costs O(n); the rows are stacked after the loop.  Its events
+are EventRecords built stop by stop, and the Trajectory's event arrays are
+read from them.
 """
 
 import copy
@@ -31,7 +33,8 @@ def _snapshot(flow):
 
 
 def simulate_exact(pop, rp, fs, duration, sample="events"):
-    """`simulate_exact` with the per-stop sampler, for valid arguments."""
+    """`simulate_exact` with the per-stop sampler, for valid arguments:
+    (its Trajectory, its events as a list of EventRecord)."""
     grid = None if sample == "events" else [duration]
     flow = _Flow(pop.phases.tolist(), rp, _speed_table(fs, len(pop)).tolist())
     times, states, events = [], [], []
@@ -60,5 +63,8 @@ def simulate_exact(pop, rp, fs, duration, sample="events"):
             final = phases(flow)
             break
     rest = [duration] if grid is None else grid[pending:]
-    return Trajectory(times=np.array(times + rest),
-                      states=np.vstack(states + [final] * len(rest)), events=events)
+    traj = Trajectory(np.array(times + rest), np.vstack(states + [final] * len(rest)),
+                      np.array([ev.time for ev in events], float),
+                      np.array([ev.cell for ev in events], np.int32),
+                      np.array([_KIND_OF_CODE.index(ev.kind) for ev in events], np.int8))
+    return traj, events

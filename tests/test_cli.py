@@ -1108,7 +1108,7 @@ def _events_csv(path, events, rows_per_slice=7):
                              np.zeros(len(part)), np.array(list(map(len, part)), np.int32),
                              np.array([ev.cell for ev in members], np.int32),
                              np.array([_KIND_OF_CODE.index(ev.kind) for ev in members], np.int8)))
-    cli.write_events_csv(_Run(0.0, slices, None, None, []), path)
+    cli.write_events_csv(_Run(0.0, slices, None, None, slices), path)
     return path.read_bytes()
 
 

@@ -126,11 +126,20 @@ def test_each_defect_is_refused_in_the_library(call):
 @pytest.mark.parametrize("value, message", [
     (NAN, "x must be finite, got nan"),
     (np.array([0.5, INF]), "x must be finite, got inf"),
-    ("a", "x must be a real number, got 'a'"),
+    ("a", "x must be a real number or an array of real numbers, got 'a'"),
+    # the array rule names an array, and shows a numpy array without its dtype
+    (["x"], "x must be a real number or an array of real numbers, got ['x']"),
+    (np.array(["0.5"]), "x must be a real number or an array of real numbers, got ['0.5']"),
 ])
 def test_number_rule_names_the_first_value_that_fails(value, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         rscycle.model._check_number("x", value, array=True)
+
+
+def test_population_names_an_array_of_real_numbers():
+    message = "phases must be a real number or an array of real numbers, got ['0.5']"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Population(np.array(["0.5"]))
 
 
 @pytest.mark.parametrize("value", [[0.5], np.array([0.5]), [], "0.5", None, b"1", 1j, [1, None]])

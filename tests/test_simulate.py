@@ -358,6 +358,10 @@ def test_run_within_tie_tol_samples_start_and_horizon(duration):
     assert end.times.tobytes() == traj.times[-1:].tobytes()
     assert end.states.tobytes() == traj.states[-1:].tobytes()
     assert end.events == traj.events
+    # one event log in both modes, and the records rebuilt from it are the
+    # per-stop sampler's
+    _assert_same_event_arrays(end, traj)
+    assert traj.events == sampler_oracle.simulate_exact(Population(start), RP, POS, duration)[1]
 
 
 def _draw_cells(data, n):
@@ -388,7 +392,8 @@ def test_phase_list_is_phases_bit_for_bit(data):
         t, tau, _ = log[-1]
         assert (t, tau) == (flow.t, flow.tau)
         lists.append(flow.phase_list())
-    run = _Run(flow.t, [_row_slice(0.0, 0.0), _log_slice(log, n)], start, flow.starts, [])
+    slices = [_row_slice(0.0, 0.0), _log_slice(log, n)]
+    run = _Run(flow.t, slices, start, flow.starts, slices)
     _, states = _stack(run.rows, n, _event_state_blocks(run))
     assert [_hex(row) for row in states] == [_hex(x) for x in lists]
 
@@ -412,18 +417,26 @@ def test_queues_are_the_per_cell_fill(data):
 def test_phase_list_sets_a_rounded_up_one_to_zero():
     # a tiny negative phase minus its floor rounds to exactly 1.0
     flow = _Flow([-1e-300, 0.5], RP, _speed_table(POS, 2).tolist())
-    run = _Run(0.0, [_row_slice(0.0, 0.0)], flow.arrays(), flow.starts, [])
+    slices = [_row_slice(0.0, 0.0)]
+    run = _Run(0.0, slices, flow.arrays(), flow.starts, slices)
     built = _stack(1, 2, _event_state_blocks(run))[1][0]
     assert _hex(flow.phase_list()) == _hex(built) == _hex(sampler_oracle.phases(flow))
     assert _hex(built) == _hex([0.0, 0.5])
 
 
+def _assert_same_event_arrays(got, want):
+    for name in ("event_times", "event_cells", "event_codes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def _assert_same_run(pop, rp, fs, duration, sample):
     got = simulate_exact(pop, rp, fs, duration, sample=sample)
-    want = sampler_oracle.simulate_exact(pop, rp, fs, duration, sample)
+    want, records = sampler_oracle.simulate_exact(pop, rp, fs, duration, sample)
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
-    assert got.events == want.events
+    _assert_same_event_arrays(got, want)
+    assert got.events == records
     return got
 
 
@@ -524,6 +537,26 @@ def test_states_are_built_without_a_second_copy():
         tracemalloc.stop()
     assert traj.states.shape[0] >= 1000
     assert peak < 1.25 * traj.states.nbytes
+
+
+def test_exact_events_keep_at_most_40_bytes_per_event():
+    # the run's events are kept once, as compact slices flattened into the
+    # Trajectory's arrays, with no Python object per event (a list of
+    # EventRecord takes 89 bytes an event): from 250 to 1000 cycles the
+    # traced peak grows by at most 40 bytes per extra event
+    pop = Population(np.sort(np.random.default_rng(1).random(20)))
+    rp, fs = RegionParams(s=0.25, r=0.75), FeedbackSpec.linear(-0.6)
+    peaks, events = [], []
+    for cycles in (250.0, 1000.0):
+        tracemalloc.start()
+        try:
+            traj = simulate_exact(pop, rp, fs, cycles, sample="endpoints")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        events.append(len(traj.event_times))
+    assert events[1] > 3 * events[0] > 10000
+    assert peaks[1] - peaks[0] <= 40 * (events[1] - events[0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
